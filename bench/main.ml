@@ -1241,14 +1241,14 @@ let e25_empirical_coordination () =
   Report.print t
 
 (* ================================================================== *)
-(* E26 — fault-injection overhead: Faulty wrapper vs base schedulers   *)
+(* E26 — fault-injection overhead: fault plan vs base schedulers      *)
 (* ================================================================== *)
 
 let e26_fault_overhead () =
   let t =
     Report.create
       ~title:
-        "E26 / fault battery: Faulty-wrapper overhead on the E1/E2-class \
+        "E26 / fault battery: fault-plan overhead on the E1/E2-class \
          runs (tc, broadcast strategy)"
       ~columns:
         [
@@ -1307,17 +1307,15 @@ let e26_fault_overhead () =
       in
       List.iter
         (fun (sname, base) ->
-          let go sched () =
-            Network.Run.run ~variant:Network.Config.oblivious ~policy
-              ~transducer ~input sched
+          let go ?faults () =
+            Network.Run.run ?faults ~variant:Network.Config.oblivious ~policy
+              ~transducer ~input base
           in
-          let _, base_ms = time (go base) in
+          let _, base_ms = time go in
           let d0 = counter "network.dup_deliveries" in
           let l0 = counter "network.dropped" in
           let c0 = counter "network.crashes" in
-          let rf, faulty_ms =
-            time (go (Network.Run.Faulty { base; plan }))
-          in
+          let rf, faulty_ms = time (go ~faults:plan) in
           Report.add_row t
             [
               sname;
@@ -1635,16 +1633,6 @@ let bechamel_section () =
        in
        Test.make ~name:"E18: 4-cycles, greedy join order"
          (Staged.stage (fun () -> ignore (Datalog.Eval.seminaive squares graph12))));
-      (let squares =
-         Datalog.Parser.parse_program
-           "O(x,y,z,w) :- E(x,y), E(z,w), E(y,z), E(w,x)."
-       in
-       Test.make ~name:"E20: 4-cycles, hash join"
-         (Staged.stage (fun () ->
-              ignore (Datalog.Hashjoin.seminaive squares graph12))));
-      Test.make ~name:"E20: semi-naive TC, hash join (25v/45e)"
-        (Staged.stage (fun () ->
-             ignore (Datalog.Hashjoin.seminaive tc_rules graph25)));
       Test.make ~name:"E14: broadcast/TC, 4 nodes"
         (Staged.stage
            (run_strategy (Strategies.Broadcast.transducer Zoo.tc) Zoo.tc

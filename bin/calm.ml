@@ -37,30 +37,8 @@ let read_file f =
   close_in ic;
   s
 
-let program_src_term =
-  let program =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "program"; "p" ] ~docv:"RULES" ~doc:"Program text.")
-  in
-  let file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "file"; "f" ] ~docv:"FILE" ~doc:"Program file.")
-  in
-  let combine program file =
-    match (program, file) with
-    | Some s, None -> `Ok s
-    | None, Some f -> `Ok (read_file f)
-    | None, None -> `Error (false, "one of --program or --file is required")
-    | Some _, Some _ -> `Error (false, "give only one of --program, --file")
-  in
-  Term.(ret (const combine $ program $ file))
-
-(* Like [program_src_term], but the source may be absent (commands with a
-   --fixture mode validate its presence themselves). *)
+(* The program source, possibly absent (commands with a --fixture mode
+   validate its presence themselves). *)
 let program_src_opt_term =
   let program =
     Arg.(
@@ -82,6 +60,13 @@ let program_src_opt_term =
     | Some _, Some _ -> `Error (false, "give only one of --program, --file")
   in
   Term.(ret (const combine $ program $ file))
+
+let program_src_term =
+  let required = function
+    | Some s -> `Ok s
+    | None -> `Error (false, "one of --program or --file is required")
+  in
+  Term.(ret (const required $ program_src_opt_term))
 
 let outputs_term =
   Arg.(
@@ -500,6 +485,16 @@ let scheduler_enum =
       ("adversarial", `Adv);
     ]
 
+let scheduler_term =
+  Arg.(
+    value
+    & opt scheduler_enum `Rr
+    & info [ "scheduler"; "s" ] ~docv:"SCHED"
+        ~doc:"round-robin, random, stingy, or adversarial.")
+
+let seed_term =
+  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.")
+
 let faults_term =
   Arg.(
     value
@@ -510,9 +505,9 @@ let faults_term =
            clauses seed=S, dup=PxK, loss=P:D, horizon=H, crash=N\\@R, \
            part=G1|G2\\@R+D (e.g. \
            'seed=7;dup=0.4x3;loss=0.25:2;crash=2\\@4;part=1|2,3\\@2+3'), \
-           or 'default' for a representative all-faults plan. Faulty \
-           runs are deterministic from the seed; quiescence additionally \
-           requires every fault to have struck and healed.")
+           or 'default' for a representative all-faults plan. Runs \
+           under a plan are deterministic from the seed; quiescence \
+           additionally requires every fault to have struck and healed.")
 
 let faults_of_flag = function
   | None -> None
@@ -524,31 +519,10 @@ let faults_of_flag = function
       Printf.eprintf "%s\n" msg;
       exit 1)
 
-let with_faults faults sched =
-  match faults with
-  | None -> sched
-  | Some plan -> Network.Run.Faulty { base = sched; plan }
-
-let faulty_schedulers plan schedulers =
-  List.map
-    (fun (sname, sched) ->
-      (sname ^ "+faults", Network.Run.Faulty { base = sched; plan }))
-    schedulers
-
 (* ------------------------------------------------------------------ *)
 (* calm simulate *)
 
 let simulate_cmd =
-  let scheduler_term =
-    Arg.(
-      value
-      & opt scheduler_enum `Rr
-      & info [ "scheduler"; "s" ] ~docv:"SCHED"
-          ~doc:"round-robin, random, stingy, or adversarial.")
-  in
-  let seed_term =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.")
-  in
   let run src outputs facts facts_file nodes scheduler seed =
     let program = load_program_any ~outputs src in
     let input = resolve_input (Datalog.Program.input_schema program) facts facts_file in
@@ -601,16 +575,6 @@ let simulate_cmd =
 (* calm run *)
 
 let run_cmd =
-  let scheduler_term =
-    Arg.(
-      value
-      & opt scheduler_enum `Rr
-      & info [ "scheduler"; "s" ] ~docv:"SCHED"
-          ~doc:"round-robin, random, stingy, or adversarial.")
-  in
-  let seed_term =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.")
-  in
   let causal_out_term =
     Arg.(
       value
@@ -651,9 +615,8 @@ let run_cmd =
     let compiled = compile_or_exit program in
     let network = make_network nodes in
     let policy = default_policy_for compiled network in
-    let sched =
-      with_faults (faults_of_flag faults) (scheduler_of nodes seed scheduler)
-    in
+    let faults = faults_of_flag faults in
+    let sched = scheduler_of nodes seed scheduler in
     let tracer =
       if causal_out <> None || causal_dot <> None || causal_chrome <> None
       then Some (Network.Trace.collector ())
@@ -661,7 +624,7 @@ let run_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let result =
-      Network.Run.run ?tracer ~heartbeat:obs.heartbeat
+      Network.Run.run ?tracer ?faults ~heartbeat:obs.heartbeat
         ~variant:compiled.Calm_core.Compile.variant ~policy
         ~transducer:compiled.Calm_core.Compile.transducer ~input sched
     in
@@ -670,7 +633,7 @@ let run_cmd =
       "policy=%s scheduler=%s quiesced=%b rounds=%d transitions=%d \
        messages=%d deliveries=%d\n"
       (Network.Policy.name policy)
-      (Network.Run.scheduler_label sched)
+      (Network.Run.scheduler_label ?faults sched)
       result.Network.Run.quiesced result.Network.Run.rounds
       result.Network.Run.transitions result.Network.Run.messages_sent
       result.Network.Run.deliveries;
@@ -738,22 +701,12 @@ let sweep_cmd =
         ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
         schema network
     in
-    let schedulers =
-      match faults_of_flag faults with
-      | None -> Network.Netquery.default_schedulers
-      | Some plan -> faulty_schedulers plan Network.Netquery.default_schedulers
-    in
+    let faults = faults_of_flag faults in
     let cells =
-      List.concat_map
-        (fun policy ->
-          List.map
-            (fun (sname, sched) ->
-              (Network.Policy.name policy ^ "/" ^ sname, policy, sched))
-            schedulers)
-        policies
+      Network.Netquery.grid policies Network.Netquery.default_schedulers
     in
     let results =
-      Network.Run.sweep ~jobs ~heartbeat:obs.heartbeat
+      Network.Run.sweep ~jobs ?faults ~heartbeat:obs.heartbeat
         ~variant:compiled.Calm_core.Compile.variant
         ~transducer:compiled.Calm_core.Compile.transducer ~input cells
     in
@@ -851,16 +804,6 @@ let parse_fact s =
     exit 1
 
 let explain_cmd =
-  let scheduler_term =
-    Arg.(
-      value
-      & opt scheduler_enum `Rr
-      & info [ "scheduler"; "s" ] ~docv:"SCHED"
-          ~doc:"round-robin, random, stingy, or adversarial.")
-  in
-  let seed_term =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.")
-  in
   let fact_term =
     Arg.(
       value
@@ -878,13 +821,13 @@ let explain_cmd =
     let compiled = compile_any_or_exit program in
     let network = make_network nodes in
     let policy = default_policy_for compiled network in
-    let sched =
-      with_faults (faults_of_flag faults) (scheduler_of nodes seed scheduler)
-    in
+    let faults = faults_of_flag faults in
+    let sched = scheduler_of nodes seed scheduler in
     let tracer = Network.Trace.collector () in
     let result =
-      Network.Run.run ~tracer ~variant:compiled.Calm_core.Compile.variant
-        ~policy ~transducer:compiled.Calm_core.Compile.transducer ~input sched
+      Network.Run.run ~tracer ?faults
+        ~variant:compiled.Calm_core.Compile.variant ~policy
+        ~transducer:compiled.Calm_core.Compile.transducer ~input sched
     in
     let events = Network.Trace.events tracer in
     Printf.printf "level=%s policy=%s quiesced=%b transitions=%d\n"
@@ -1003,15 +946,9 @@ let detect_cmd =
           base @ [ Calm_core.Empirical.scatter_policy schema network ]
         else base
       in
-      let schedulers =
-        Option.map
-          (fun plan ->
-            faulty_schedulers plan Network.Netquery.default_schedulers)
-          faults
-      in
       finish
-        (Calm_core.Empirical.detect_compiled ~network ~policies ?schedulers
-           ~jobs ~name:"program" ~compiled ~input ())
+        (Calm_core.Empirical.detect_compiled ~network ~policies ?faults ~jobs
+           ~name:"program" ~compiled ~input ())
   in
   Cmd.v
     (Cmd.info "detect"
@@ -1055,22 +992,21 @@ let validate_cmd =
   in
   let run kind file =
     let contents = read_file file in
+    let json validate =
+      match Observe.Json.of_string contents with
+      | Error m -> Error ("not valid JSON: " ^ m)
+      | Ok j -> validate j
+    in
     let result =
       match kind with
       | `Trace when Filename.check_suffix file ".jsonl" ->
         Result.map (fun _ -> ()) (Observe.Sink.of_jsonl contents)
       | `Series -> Observe.Schema_check.validate_series_jsonl contents
-      | _ -> (
-        match Observe.Json.of_string contents with
-        | Error m -> Error ("not valid JSON: " ^ m)
-        | Ok j -> (
-          match kind with
-          | `Metrics -> Observe.Schema_check.validate_metrics j
-          | `Bench -> Observe.Schema_check.validate_bench j
-          | `Trace -> Observe.Schema_check.validate_trace j
-          | `Causal -> Observe.Schema_check.validate_causal j
-          | `Profile -> Observe.Schema_check.validate_profile j
-          | `Series -> assert false))
+      | `Metrics -> json Observe.Schema_check.validate_metrics
+      | `Bench -> json Observe.Schema_check.validate_bench
+      | `Trace -> json Observe.Schema_check.validate_trace
+      | `Causal -> json Observe.Schema_check.validate_causal
+      | `Profile -> json Observe.Schema_check.validate_profile
     in
     match result with
     | Ok () ->

@@ -16,5 +16,5 @@ let () =
   Format.pp_print_flush ppf ();
   print_endline "== json ==";
   print_endline
-    (Analysis.Json.to_string
+    (Observe.Json.to_string_pretty
        (Analysis.Diagnostic.file_report_to_json ~file diags))

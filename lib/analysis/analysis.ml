@@ -7,7 +7,6 @@
     without re-running any search) — mirroring the certifying-algorithm
     discipline: trust the check, not the search. *)
 
-module Json = Json
 module Diagnostic = Diagnostic
 module Certificate = Certificate
 module Lint = Lint

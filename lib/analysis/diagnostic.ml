@@ -1,5 +1,6 @@
 open Datalog
 module Span = Ast.Span
+module Json = Observe.Json
 
 type severity =
   | Error
@@ -199,12 +200,26 @@ let sarif_region (s : Span.t) =
       ("endColumn", Json.Int s.stop.col);
     ]
 
+(* SARIF wants [uri] to be a URI reference: keep RFC 3986 unreserved
+   bytes and the path separator, percent-encode every other byte, so a
+   UTF-8 file name decodes back to itself in any SARIF consumer. *)
+let sarif_uri file =
+  let b = Buffer.create (String.length file) in
+  String.iter
+    (fun c ->
+      match c with
+      | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '-' | '.' | '_' | '~' | '/' ->
+        Buffer.add_char b c
+      | c -> Printf.bprintf b "%%%02X" (Char.code c))
+    file;
+  Json.String (Buffer.contents b)
+
 let sarif_location ~file (s : Span.t) =
   Json.Obj
     [
       ( "physicalLocation",
         Json.Obj
-          ([ ("artifactLocation", Json.Obj [ ("uri", Json.String file) ]) ]
+          ([ ("artifactLocation", Json.Obj [ ("uri", sarif_uri file) ]) ]
           @ if Span.is_dummy s then [] else [ ("region", sarif_region s) ]) );
     ]
 
@@ -230,7 +245,7 @@ let sarif_result ~file d =
                        Json.Obj
                          ([
                             ( "artifactLocation",
-                              Json.Obj [ ("uri", Json.String file) ] );
+                              Json.Obj [ ("uri", sarif_uri file) ] );
                           ]
                          @
                          if Span.is_dummy n.note_span then []

@@ -3,6 +3,8 @@
    aggregate in any of the three formats. Lint verdicts are pure
    functions of file contents, so the fan-out is deterministic. *)
 
+module Json = Observe.Json
+
 type file_report = {
   path : string;
   source : string;  (** "" when the file could not be read *)
@@ -86,7 +88,7 @@ let render_human reports =
   Buffer.contents buf
 
 let render_json reports =
-  Json.to_string
+  Json.to_string_pretty
     (Json.Obj
        [
          ("errors", Json.Int (total Diagnostic.Error reports));
@@ -101,7 +103,7 @@ let render_json reports =
   ^ "\n"
 
 let render_sarif reports =
-  Json.to_string
+  Json.to_string_pretty
     (Diagnostic.sarif_report
        (List.map (fun r -> (r.path, r.diagnostics)) reports))
   ^ "\n"

@@ -19,12 +19,9 @@ type entry = {
 
 let default_network = Distributed.network_of_ints [ 1; 2; 3 ]
 
-let detect_compiled ?network ?policies ?schedulers ?jobs ~name ~compiled
-    ~input () =
+let detect_compiled ?network ?policies ?schedulers ?faults ?jobs ~name
+    ~compiled ~input () =
   let network = Option.value network ~default:default_network in
-  let schedulers =
-    Option.value schedulers ~default:Network.Netquery.default_schedulers
-  in
   let query = compiled.Compile.query in
   let policies =
     match policies with
@@ -34,32 +31,25 @@ let detect_compiled ?network ?policies ?schedulers ?jobs ~name ~compiled
         ~domain_guided_only:compiled.Compile.domain_guided_only
         query.Query.input network
   in
-  let expected = Query.apply query input in
-  let cells =
-    List.concat_map
-      (fun policy ->
-        List.map
-          (fun (sname, sched) ->
-            (Network.Policy.name policy ^ "/" ^ sname, policy, sched))
-          schedulers)
-      policies
-  in
-  let swept =
-    Network.Run.sweep ?jobs ~variant:compiled.Compile.variant
-      ~transducer:compiled.Compile.transducer ~input cells
+  let verdict, traces =
+    Network.Netquery.check_traced ?schedulers ~policies ?faults ?jobs
+      ~variant:compiled.Compile.variant ~transducer:compiled.Compile.transducer
+      ~query ~input network
   in
   let runs =
-    List.map
-      (fun (label, r, events) ->
+    List.map2
+      (fun (label, r) (_, events) ->
         let report = Network.Detect.analyze ~network events in
         {
           label;
-          correct = Instance.equal r.Network.Run.outputs expected;
+          correct =
+            Instance.equal r.Network.Run.outputs
+              verdict.Network.Netquery.expected;
           quiesced = r.Network.Run.quiesced;
           report;
           coordinated = report.Network.Detect.coordinated;
         })
-      swept
+      verdict.Network.Netquery.runs traces
   in
   let observed_free =
     List.exists (fun v -> v.correct && v.quiesced && not v.coordinated) runs
@@ -76,15 +66,9 @@ let detect_compiled ?network ?policies ?schedulers ?jobs ~name ~compiled
 
 let exit_code e = if e.agree then 0 else 2
 
-let faulty_schedulers plan schedulers =
-  List.map
-    (fun (sname, sched) ->
-      (sname ^ "+faults", Network.Run.Faulty { base = sched; plan }))
-    schedulers
-
-let detect_query ?network ?policies ?schedulers ?jobs ~name ~level ~query
-    ~input () =
-  detect_compiled ?network ?policies ?schedulers ?jobs ~name
+let detect_query ?network ?policies ?schedulers ?faults ?jobs ~name ~level
+    ~query ~input () =
+  detect_compiled ?network ?policies ?schedulers ?faults ?jobs ~name
     ~compiled:(Compile.compile_any ~level query)
     ~input ()
 
@@ -119,12 +103,7 @@ let graph_input edges =
    coordination-free. *)
 let zoo ?jobs ?faults () =
   let network = default_network in
-  let schedulers =
-    match faults with
-    | None -> Network.Netquery.default_schedulers
-    | Some plan -> faulty_schedulers plan Network.Netquery.default_schedulers
-  in
-  let detect = detect_query ?jobs ~network ~schedulers in
+  let detect = detect_query ?jobs ?faults ~network in
   [
     detect ~name:"tc" ~level:Hierarchy.Monotone ~query:Queries.Zoo.tc
       ~input:(graph_input [ (1, 2); (2, 3); (5, 1) ])
@@ -185,13 +164,8 @@ let forced_disagree ?jobs ?faults () =
         | Value.Int _ -> [ nodes.(1) ]
         | _ -> [ nodes.(2) ])
   in
-  let schedulers = [ ("round_robin", Network.Run.Round_robin) ] in
-  let schedulers =
-    match faults with
-    | None -> schedulers
-    | Some plan -> faulty_schedulers plan schedulers
-  in
-  detect_compiled ?jobs ~network ~policies:[ policy ] ~schedulers
+  detect_compiled ?jobs ?faults ~network ~policies:[ policy ]
+    ~schedulers:[ ("round_robin", Network.Run.Round_robin) ]
     ~name:"forced_disagree"
     ~compiled:(Compile.compile_any ~level:Hierarchy.Monotone query)
     ~input:(graph_input [ (1, 2); (2, 3); (3, 1); (4, 5); (5, 6); (6, 4) ])

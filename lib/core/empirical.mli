@@ -40,6 +40,7 @@ val detect_query :
   ?network:Distributed.network ->
   ?policies:Network.Policy.t list ->
   ?schedulers:(string * Network.Run.scheduler) list ->
+  ?faults:Network.Fault.plan ->
   ?jobs:int ->
   name:string ->
   level:Hierarchy.level ->
@@ -48,12 +49,15 @@ val detect_query :
   unit -> entry
 (** Defaults: 3-node network [{1,2,3}], the {!Network.Netquery}
     default policy battery (domain-guided only when the compiled
-    strategy requires it), and the default scheduler battery. *)
+    strategy requires it), and the default scheduler battery. With
+    [faults], every run is under the plan and labels gain a ["+faults"]
+    suffix ({!Network.Run.sweep}). *)
 
 val detect_compiled :
   ?network:Distributed.network ->
   ?policies:Network.Policy.t list ->
   ?schedulers:(string * Network.Run.scheduler) list ->
+  ?faults:Network.Fault.plan ->
   ?jobs:int ->
   name:string ->
   compiled:Compile.compiled ->
@@ -76,10 +80,10 @@ val zoo : ?jobs:int -> ?faults:Network.Fault.plan -> unit -> entry list
     with the scatter policy appended to the battery), and q_clique 3,
     q_star 2, triangles-unless-two-disjoint (Beyond, barrier strategy),
     each on inputs with nonempty output so the detector has anchors to
-    inspect. With [faults], every scheduler in the battery is wrapped in
-    {!Network.Run.Faulty} under the given plan (labels gain a
-    ["+faults"] suffix): the static/empirical agreement must survive
-    duplication, loss, crash/restart, and partitions. *)
+    inspect. With [faults], every run in the battery is under the given
+    plan (labels gain a ["+faults"] suffix): the static/empirical
+    agreement must survive duplication, loss, crash/restart, and
+    partitions. *)
 
 val exit_code : entry -> int
 (** [0] when the entry agrees, [2] when it disagrees — the contract of

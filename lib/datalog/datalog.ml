@@ -13,7 +13,6 @@ module Connectivity = Connectivity
 module Fragment = Fragment
 module Points_of_order = Points_of_order
 module Depgraph = Depgraph
-module Hashjoin = Hashjoin
 module Ivm = Ivm
 module Goal = Goal
 module Ilog = Ilog

@@ -11,10 +11,9 @@ open Relational
    on the data — so it is computed once per rule as a [plan] and the
    index for a position set is shared by every probe of the fixpoint.
 
-   This module subsumes the seed's duplicated [index]/[term_value]/
-   [ground_atom] machinery from [eval.ml] and [hashjoin.ml]; both engines
-   now differ only in how they drive the probe loop (depth-first
-   continuations vs set-at-a-time binding lists). *)
+   This module holds the seed's [index]/[term_value]/[ground_atom]
+   machinery once; [Eval] drives the probe loop depth-first and [Ivm]
+   drives it from a delta atom outward. *)
 
 module Env = Map.Make (String)
 module Smap = Map.Make (String)

@@ -8,10 +8,9 @@
     then answers "facts matching this atom under these bindings" with a
     single hash lookup instead of a scan of the predicate's facts.
 
-    Both {!Eval} (depth-first, tuple-at-a-time) and {!Hashjoin}
-    (set-at-a-time) drive their joins through this module; the seed
-    tree's duplicated [index]/[term_value]/[ground_atom] helpers live
-    here once. *)
+    {!Eval} (depth-first, tuple-at-a-time) and {!Ivm} (delta
+    propagation) drive their joins through this module; the seed tree's
+    [index]/[term_value]/[ground_atom] helpers live here once. *)
 
 open Relational
 

@@ -8,7 +8,8 @@
     input partition is durable), or partitions and heals. A {!plan}
     describes one such adversarial-but-fair run deterministically from a
     seed, so faulty runs are reproducible and their causal traces
-    replayable.
+    replayable. It perturbs whichever scheduler runs the network: pass
+    it to {!Run.run} or {!Run.sweep} as [~faults].
 
     Fault semantics (all fairness-preserving):
     {ul
@@ -65,8 +66,9 @@ type plan = {
 }
 
 val none : plan
-(** The empty plan: no faults. A [Faulty] scheduler with this plan is
-    byte-identical to its base scheduler (results, traces, metrics). *)
+(** The empty plan: no faults. {!Run.run} under this plan is
+    byte-identical to a run without [~faults] (results, traces,
+    metrics). *)
 
 val is_none : plan -> bool
 (** No fault of any kind can ever strike. *)

@@ -28,24 +28,26 @@ type verdict = {
 
 let consistent v = v.mismatches = [] && v.all_quiesced
 
-let check_traced ?(schedulers = default_schedulers) ?policies ?max_rounds
-    ?jobs ~variant ~transducer ~query ~input network =
+let grid policies schedulers =
+  List.concat_map
+    (fun policy ->
+      List.map
+        (fun (sname, sched) -> (Policy.name policy ^ "/" ^ sname, policy, sched))
+        schedulers)
+    policies
+
+let check_traced ?(schedulers = default_schedulers) ?policies ?faults
+    ?max_rounds ?jobs ~variant ~transducer ~query ~input network =
   let policies =
     match policies with
     | Some ps -> ps
     | None -> default_policies query.Query.input network
   in
   let expected = Query.apply query input in
-  let cells =
-    List.concat_map
-      (fun policy ->
-        List.map
-          (fun (sname, sched) ->
-            (Policy.name policy ^ "/" ^ sname, policy, sched))
-          schedulers)
-      policies
+  let swept =
+    Run.sweep ?jobs ?faults ?max_rounds ~variant ~transducer ~input
+      (grid policies schedulers)
   in
-  let swept = Run.sweep ?jobs ?max_rounds ~variant ~transducer ~input cells in
   let runs = List.map (fun (label, r, _events) -> (label, r)) swept in
   let mismatches =
     List.filter_map

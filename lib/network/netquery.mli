@@ -13,6 +13,13 @@ val default_policies :
 (** hash-fact, first-attribute, hash-value, replicate-all, and single-node
     policies (only the domain-guided ones when restricted). *)
 
+val grid :
+  Policy.t list ->
+  (string * Run.scheduler) list ->
+  (string * Policy.t * Run.scheduler) list
+(** The policy × scheduler sweep cells for {!Run.sweep}, policy-major,
+    labelled ["<policy>/<scheduler>"]. *)
+
 type verdict = {
   expected : Instance.t;
   runs : (string * Run.result) list;   (** "<policy>/<scheduler>" label *)
@@ -35,12 +42,15 @@ val check :
   Distributed.network -> verdict
 (** Runs the transducer network on the input under every
     scheduler × policy combination and compares the accumulated output
-    against [Q(input)]. With [jobs > 1] the independent sweep cells run
-    on a Domain pool ({!Run.sweep}); the verdict is unchanged. *)
+    against [Q(input)] (cells as in {!grid}, labels as returned by
+    {!Run.sweep}). With [jobs > 1]
+    the independent sweep cells run on a Domain pool; the verdict is
+    unchanged. *)
 
 val check_traced :
   ?schedulers:(string * Run.scheduler) list ->
   ?policies:Policy.t list ->
+  ?faults:Fault.plan ->
   ?max_rounds:int ->
   ?jobs:int ->
   variant:Config.variant ->
@@ -48,6 +58,7 @@ val check_traced :
   query:Query.t ->
   input:Instance.t ->
   Distributed.network -> verdict * (string * Trace.event list) list
-(** Like {!check}, additionally returning each cell's causal trace
-    (label in the same ["<policy>/<scheduler>"] format). Cell order —
+(** Like {!check}, additionally running every cell under [faults] when
+    given, and returning each cell's causal trace (labels as returned by
+    {!Run.sweep}). Cell order —
     events included — is [jobs]-independent. *)

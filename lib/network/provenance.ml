@@ -46,11 +46,12 @@ let replay ~variant ~policy ~transducer ~input cone =
     let config =
       List.fold_left
         (fun config e ->
-          (* Faulty traces carry the annotations needed to replay them:
-             a restart wipes the node's state and re-injects the logged
-             redeliveries; loss/partition holds need nothing (the replay
-             buffer is a superset of the real one, so sub-checks pass
-             and extra copies are simply never delivered). *)
+          (* A faulty run's trace carries the annotations needed to
+             replay it: a restart wipes the node's state and re-injects
+             the logged redeliveries; loss/partition holds need nothing
+             (the replay buffer is a superset of the real one, so
+             sub-checks pass and extra copies are simply never
+             delivered). *)
           let config =
             if not e.Trace.restart then config
             else

@@ -5,7 +5,6 @@ type scheduler =
   | Random of { seed : int; steps : int }
   | Stingy of { seed : int; steps : int }
   | Adversarial of { steps : int }
-  | Faulty of { base : scheduler; plan : Fault.plan }
 
 type result = {
   config : Config.t;
@@ -78,12 +77,16 @@ let hb_tick hb fmt =
       end)
     fmt
 
-let rec scheduler_label = function
-  | Round_robin -> "round_robin"
-  | Random _ -> "random"
-  | Stingy _ -> "stingy"
-  | Adversarial _ -> "adversarial"
-  | Faulty { base; _ } -> scheduler_label base ^ "+faults"
+let faults_label ?faults label =
+  match faults with None -> label | Some _ -> label ^ "+faults"
+
+let scheduler_label ?faults scheduler =
+  faults_label ?faults
+    (match scheduler with
+    | Round_robin -> "round_robin"
+    | Random _ -> "random"
+    | Stingy _ -> "stingy"
+    | Adversarial _ -> "adversarial")
 
 let snapshot config =
   ( config.Config.state,
@@ -193,8 +196,9 @@ let adv_choose a config =
     a.depths None
 
 (* ------------------------------------------------------------------ *)
-(* The per-run runtime: counters and tracer as before, plus the
-   optional fault state (Faulty wrapper) and adversarial state. *)
+(* The per-run runtime: counters and tracer, plus the optional fault
+   state (a non-empty fault plan) and the adversarial phase's depth
+   state. *)
 
 type rt = {
   counters : counters;
@@ -467,11 +471,11 @@ let random_phase rt ~variant ~policy ~transducer ~input ~stingy st steps
 (* Greedy causal-depth maximization: deliver the single deepest pending
    message copy; heartbeat round-robin when nothing is pending (so the
    phase is fair and the run can still make progress from a cold
-   start). *)
+   start). The depth structure lives only for this phase: stabilization
+   never reads it. *)
 let adversarial_phase rt ~variant ~policy ~transducer ~input steps config =
-  let a =
-    match rt.adv with Some a -> a | None -> assert false
-  in
+  let a = adv_init () in
+  let rt = { rt with adv = Some a } in
   let network = Array.of_list (Policy.network policy) in
   let rec go k config =
     if k = 0 then config
@@ -490,23 +494,14 @@ let adversarial_phase rt ~variant ~policy ~transducer ~input steps config =
   in
   go steps config
 
-let run ?tracer ?(max_rounds = 500) ?(heartbeat = 0.) ~variant ~policy
-    ~transducer ~input scheduler =
+let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
+    ~policy ~transducer ~input scheduler =
   Observe.Sink.span ~cat:"net"
-    ~args:[ ("scheduler", Observe.Json.String (scheduler_label scheduler)) ]
+    ~args:
+      [ ("scheduler", Observe.Json.String (scheduler_label ?faults scheduler)) ]
     "net.run"
   @@ fun () ->
   Observe.Metrics.time m_run @@ fun () ->
-  let base, plan =
-    match scheduler with
-    | Faulty { base = Faulty _; _ } ->
-      invalid_arg "Run.run: nested Faulty schedulers"
-    | Faulty { base; plan } ->
-      (* The empty plan is the base scheduler, byte for byte: no fault
-         state means no RNG draws, no metric rows, no trace deltas. *)
-      (base, if Fault.is_none plan then None else Some plan)
-    | s -> (s, None)
-  in
   let network = Policy.network policy in
   let schema = transducer.Transducer.schema in
   let counters =
@@ -517,18 +512,17 @@ let run ?tracer ?(max_rounds = 500) ?(heartbeat = 0.) ~variant ~policy
       causal = Causal.init network;
     }
   in
-  let rt =
-    {
-      counters;
-      tracer;
-      fault = Option.map (fun p -> Fault.start p ~network) plan;
-      adv =
-        (match base with Adversarial _ -> Some (adv_init ()) | _ -> None);
-    }
+  (* The empty plan is no plan, byte for byte: no fault state means no
+     RNG draws, no metric rows, no trace deltas. *)
+  let fault =
+    match faults with
+    | Some plan when not (Fault.is_none plan) -> Some (Fault.start plan ~network)
+    | _ -> None
   in
+  let rt = { counters; tracer; fault; adv = None } in
   let config0 = Config.start network in
   let config0 =
-    match base with
+    match scheduler with
     | Round_robin -> config0
     | Random { seed; steps } ->
       random_phase rt ~variant ~policy ~transducer ~input ~stingy:false
@@ -540,7 +534,6 @@ let run ?tracer ?(max_rounds = 500) ?(heartbeat = 0.) ~variant ~policy
         steps config0
     | Adversarial { steps } ->
       adversarial_phase rt ~variant ~policy ~transducer ~input steps config0
-    | Faulty _ -> assert false
   in
   if Observe.Series.is_enabled () then
     Observe.Series.set_target "net.round_output_delta"
@@ -596,14 +589,16 @@ let run ?tracer ?(max_rounds = 500) ?(heartbeat = 0.) ~variant ~policy
    the same order — events included: earlier versions silently dropped
    tracing in parallel mode; now every cell traces into a private
    collector and the merged list carries each cell's events. *)
-let sweep ?jobs ?max_rounds ?heartbeat ~variant ~transducer ~input cells =
+let sweep ?jobs ?faults ?max_rounds ?heartbeat ~variant ~transducer ~input
+    cells =
   let run_cell (label, policy, scheduler) =
+    let label = faults_label ?faults label in
     (* Label the cell's series so parallel cells keep distinct keys. *)
     Observe.Series.with_label ("cell", label) @@ fun () ->
     let tracer = Trace.collector () in
     let result =
-      run ~tracer ?max_rounds ?heartbeat ~variant ~policy ~transducer ~input
-        scheduler
+      run ~tracer ?faults ?max_rounds ?heartbeat ~variant ~policy ~transducer
+        ~input scheduler
     in
     (label, result, Trace.events tracer)
   in

@@ -9,7 +9,9 @@
 
     Schedulers realize different fair message orders; all of them finish
     with full-delivery round-robin rounds so that runs terminate whenever
-    the transducer quiesces. *)
+    the transducer quiesces. A run is fixed by the network and that fair
+    choice of node and delivered submultiset; faults are a separate
+    perturbation of the choice, given as an optional {!Fault.plan}. *)
 
 open Relational
 
@@ -32,19 +34,11 @@ type scheduler =
           hardest. Heartbeats round-robin when nothing is pending; then
           round-robin to quiescence. No RNG: ties break by (node, fact)
           order, so adversarial runs are reproducible without a seed. *)
-  | Faulty of { base : scheduler; plan : Fault.plan }
-      (** [base] under the fault plan: seeded duplication, loss with
-          delayed retransmission, crash/restart from the persistent
-          input partition, and healing partitions (see {!Fault}).
-          Quiescence is additionally gated on {!Fault.quiescent}, so
-          [quiesced = true] means the run survived every fault {e and}
-          stabilized afterwards. [Faulty] with {!Fault.none} is
-          byte-identical to [base] (result, trace, stable metrics).
-          Nesting [Faulty] raises [Invalid_argument]. *)
 
-val scheduler_label : scheduler -> string
-(** ["round_robin"], ["random"], ["stingy"], ["adversarial"]; [Faulty]
-    appends ["+faults"] to its base label. *)
+val scheduler_label : ?faults:Fault.plan -> scheduler -> string
+(** ["round_robin"], ["random"], ["stingy"], ["adversarial"]; with
+    [faults] (any plan, {!Fault.none} included) the label gains a
+    ["+faults"] suffix. *)
 
 type result = {
   config : Config.t;
@@ -58,6 +52,7 @@ type result = {
 
 val run :
   ?tracer:Trace.collector ->
+  ?faults:Fault.plan ->
   ?max_rounds:int ->
   ?heartbeat:float ->
   variant:Config.variant ->
@@ -65,7 +60,15 @@ val run :
   transducer:Transducer.t ->
   input:Instance.t ->
   scheduler -> result
-(** [max_rounds] (default 500) bounds the stabilization phase; a result
+(** [faults] runs the scheduler under the plan: seeded duplication,
+    loss with delayed retransmission, crash/restart from the persistent
+    input partition, and healing partitions (see {!Fault}). Quiescence is
+    then additionally gated on {!Fault.quiescent}, so [quiesced = true]
+    means the run survived every fault {e and} stabilized afterwards.
+    Absent [faults] and {!Fault.none} both run without fault state: the
+    result, trace and stable metrics are byte-identical; only the
+    [net.run] span's [scheduler] label differs (see {!scheduler_label}).
+    [max_rounds] (default 500) bounds the stabilization phase; a result
     with [quiesced = false] hit the bound. [heartbeat] (seconds, default
     [0.] = off) prints a [\[hb\] round=… transitions=…] progress line on
     stderr at most once per cadence during stabilization. When the
@@ -76,6 +79,7 @@ val run :
 
 val sweep :
   ?jobs:int ->
+  ?faults:Fault.plan ->
   ?max_rounds:int ->
   ?heartbeat:float ->
   variant:Config.variant ->
@@ -93,8 +97,10 @@ val sweep :
     order by {!Parallel.Pool.map}, so stable metric snapshots are
     [jobs]-independent too. Series recorded during a cell get a
     [cell=<label>] label (see {!Observe.Series.with_label}), keeping
-    parallel cells' trajectories distinct; [heartbeat] is passed through
-    to each cell's {!run}. *)
+    parallel cells' trajectories distinct; [faults] (one plan for every
+    cell) and [heartbeat] are passed through to each cell's {!run}. With
+    [faults], every cell's label gains a ["+faults"] suffix, in the
+    result list and in the series label alike. *)
 
 val heartbeat_prefix :
   ?tracer:Trace.collector ->

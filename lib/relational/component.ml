@@ -34,17 +34,16 @@ let components i =
   let groups = Hashtbl.create 16 in
   Instance.iter
     (fun f ->
-      let root =
-        match Fact.args f with
-        | [] -> assert false
-        | v :: _ -> UF.find uf v
-      in
-      let cur =
-        match Hashtbl.find_opt groups root with
-        | Some c -> c
-        | None -> Instance.empty
-      in
-      Hashtbl.replace groups root (Instance.add f cur))
+      match Fact.args f with
+      | [] -> ()
+      | v :: _ ->
+        let root = UF.find uf v in
+        let cur =
+          match Hashtbl.find_opt groups root with
+          | Some c -> c
+          | None -> Instance.empty
+        in
+        Hashtbl.replace groups root (Instance.add f cur))
     i;
   Hashtbl.fold (fun _ c acc -> c :: acc) groups []
   |> List.sort Instance.compare

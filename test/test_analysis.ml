@@ -290,6 +290,38 @@ let test_driver_jobs_independent () =
   let render jobs = A.Driver.render_json (A.Driver.run ~jobs files) in
   Alcotest.(check string) "jobs=4 report = jobs=1 report" (render 1) (render 4)
 
+(* File names are arbitrary bytes. The JSON report escapes them to pure
+   ASCII [\u00XX], one per byte, which [Observe.Json] parses back to the
+   same bytes; the SARIF [uri] percent-encodes them, as a URI must. *)
+let test_driver_file_name_escaping () =
+  let path = "dir\b/x\012y/caf\xc3\xa9.dlog" in
+  let source = "O(x) :- E(y)." in
+  let reports =
+    [ { A.Driver.path; source; diagnostics = A.Lint.lint_source source } ]
+  in
+  let ( / ) j k = Option.get (Observe.Json.member k j) in
+  let first = function
+    | Observe.Json.List (x :: _) -> x
+    | _ -> Alcotest.fail "expected a nonempty list"
+  in
+  let check name out file_of expected =
+    Alcotest.(check bool) (name ^ " is ASCII") true
+      (String.for_all (fun c -> Char.code c < 0x80) out);
+    match Observe.Json.of_string out with
+    | Error m -> Alcotest.failf "%s is not JSON: %s" name m
+    | Ok j ->
+      Alcotest.(check bool) (name ^ " file name") true
+        (file_of j = Observe.Json.String expected)
+  in
+  check "json" (A.Driver.render_json reports)
+    (fun j -> first (j / "files") / "file")
+    path;
+  check "sarif" (A.Driver.render_sarif reports)
+    (fun j ->
+      first (first (first (j / "runs") / "results") / "locations")
+      / "physicalLocation" / "artifactLocation" / "uri")
+    "dir%08/x%0Cy/caf%C3%A9.dlog"
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_wall_random ]
@@ -328,6 +360,8 @@ let () =
         [
           Alcotest.test_case "jobs-independent" `Quick
             test_driver_jobs_independent;
+          Alcotest.test_case "file name escaping" `Quick
+            test_driver_file_name_escaping;
         ] );
       ("properties", qcheck_cases);
     ]

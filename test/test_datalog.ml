@@ -379,38 +379,40 @@ let test_goal_agrees_with_full () =
       out
 
 (* ------------------------------------------------------------------ *)
-(* Hash-join backend *)
+(* Hash-indexed joins: Eval probes Joindb's hash indexes; directed cases
+   for the join shapes the planner treats specially, each checked
+   against the nested-loop reference engine. *)
 
 let test_hashjoin_tc () =
   let i = path 4 in
-  Alcotest.check instance_testable "agrees with Eval on TC"
-    (Eval.seminaive tc i) (Hashjoin.seminaive tc i)
+  Alcotest.check instance_testable "agrees with Refeval on TC"
+    (Refeval.seminaive tc i) (Eval.seminaive tc i)
 
 let test_hashjoin_repeated_vars () =
   let p = Parser.parse_program "O(x) :- E(x,x)." in
   let i = inst [ edge 1 1; edge 1 2; edge 3 3 ] in
   Alcotest.check instance_testable "self loops"
+    (Instance.restrict_rels (Refeval.seminaive p i) [ "O" ])
     (Instance.restrict_rels (Eval.seminaive p i) [ "O" ])
-    (Instance.restrict_rels (Hashjoin.seminaive p i) [ "O" ])
 
 let test_hashjoin_constants_and_ineq () =
   let p = Parser.parse_program "O(y,z) :- E(1,y), E(y,z), y != z." in
   let i = inst [ edge 1 2; edge 2 3; edge 2 2; edge 4 5 ] in
   Alcotest.check instance_testable "constants + inequality"
-    (Eval.seminaive p i) (Hashjoin.seminaive p i)
+    (Refeval.seminaive p i) (Eval.seminaive p i)
 
 let test_hashjoin_stratified () =
   let p = Adom.augment (Parser.parse_program comp_tc_src) in
   let i = inst [ edge 1 2; edge 2 3 ] in
-  match (Eval.stratified p i, Hashjoin.stratified p i) with
+  match (Refeval.stratified p i, Eval.stratified p i) with
   | Ok a, Ok b -> Alcotest.check instance_testable "stratified agreement" a b
   | _ -> Alcotest.fail "stratification failed"
 
 let test_hashjoin_invention () =
   let p = Parser.parse_program "R(*, x, y) :- E(x, y). O(x) :- R(t, x, y)." in
   let i = inst [ edge 1 2 ] in
-  Alcotest.check instance_testable "invention through hash join"
-    (Eval.seminaive p i) (Hashjoin.seminaive p i)
+  Alcotest.check instance_testable "invention through the indexed join"
+    (Refeval.seminaive p i) (Eval.seminaive p i)
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine (the preserved seed nested-loop evaluator) *)
@@ -418,8 +420,8 @@ let test_hashjoin_invention () =
 let cycle n = inst (List.init n (fun i -> edge i ((i + 1) mod n)))
 
 let test_refeval_zoo_agreement () =
-  (* The indexed engine and the hash-join engine against the frozen seed
-     engine, across the zoo's stratifiable programs and graph shapes. *)
+  (* The indexed engine against the frozen seed engine, across the zoo's
+     stratifiable programs and graph shapes. *)
   let graphs =
     [
       path 4;
@@ -443,12 +445,7 @@ let test_refeval_zoo_agreement () =
           match (Refeval.stratified p i, Eval.stratified p i) with
           | Ok reference, Ok indexed ->
             Alcotest.check instance_testable (name ^ ": indexed = reference")
-              reference indexed;
-            (match Hashjoin.stratified p i with
-            | Ok hj ->
-              Alcotest.check instance_testable (name ^ ": hashjoin = reference")
-                reference hj
-            | Error e -> Alcotest.fail e)
+              reference indexed
           | Error e, _ | _, Error e -> Alcotest.fail e)
         graphs)
     programs
@@ -909,33 +906,10 @@ let prop_parser_roundtrip =
             let p' = Parser.parse_program (Ast.to_string p) in
             Ast.equal_program p p')))
 
-let prop_hashjoin_agrees =
-  QCheck2.Test.make ~name:"hash join = nested loop on random programs"
-    ~count:150
-    (QCheck2.Gen.pair
-       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 4) gen_rule)
-       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 10)
-          (QCheck2.Gen.pair (QCheck2.Gen.int_range 0 4)
-             (QCheck2.Gen.int_range 0 4))))
-    (fun (p, pairs) ->
-      match Ast.schema_of p with
-      | exception Invalid_argument _ -> QCheck2.assume_fail ()
-      | _ ->
-        if List.exists (fun r -> Result.is_error (Ast.check_rule r)) p then
-          QCheck2.assume_fail ()
-        else
-          let i =
-            Instance.union
-              (inst (List.map (fun (a, b) -> fact "A" [ a; b ]) pairs))
-              (inst (List.map (fun (a, b) -> fact "B" [ b; a ]) pairs))
-          in
-          Instance.equal (Eval.seminaive p i) (Hashjoin.seminaive p i))
-
 (* The equivalence wall for the indexed engine: the seed's nested-loop
    evaluator is preserved verbatim as [Refeval]; random programs must
    evaluate identically through the reference naive fixpoint, the
-   reference seminaive fixpoint, the indexed seminaive engine and the
-   hash-join engine. *)
+   reference seminaive fixpoint and the indexed seminaive engine. *)
 let prop_refeval_agrees =
   QCheck2.Test.make ~name:"indexed engine = reference engine (random programs)"
     ~count:300
@@ -958,8 +932,7 @@ let prop_refeval_agrees =
           in
           let reference = Refeval.naive p i in
           Instance.equal reference (Refeval.seminaive p i)
-          && Instance.equal reference (Eval.seminaive p i)
-          && Instance.equal reference (Hashjoin.seminaive p i))
+          && Instance.equal reference (Eval.seminaive p i))
 
 let prop_stratified_genericity =
   let p = Program.parse comp_tc_src in
@@ -1143,7 +1116,6 @@ let qcheck_cases =
       prop_wf_total_on_stratifiable;
       prop_wf_winmove_partition;
       prop_parser_roundtrip;
-      prop_hashjoin_agrees;
       prop_refeval_agrees;
       prop_stratified_genericity;
       prop_ivm_zoo_sequences;

@@ -8,8 +8,8 @@
    fault plan cell must reach the same outputs as the failure-free
    round-robin oracle, the empirical coordination verdicts must not
    flip under faults, faulty causal traces must validate and their
-   provenance cones replay, and the Faulty wrapper with an empty plan
-   must be byte-identical to its base scheduler. *)
+   provenance cones replay, and a run under the empty plan must be
+   byte-identical to a run without one. *)
 
 open Relational
 open Network
@@ -106,23 +106,17 @@ let battery_specs =
   ]
 
 let battery_cells compiled =
-  let policies =
-    Netquery.default_policies
-      ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
-      compiled.Calm_core.Compile.query.Query.input net3
-  in
-  List.concat_map
-    (fun policy ->
-      List.concat_map
-        (fun (sname, sched) ->
-          List.map
-            (fun (pname, plan) ->
-              ( Policy.name policy ^ "/" ^ sname ^ "+" ^ pname,
-                policy,
-                Run.Faulty { base = sched; plan } ))
-            plans)
-        base_schedulers)
-    policies
+  Netquery.grid
+    (Netquery.default_policies
+       ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
+       compiled.Calm_core.Compile.query.Query.input net3)
+    base_schedulers
+
+(* One sweep per plan: every cell of a sweep runs under the same plan. *)
+let battery_sweep ?jobs compiled input plan =
+  Run.sweep ?jobs ~faults:plan ~variant:compiled.Calm_core.Compile.variant
+    ~transducer:compiled.Calm_core.Compile.transducer ~input
+    (battery_cells compiled)
 
 let test_battery () =
   List.iter
@@ -143,21 +137,20 @@ let test_battery () =
       in
       Alcotest.check instance_testable (name ^ ": oracle = Q(I)") oracle
         r0.Run.outputs;
-      let results =
-        Run.sweep ~variant:compiled.Calm_core.Compile.variant
-          ~transducer:compiled.Calm_core.Compile.transducer ~input
-          (battery_cells compiled)
-      in
-      check_bool (name ^ ": battery is nonempty") true (results <> []);
       List.iter
-        (fun (label, r, _events) ->
-          check_bool
-            (Printf.sprintf "%s/%s quiesced" name label)
-            true r.Run.quiesced;
-          Alcotest.check instance_testable
-            (Printf.sprintf "%s/%s output = oracle" name label)
-            oracle r.Run.outputs)
-        results)
+        (fun (pname, plan) ->
+          let results = battery_sweep compiled input plan in
+          check_bool (name ^ ": battery is nonempty") true (results <> []);
+          List.iter
+            (fun (label, r, _events) ->
+              check_bool
+                (Printf.sprintf "%s/%s:%s quiesced" name label pname)
+                true r.Run.quiesced;
+              Alcotest.check instance_testable
+                (Printf.sprintf "%s/%s:%s output = oracle" name label pname)
+                oracle r.Run.outputs)
+            results)
+        plans)
     battery_specs
 
 (* The all-faults slice of the battery is deterministic across --jobs:
@@ -165,19 +158,9 @@ let test_battery () =
 let test_battery_jobs_invariant () =
   let name, level, query, input = List.hd battery_specs in
   let compiled = Calm_core.Compile.compile_any ~level query in
-  let cells =
-    List.filter
-      (fun (label, _, _) ->
-        String.length label >= 4
-        && String.sub label (String.length label - 4) 4 = "+all")
-      (battery_cells compiled)
-  in
   let sweep jobs =
     Observe.Metrics.reset Observe.Metrics.root;
-    let results =
-      Run.sweep ~jobs ~variant:compiled.Calm_core.Compile.variant
-        ~transducer:compiled.Calm_core.Compile.transducer ~input cells
-    in
+    let results = battery_sweep ~jobs compiled input all_plan in
     let rendered =
       List.map
         (fun (label, r, events) ->
@@ -241,20 +224,17 @@ let test_thousand_nodes () =
   let policies =
     [ Policy.single graph network (v 1); Policy.hash_value graph network ]
   in
-  let cells =
-    List.concat_map
-      (fun policy ->
-        [
-          (Policy.name policy ^ "/rr", policy, Run.Round_robin);
-          ( Policy.name policy ^ "/rr+faults",
-            policy,
-            Run.Faulty { base = Run.Round_robin; plan = big_plan } );
-        ])
-      policies
+  (* One sweep per plan, the two sweeps side by side: four cells in
+     flight at once, as in a single four-job sweep. *)
+  let sweep faults =
+    Run.sweep ~jobs:2 ?faults ~variant:compiled.Calm_core.Compile.variant
+      ~transducer:compiled.Calm_core.Compile.transducer ~input
+      (Netquery.grid policies [ ("rr", Run.Round_robin) ])
   in
   let results =
-    Run.sweep ~jobs:4 ~variant:compiled.Calm_core.Compile.variant
-      ~transducer:compiled.Calm_core.Compile.transducer ~input cells
+    List.concat
+      (Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+           Parallel.Pool.map pool sweep [ None; Some big_plan ]))
   in
   check_int "4 cells ran" 4 (List.length results);
   List.iter
@@ -318,13 +298,14 @@ let identity_compiled =
 
 let identity_input = Graph_gen.of_edges [ (1, 2); (2, 3); (3, 4) ]
 
-let run_rendered sched =
+let run_rendered ?faults sched =
   Observe.Metrics.reset Observe.Metrics.root;
   let tracer = Trace.collector () in
   let policy = Policy.hash_value graph net3 in
   let r =
-    Run.run ~tracer ~variant:identity_compiled.Calm_core.Compile.variant
-      ~policy ~transducer:identity_compiled.Calm_core.Compile.transducer
+    Run.run ~tracer ?faults
+      ~variant:identity_compiled.Calm_core.Compile.variant ~policy
+      ~transducer:identity_compiled.Calm_core.Compile.transducer
       ~input:identity_input sched
   in
   ( Instance.to_string r.Run.outputs,
@@ -334,58 +315,42 @@ let run_rendered sched =
     Observe.Metrics.render_stable Observe.Metrics.root )
 
 let prop_empty_plan_identity =
-  QCheck2.Test.make ~name:"Faulty with empty plan = base scheduler" ~count:15
+  QCheck2.Test.make ~name:"empty plan = no plan" ~count:15
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
       let base = Run.Stingy { seed; steps = 50 } in
       let plan = { Fault.none with seed = seed + 1 } in
-      run_rendered base = run_rendered (Run.Faulty { base; plan }))
+      run_rendered base = run_rendered ~faults:plan base)
 
 let test_empty_plan_identity_jobs () =
   let policy = Policy.hash_value graph net3 in
   let plan = { Fault.none with seed = 99 } in
-  let cells wrap =
-    List.map
-      (fun (sname, sched) ->
-        ( sname,
-          policy,
-          if wrap then Run.Faulty { base = sched; plan } else sched ))
-      base_schedulers
+  let cells =
+    List.map (fun (sname, sched) -> (sname, policy, sched)) base_schedulers
   in
-  let sweep jobs wrap =
+  let sweep ?faults jobs =
     Observe.Metrics.reset Observe.Metrics.root;
     let results =
-      Run.sweep ~jobs ~variant:identity_compiled.Calm_core.Compile.variant
+      Run.sweep ~jobs ?faults
+        ~variant:identity_compiled.Calm_core.Compile.variant
         ~transducer:identity_compiled.Calm_core.Compile.transducer
-        ~input:identity_input (cells wrap)
+        ~input:identity_input cells
     in
+    (* Labels differ by design: a plan appends "+faults". *)
     ( List.map
-        (fun (label, r, events) ->
-          (label, Instance.to_string r.Run.outputs, Trace.to_jsonl events))
+        (fun (_, r, events) ->
+          (Instance.to_string r.Run.outputs, Trace.to_jsonl events))
         results,
       Observe.Metrics.render_stable Observe.Metrics.root )
   in
-  let base_seq = sweep 1 false in
+  let base_seq = sweep 1 in
   List.iter
     (fun jobs ->
       check_bool
         (Printf.sprintf "empty-plan sweep at jobs=%d = base at jobs=1" jobs)
         true
-        (sweep jobs true = base_seq))
+        (sweep ~faults:plan jobs = base_seq))
     [ 1; 2; 4 ]
-
-let test_nested_faulty_rejected () =
-  let plan = all_plan in
-  let sched =
-    Run.Faulty { base = Run.Faulty { base = Run.Round_robin; plan }; plan }
-  in
-  let policy = Policy.hash_value graph net3 in
-  Alcotest.check_raises "nested Faulty raises"
-    (Invalid_argument "Run.run: nested Faulty schedulers") (fun () ->
-      ignore
-        (Run.run ~variant:identity_compiled.Calm_core.Compile.variant ~policy
-           ~transducer:identity_compiled.Calm_core.Compile.transducer
-           ~input:identity_input sched))
 
 (* ------------------------------------------------------------------ *)
 (* Causal traces of faulty runs: schema-valid, replayable cones *)
@@ -393,11 +358,11 @@ let test_nested_faulty_rejected () =
 let faulty_traced_run () =
   let policy = Policy.hash_value graph net3 in
   let tracer = Trace.collector () in
-  let sched = Run.Faulty { base = Run.Round_robin; plan = all_plan } in
   let r =
-    Run.run ~tracer ~variant:identity_compiled.Calm_core.Compile.variant
-      ~policy ~transducer:identity_compiled.Calm_core.Compile.transducer
-      ~input:identity_input sched
+    Run.run ~tracer ~faults:all_plan
+      ~variant:identity_compiled.Calm_core.Compile.variant ~policy
+      ~transducer:identity_compiled.Calm_core.Compile.transducer
+      ~input:identity_input Run.Round_robin
   in
   (policy, r, Trace.events tracer)
 
@@ -541,8 +506,6 @@ let () =
         [
           Alcotest.test_case "empty plan sweep across jobs" `Quick
             test_empty_plan_identity_jobs;
-          Alcotest.test_case "nested Faulty rejected" `Quick
-            test_nested_faulty_rejected;
         ]
         @ qcheck_cases );
       ( "causal",

@@ -257,11 +257,9 @@ let net2 = Distributed.network_of_ints [ 101; 102 ]
 let test_faulty_sweep_series_jobs_invariant () =
   let input = Graph_gen.of_edges [ (1, 2); (2, 3); (5, 1) ] in
   let policy = Network.Policy.hash_fact Graph_gen.schema net2 in
-  let plan = Network.Fault.default in
   let cells =
     List.map
-      (fun (label, base) ->
-        (label, policy, Network.Run.Faulty { base; plan }))
+      (fun (label, sched) -> (label, policy, sched))
       [
         ("rr", Network.Run.Round_robin);
         ("random", Network.Run.Random { seed = 1; steps = 40 });
@@ -269,7 +267,8 @@ let test_faulty_sweep_series_jobs_invariant () =
       ]
   in
   assert_trajectory_invariant "faulty sweep" (fun jobs ->
-      Network.Run.sweep ~jobs ~variant:Network.Config.policy_aware
+      Network.Run.sweep ~jobs ~faults:Network.Fault.default
+        ~variant:Network.Config.policy_aware
         ~transducer:(Strategies.Broadcast.transducer Zoo.tc)
         ~input cells)
 
