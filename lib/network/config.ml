@@ -110,16 +110,36 @@ let system_facts variant policy network x a =
       base
       (Schema.all_facts (Policy.schema policy) a)
 
-let transition ~variant ~policy ~transducer ~input t ~node:x ~deliver =
+type ctx = {
+  variant : variant;
+  policy : Policy.t;
+  transducer : Transducer.t;
+  locals : Distributed.t;
+  recipients : int;
+}
+
+let prepare ~variant ~policy ~transducer ~input =
+  let schema = transducer.Transducer.schema in
+  {
+    variant;
+    policy;
+    transducer;
+    locals =
+      Policy.dist policy
+        (Instance.restrict input schema.Transducer_schema.input);
+    recipients = List.length (Policy.network policy) - 1;
+  }
+
+let step ctx t ~node:x ~deliver =
+  let { variant; policy; transducer; locals; recipients } = ctx in
   let schema = transducer.Transducer.schema in
   let network = Policy.network policy in
-  if not (List.exists (Value.equal x) network) then
+  if not (Policy.in_network policy x) then
     invalid_arg ("Config.transition: node not in network: " ^ Value.to_string x);
   let buf_x = buffer_of t x in
   if not (Multiset.sub deliver buf_x) then
     invalid_arg "Config.transition: deliver is not a submultiset of the buffer";
-  let h = Policy.dist policy (Instance.restrict input schema.Transducer_schema.input) in
-  let local_input = Distributed.local h x in
+  let local_input = Distributed.local locals x in
   let s1 = state_of t x in
   let m = Instance.of_set (Multiset.support deliver) in
   let j = Instance.union local_input (Instance.union s1 m) in
@@ -146,19 +166,21 @@ let transition ~variant ~policy ~transducer ~input t ~node:x ~deliver =
   let s2 = Instance.union out2 mem2 in
   let state = Value.Map.add x s2 t.state in
   let snd_ms = Multiset.of_instance snd in
-  let recipients = List.filter (fun y -> not (Value.equal y x)) network in
+  (* x's buffer loses the delivered copies and every other node's buffer
+     gains Q_snd, so a transition that sends nothing touches one buffer. *)
   let buffer =
-    Value.Map.mapi
-      (fun y b ->
-        if Value.equal y x then Multiset.diff b deliver
-        else if List.exists (Value.equal y) recipients then
-          Multiset.union b snd_ms
-        else b)
-      t.buffer
+    if Multiset.is_empty snd_ms then
+      Value.Map.add x (Multiset.diff buf_x deliver) t.buffer
+    else
+      Value.Map.mapi
+        (fun y b ->
+          if Value.equal y x then Multiset.diff b deliver
+          else Multiset.union b snd_ms)
+        t.buffer
   in
   let stats =
     {
-      messages_sent = Multiset.size snd_ms * List.length recipients;
+      messages_sent = Multiset.size snd_ms * recipients;
       delivered = Multiset.size deliver;
       new_state_facts =
         Instance.cardinal (Instance.diff s2 s1)
@@ -169,6 +191,9 @@ let transition ~variant ~policy ~transducer ~input t ~node:x ~deliver =
   in
   record_stats stats;
   ({ state; buffer }, stats)
+
+let transition ~variant ~policy ~transducer ~input t ~node ~deliver =
+  step (prepare ~variant ~policy ~transducer ~input) t ~node ~deliver
 
 let heartbeat ~variant ~policy ~transducer ~input t ~node =
   transition ~variant ~policy ~transducer ~input t ~node

@@ -56,6 +56,32 @@ val system_facts :
     (already including whatever the variant prescribes). Exposed for
     tests. *)
 
+type ctx
+(** What every transition of one run shares: the variant, the policy,
+    the transducer, and the input distributed once by [Policy.dist].
+    Immutable, so one context may serve steps on several domains. *)
+
+val prepare :
+  variant:variant ->
+  policy:Policy.t ->
+  transducer:Transducer.t ->
+  input:Instance.t ->
+  ctx
+(** Computes [dist_P(I)] over the transducer's input schema.
+    @raise Invalid_argument if the policy assigns an input fact to no
+    node of its network. *)
+
+val step : ctx -> t -> node:Value.t -> deliver:Multiset.t -> t * stats
+(** One transition of the given node consuming the given submultiset of
+    its buffer (the paper's [(ρ1, x, m, ρ2)]), on a configuration over
+    the policy's network (as {!start} builds it). Besides the four
+    transducer queries and building [A] and [S] (which list every node
+    when the variant exposes [All]), a transition that sends nothing
+    updates one state and one buffer (O(log |N|)); one that sends adds
+    [Q_snd] to every other buffer (O(|N|)).
+    @raise Invalid_argument if [deliver] is not a submultiset of the
+    node's buffer or the node is not in the network. *)
+
 val transition :
   variant:variant ->
   policy:Policy.t ->
@@ -63,10 +89,8 @@ val transition :
   input:Instance.t ->
   t -> node:Value.t -> deliver:Multiset.t ->
   t * stats
-(** One transition of the given node consuming the given submultiset of
-    its buffer (the paper's [(ρ1, x, m, ρ2)]).
-    @raise Invalid_argument if [deliver] is not a submultiset of the
-    node's buffer or the node is not in the network. *)
+(** [step (prepare ~variant ~policy ~transducer ~input)]: a single
+    transition. Runs prepare once and call {!step}. *)
 
 val heartbeat :
   variant:variant -> policy:Policy.t -> transducer:Transducer.t ->

@@ -23,7 +23,7 @@ exception Found of verdict
 (* Telemetry (all stable): BFS shape, not simulation detail. The inner
    what-if simulation (successor steps, fair-continuation replays) runs
    under [Metrics.silenced] — the sequential path caches continuations
-   while the parallel one recomputes them, so letting [Config.transition]
+   while the parallel one recomputes them, so letting [Config.step]
    record there would make [net.*] counts jobs-dependent. What both paths
    share is the round-structured search itself, and that is what we
    count. *)
@@ -53,11 +53,10 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
           config.Config.buffer;
     }
   in
+  (* Immutable, so the parallel mode's domains share it. *)
+  let ctx = Config.prepare ~variant ~policy ~transducer ~input in
   let step config node deliver =
-    canonical
-      (fst
-         (Config.transition ~variant ~policy ~transducer ~input config ~node
-            ~deliver))
+    canonical (fst (Config.step ctx config ~node ~deliver))
   in
   (* Complete per-node delivery choices: nothing, everything, or any
      single buffered fact. Single-fact deliveries subsume arbitrary

@@ -216,18 +216,33 @@ type held_copy = {
 type state = {
   plan : plan;
   net_size : int;
+  group_of : int Value.Map.t list;
+      (* per partition of the plan, in order: node -> its first group *)
   rng : Random.State.t;
   mutable transitions : int;
-  mutable held : held_copy list;
+  mutable held : held_copy list;  (* newest first *)
   mutable log : Fact.Set.t Value.Map.t;
   mutable crashes : (Value.t * int) list;
   mutable last_round : int;
 }
 
+(* Index of the first group holding each node, as a scan of the groups
+   in order finds it. *)
+let group_index groups =
+  snd
+    (List.fold_left
+       (fun (i, m) g ->
+         ( i + 1,
+           List.fold_left
+             (fun m n -> if Value.Map.mem n m then m else Value.Map.add n i m)
+             m g ))
+       (0, Value.Map.empty) groups)
+
 let start plan ~network =
   {
     plan;
     net_size = max 1 (List.length network);
+    group_of = List.map (fun p -> group_index p.groups) plan.partitions;
     rng = Random.State.make [| plan.seed |];
     transitions = 0;
     held = [];
@@ -267,24 +282,16 @@ let draw_dup st ~sends =
     else 1
   else 1
 
-let group_of groups n =
-  let rec go i = function
-    | [] -> None
-    | g :: rest ->
-      if List.exists (Value.equal n) g then Some i else go (i + 1) rest
-  in
-  go 0 groups
-
 let blocks st ~sender ~recipient =
   let r = round st in
-  List.fold_left
-    (fun acc p ->
+  List.fold_left2
+    (fun acc p group_of ->
       match acc with
       | Some _ -> acc
       | None ->
         if r >= p.from_round && r < p.from_round + p.rounds then
-          let gs = group_of p.groups sender
-          and gr = group_of p.groups recipient in
+          let gs = Value.Map.find_opt sender group_of
+          and gr = Value.Map.find_opt recipient group_of in
           (* A node in no group is its own singleton class, disconnected
              from everything else while the partition is up. *)
           let separated =
@@ -295,7 +302,7 @@ let blocks st ~sender ~recipient =
           in
           if separated then Some (p.from_round + p.rounds) else None
         else None)
-    None st.plan.partitions
+    None st.plan.partitions st.group_of
 
 let draw_loss st =
   let p = st.plan in
@@ -308,13 +315,13 @@ let draw_loss st =
 
 let add_held st h =
   Observe.Metrics.incr ~by:h.copies m_dropped;
-  st.held <- st.held @ [ h ]
+  st.held <- h :: st.held
 
 let take_due st =
   let r = round st in
   let due, rest = List.partition (fun h -> h.release <= r) st.held in
   st.held <- rest;
-  due
+  List.rev due
 
 let record_delivery st ~node facts =
   if not (Fact.Set.is_empty facts) then

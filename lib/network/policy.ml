@@ -4,6 +4,7 @@ type t = {
   name : string;
   schema : Schema.t;
   network : Distributed.network;
+  nodes : Value.Set.t;  (* the network again, for membership tests *)
   raw_assign : Fact.t -> Value.t list;
   alpha : (Value.t -> Value.t list) option;
 }
@@ -11,6 +12,7 @@ type t = {
 let name t = t.name
 let network t = t.network
 let schema t = t.schema
+let in_network t x = Value.Set.mem x t.nodes
 
 let assign t f =
   if not (Schema.fact_over t.schema f) then
@@ -20,7 +22,7 @@ let assign t f =
          (Schema.to_string t.schema));
   let nodes =
     t.raw_assign f
-    |> List.filter (fun x -> List.exists (Value.equal x) t.network)
+    |> List.filter (in_network t)
     |> List.sort_uniq Value.compare
   in
   if nodes = [] then
@@ -45,39 +47,44 @@ let dist t i =
     (Distributed.create t.network)
 
 let make ~name schema network raw_assign =
-  { name; schema; network = Distributed.validate_network network; raw_assign;
+  let network = Distributed.validate_network network in
+  { name; schema; network; nodes = Value.Set.of_list network; raw_assign;
     alpha = None }
 
-let normalize_nodes network nodes =
-  nodes
-  |> List.filter (fun x -> List.exists (Value.equal x) network)
+let normalize_nodes nodes l =
+  l
+  |> List.filter (fun x -> Value.Set.mem x nodes)
   |> List.sort_uniq Value.compare
 
 let domain_guided ~name schema network alpha =
   let network = Distributed.validate_network network in
+  let nodes = Value.Set.of_list network in
   let raw_assign f =
     List.concat_map alpha (Value.Set.elements (Fact.adom f))
   in
-  { name; schema; network; raw_assign;
-    alpha = Some (fun v -> normalize_nodes network (alpha v)) }
+  { name; schema; network; nodes; raw_assign;
+    alpha = Some (fun v -> normalize_nodes nodes (alpha v)) }
 
-let nth_node network k =
-  let n = List.length network in
-  [ List.nth network (((k mod n) + n) mod n) ]
+let nth_node nodes k =
+  let n = Array.length nodes in
+  [ nodes.(((k mod n) + n) mod n) ]
 
 let hash_fact schema network =
   let network = Distributed.validate_network network in
-  make ~name:"hash-fact" schema network (fun f -> nth_node network (Fact.hash f))
+  let nodes = Array.of_list network in
+  make ~name:"hash-fact" schema network (fun f -> nth_node nodes (Fact.hash f))
 
 let first_attribute schema network =
   let network = Distributed.validate_network network in
+  let nodes = Array.of_list network in
   make ~name:"first-attribute" schema network (fun f ->
-      nth_node network (Value.hash (Fact.arg f 0)))
+      nth_node nodes (Value.hash (Fact.arg f 0)))
 
 let hash_value schema network =
   let network = Distributed.validate_network network in
+  let nodes = Array.of_list network in
   domain_guided ~name:"hash-value" schema network (fun v ->
-      nth_node network (Value.hash v))
+      nth_node nodes (Value.hash v))
 
 let replicate_all schema network =
   let network = Distributed.validate_network network in

@@ -13,6 +13,9 @@ val name : t -> string
 val network : t -> Distributed.network
 val schema : t -> Schema.t
 
+val in_network : t -> Value.t -> bool
+(** Whether a node belongs to the policy's network (O(log |N|)). *)
+
 val assign : t -> Fact.t -> Value.t list
 (** The (nonempty, sorted) set of nodes responsible for a fact.
     @raise Invalid_argument if the fact is not over the policy's schema. *)

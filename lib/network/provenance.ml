@@ -43,6 +43,7 @@ let replay ~variant ~policy ~transducer ~input cone =
     Instance.equal (Instance.of_list a) (Instance.of_list b)
   in
   try
+    let ctx = Config.prepare ~variant ~policy ~transducer ~input in
     let config =
       List.fold_left
         (fun config e ->
@@ -72,8 +73,7 @@ let replay ~variant ~policy ~transducer ~input cone =
               { Config.state; buffer }
           in
           let config', stats =
-            Config.transition ~variant ~policy ~transducer ~input config
-              ~node:e.Trace.node
+            Config.step ctx config ~node:e.Trace.node
               ~deliver:(Multiset.of_list e.Trace.delivered)
           in
           (* Duplication enqueued [dup]-fold copies in the real run;

@@ -196,11 +196,13 @@ let adv_choose a config =
     a.depths None
 
 (* ------------------------------------------------------------------ *)
-(* The per-run runtime: counters and tracer, plus the optional fault
-   state (a non-empty fault plan) and the adversarial phase's depth
-   state. *)
+(* The per-run runtime: the transition context and its network, counters
+   and tracer, plus the optional fault state (a non-empty fault plan) and
+   the adversarial phase's depth state. *)
 
 type rt = {
+  ctx : Config.ctx;
+  network : Value.t list;
   counters : counters;
   tracer : Trace.collector option;
   fault : Fault.state option;
@@ -212,7 +214,7 @@ type rt = {
    the post-fault buffer), and fault post-processing (duplication, loss
    and partition holds), with the causal tracer and the adversarial
    depth structure kept in sync with every buffer change. *)
-let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
+let do_step rt config node deliver_of =
   let counters = rt.counters in
   let traced = rt.tracer <> None in
   (* -- fault pre-processing: releases due now, then crash/restart -- *)
@@ -274,16 +276,15 @@ let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
   in
   (* -- the transition itself --------------------------------------- *)
   let deliver = deliver_of config in
-  let config', stats =
-    Config.transition ~variant ~policy ~transducer ~input config ~node
-      ~deliver
-  in
+  let config', stats = Config.step rt.ctx config ~node ~deliver in
   counters.n_transitions <- counters.n_transitions + 1;
   counters.n_messages <- counters.n_messages + stats.Config.messages_sent;
   counters.n_deliveries <- counters.n_deliveries + stats.Config.delivered;
   let sent = Instance.to_list stats.Config.sent_facts in
+  (* Only fault handling and the adversarial depths address recipients
+     one by one: plain runs never build the list. *)
   let recipients =
-    List.filter (fun y -> not (Value.equal y node)) (Policy.network policy)
+    lazy (List.filter (fun y -> not (Value.equal y node)) rt.network)
   in
   (* -- adversarial bookkeeping: consume delivered depths ------------ *)
   let send_depth =
@@ -309,7 +310,8 @@ let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
     | None -> (1, config')
     | Some st ->
       let dup =
-        Fault.draw_dup st ~sends:(List.length sent * List.length recipients)
+        Fault.draw_dup st
+          ~sends:(List.length sent * List.length (Lazy.force recipients))
       in
       if dup <= 1 then (1, config')
       else
@@ -321,9 +323,7 @@ let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
         let buffer =
           Value.Map.mapi
             (fun y b ->
-              if List.exists (Value.equal y) recipients then
-                Multiset.union b extra
-              else b)
+              if Value.equal y node then b else Multiset.union b extra)
             config'.Config.buffer
         in
         (dup, { config' with Config.buffer })
@@ -364,13 +364,13 @@ let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
         List.iter
           (fun f -> adv_push a y f ~depth:send_depth ~copies:dup)
           sent)
-      recipients);
+      (Lazy.force recipients));
   (* -- loss and partition holds -------------------------------------- *)
   let config' =
     match rt.fault with
     | None -> config'
     | Some st ->
-      if sent = [] || recipients = [] then begin
+      if sent = [] || Lazy.force recipients = [] then begin
         Fault.tick st;
         config'
       end
@@ -419,7 +419,7 @@ let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
                              (Option.value b ~default:Multiset.empty)
                              (Multiset.add ~copies:dup f Multiset.empty)))
                       buffer)
-                buffer recipients)
+                buffer (Lazy.force recipients))
             config'.Config.buffer sent
         in
         Fault.tick st;
@@ -429,13 +429,11 @@ let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
   config'
 
 (* One full-delivery round-robin round. *)
-let full_round rt ~variant ~policy ~transducer ~input config =
+let full_round rt config =
   List.fold_left
     (fun config node ->
-      do_step rt ~variant ~policy ~transducer ~input config node (fun c ->
-          Config.buffer_of c node))
-    config
-    (Policy.network policy)
+      do_step rt config node (fun c -> Config.buffer_of c node))
+    config rt.network
 
 let random_submultiset st b =
   Multiset.fold
@@ -444,9 +442,8 @@ let random_submultiset st b =
       Multiset.add ~copies:keep f acc)
     b Multiset.empty
 
-let random_phase rt ~variant ~policy ~transducer ~input ~stingy st steps
-    config =
-  let network = Array.of_list (Policy.network policy) in
+let random_phase rt ~stingy st steps config =
+  let network = Array.of_list rt.network in
   let pick () = network.(Random.State.int st (Array.length network)) in
   let rec go k config =
     if k = 0 then config
@@ -462,9 +459,7 @@ let random_phase rt ~variant ~policy ~transducer ~input ~stingy st steps
               Multiset.empty
         else random_submultiset st b
       in
-      go (k - 1)
-        (do_step rt ~variant ~policy ~transducer ~input config node
-           deliver_of)
+      go (k - 1) (do_step rt config node deliver_of)
   in
   go steps config
 
@@ -473,24 +468,21 @@ let random_phase rt ~variant ~policy ~transducer ~input ~stingy st steps
    phase is fair and the run can still make progress from a cold
    start). The depth structure lives only for this phase: stabilization
    never reads it. *)
-let adversarial_phase rt ~variant ~policy ~transducer ~input steps config =
+let adversarial_phase rt steps config =
   let a = adv_init () in
   let rt = { rt with adv = Some a } in
-  let network = Array.of_list (Policy.network policy) in
+  let network = Array.of_list rt.network in
   let rec go k config =
     if k = 0 then config
     else
       match adv_choose a config with
       | Some (_, y, f) ->
         go (k - 1)
-          (do_step rt ~variant ~policy ~transducer ~input config y (fun _ ->
-               Multiset.add f Multiset.empty))
+          (do_step rt config y (fun _ -> Multiset.add f Multiset.empty))
       | None ->
         let node = network.(a.rr mod Array.length network) in
         a.rr <- a.rr + 1;
-        go (k - 1)
-          (do_step rt ~variant ~policy ~transducer ~input config node
-             (fun _ -> Multiset.empty))
+        go (k - 1) (do_step rt config node (fun _ -> Multiset.empty))
   in
   go steps config
 
@@ -519,21 +511,19 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
     | Some plan when not (Fault.is_none plan) -> Some (Fault.start plan ~network)
     | _ -> None
   in
-  let rt = { counters; tracer; fault; adv = None } in
+  let ctx = Config.prepare ~variant ~policy ~transducer ~input in
+  let rt = { ctx; network; counters; tracer; fault; adv = None } in
   let config0 = Config.start network in
   let config0 =
     match scheduler with
     | Round_robin -> config0
     | Random { seed; steps } ->
-      random_phase rt ~variant ~policy ~transducer ~input ~stingy:false
-        (Random.State.make [| seed |])
-        steps config0
+      random_phase rt ~stingy:false (Random.State.make [| seed |]) steps
+        config0
     | Stingy { seed; steps } ->
-      random_phase rt ~variant ~policy ~transducer ~input ~stingy:true
-        (Random.State.make [| seed |])
-        steps config0
-    | Adversarial { steps } ->
-      adversarial_phase rt ~variant ~policy ~transducer ~input steps config0
+      random_phase rt ~stingy:true (Random.State.make [| seed |]) steps
+        config0
+    | Adversarial { steps } -> adversarial_phase rt steps config0
   in
   if Observe.Series.is_enabled () then
     Observe.Series.set_target "net.round_output_delta"
@@ -542,9 +532,7 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
   let rec stabilize rounds prev prev_out config =
     if rounds >= max_rounds then (config, rounds, false)
     else begin
-      let config' =
-        full_round rt ~variant ~policy ~transducer ~input config
-      in
+      let config' = full_round rt config in
       Observe.Metrics.incr m_rounds;
       let out' = Instance.cardinal (Config.outputs schema config') in
       Observe.Metrics.observe m_round_output_delta
@@ -611,23 +599,22 @@ let sweep ?jobs ?faults ?max_rounds ?heartbeat ~variant ~transducer ~input
 let heartbeat_prefix ?tracer ?(max_steps = 200) ?(heartbeat = 0.) ~variant
     ~policy ~transducer ~input ~node () =
   let hb = hb_start heartbeat in
+  let network = Policy.network policy in
   let counters =
     {
       n_transitions = 0;
       n_messages = 0;
       n_deliveries = 0;
-      causal = Causal.init (Policy.network policy);
+      causal = Causal.init network;
     }
   in
-  let rt = { counters; tracer; fault = None; adv = None } in
-  let config0 = Config.start (Policy.network policy) in
+  let ctx = Config.prepare ~variant ~policy ~transducer ~input in
+  let rt = { ctx; network; counters; tracer; fault = None; adv = None } in
+  let config0 = Config.start network in
   let rec go k config =
     if k >= max_steps then (config, false)
     else
-      let config' =
-        do_step rt ~variant ~policy ~transducer ~input config node (fun _ ->
-            Multiset.empty)
-      in
+      let config' = do_step rt config node (fun _ -> Multiset.empty) in
       hb_tick hb "heartbeat step=%d/%d" (k + 1) max_steps;
       if Instance.equal (Config.state_of config' node) (Config.state_of config node)
       then (config', true)

@@ -1174,6 +1174,140 @@ let qcheck_cases =
       prop_broadcast_confluent_on_random_inputs;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Differential wall: [Config.transition] and the prepared [Config.step]
+   against the whole-state reference transition ([Reftransition]), on
+   random delivery sequences over every compiled strategy, variant and
+   policy shape. *)
+
+let oracle_strategies =
+  List.map
+    (fun level ->
+      ( Calm_core.Hierarchy.to_string level,
+        (Calm_core.Compile.compile_any ~level Zoo.comp_tc)
+          .Calm_core.Compile.transducer ))
+    Calm_core.Hierarchy.levels
+
+let oracle_variants =
+  [
+    ("original", Config.original);
+    ("policy-aware", Config.policy_aware);
+    ("all-free", Config.all_free);
+    ("oblivious", Config.oblivious);
+  ]
+
+let oracle_policies net =
+  let last = List.nth net (List.length net - 1) in
+  [
+    Policy.single graph net last;
+    Policy.hash_value graph net;
+    Policy.hash_fact graph net;
+    Policy.first_attribute graph net;
+    Policy.replicate_all graph net;
+    Policy.override ~name:"override"
+      ~on:(fun f -> Value.equal (Fact.arg f 0) (v 1))
+      ~to_:[ List.hd net; last ]
+      (Policy.hash_value graph net);
+  ]
+
+(* A delivery: nothing (a heartbeat), the whole buffer, a seeded random
+   submultiset, or one seeded fact of the buffer. *)
+let oracle_deliver kind seed buffer =
+  let st = Random.State.make [| seed |] in
+  match (kind, Multiset.to_list buffer) with
+  | 0, _ | _, [] -> Multiset.empty
+  | 1, _ -> buffer
+  | 2, _ ->
+    Multiset.fold
+      (fun f n acc -> Multiset.add ~copies:(Random.State.int st (n + 1)) f acc)
+      buffer Multiset.empty
+  | _, l -> Multiset.of_list [ List.nth l (Random.State.int st (List.length l)) ]
+
+let stats_equal (a : Config.stats) (b : Config.stats) =
+  a.Config.messages_sent = b.Config.messages_sent
+  && a.Config.delivered = b.Config.delivered
+  && a.Config.new_state_facts = b.Config.new_state_facts
+  && Instance.equal a.Config.sent_facts b.Config.sent_facts
+  && Instance.equal a.Config.output_delta b.Config.output_delta
+
+let outcome f =
+  match f () with r -> Ok r | exception Invalid_argument m -> Error m
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok (c1, s1), Ok (c2, s2) -> Config.equal c1 c2 && stats_equal s1 s2
+  | Error m1, Error m2 -> String.equal m1 m2
+  | _ -> false
+
+let gen_transition_case =
+  QCheck2.Gen.(
+    let* strategy = int_range 0 (List.length oracle_strategies - 1) in
+    let* variant = int_range 0 (List.length oracle_variants - 1) in
+    let* policy = int_range 0 5 in
+    let* n = int_range 1 9 in
+    let* input = gen_graph in
+    let* steps =
+      list_size (int_range 1 12)
+        (triple (int_range 0 (n - 1)) (int_range 0 3) (int_range 0 1_000_000))
+    in
+    return (strategy, variant, policy, n, input, steps))
+
+let print_transition_case (strategy, variant, policy, n, input, steps) =
+  Printf.sprintf "%s/%s policy #%d on %d nodes, input %s, steps [%s]"
+    (fst (List.nth oracle_strategies strategy))
+    (fst (List.nth oracle_variants variant))
+    policy n (Instance.to_string input)
+    (String.concat "; "
+       (List.map
+          (fun (i, k, seed) -> Printf.sprintf "(%d,%d,%d)" i k seed)
+          steps))
+
+let prop_transition_matches_reference =
+  QCheck2.Test.make ~name:"prepared step = transition = whole-state reference"
+    ~count:500 ~print:print_transition_case gen_transition_case
+    (fun (strategy, variant, policy, n, input, steps) ->
+      let net = Distributed.network_of_ints (List.init n (fun i -> i + 1)) in
+      let transducer = snd (List.nth oracle_strategies strategy) in
+      let variant = snd (List.nth oracle_variants variant) in
+      let policy = List.nth (oracle_policies net) policy in
+      let ctx = Config.prepare ~variant ~policy ~transducer ~input in
+      (* The reference's outcome, once all three paths agree on it. *)
+      let agreed config ~node ~deliver =
+        let reference =
+          outcome (fun () ->
+              Reftransition.transition ~variant ~policy ~transducer ~input
+                config ~node ~deliver)
+        in
+        let agree =
+          same_outcome reference
+            (outcome (fun () ->
+                 Config.transition ~variant ~policy ~transducer ~input config
+                   ~node ~deliver))
+          && same_outcome reference
+               (outcome (fun () -> Config.step ctx config ~node ~deliver))
+        in
+        if agree then Some reference else None
+      in
+      let rejected config ~node ~deliver =
+        match agreed config ~node ~deliver with
+        | Some (Error _) -> true
+        | _ -> false
+      in
+      let rec go config = function
+        | [] -> true
+        | (i, kind, seed) :: rest -> (
+          let node = List.nth net i in
+          let buffer = Config.buffer_of config node in
+          rejected config ~node:(v 0) ~deliver:Multiset.empty
+          && rejected config ~node
+               ~deliver:(Multiset.add (e 0 0) buffer)
+          &&
+          match agreed config ~node ~deliver:(oracle_deliver kind seed buffer) with
+          | Some (Ok (config', _)) -> go config' rest
+          | _ -> false)
+      in
+      go (Config.start net) steps)
+
 let () =
   Alcotest.run "network"
     [
@@ -1294,4 +1428,6 @@ let () =
             test_network_genericity;
         ] );
       ("properties", qcheck_cases);
+      ( "transition-oracle",
+        [ QCheck_alcotest.to_alcotest prop_transition_matches_reference ] );
     ]
