@@ -1344,7 +1344,7 @@ let e26_fault_overhead () =
      column is wall-clock faulty/base (dominated by extra deliveries: \
      duplicated copies, retransmissions, post-crash redelivery and \
      partition backlogs); network.* counters land in this experiment's \
-     stable metrics for the bench-diff guard";
+     stable metrics for the report --diff gate";
   Report.print t
 
 (* ================================================================== *)
@@ -1578,8 +1578,8 @@ let e29_telemetry_overhead () =
      merged (the last run's point totals are shown). Medians over \
      repeated runs; sub-millisecond rows are below timer resolution, so \
      their overhead is printed as '-'. The off column tracks the \
-     E1-class walls of the committed trajectory (report --diff guards \
-     them).";
+     E1-class walls of the committed trajectory; no gate reads these \
+     walls (bench/perf is the perf gate).";
   Report.print t
 
 let bechamel_section () =

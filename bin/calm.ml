@@ -4,22 +4,21 @@
      calm eval      evaluate a Datalog¬ program on an input instance
      calm classify  syntactic fragment + CALM level + empirical placement
      calm check     monotonicity-class membership with explicit bounds
-     calm simulate  compile to a coordination-free transducer and run it
-                    on a simulated asynchronous network
-     calm run       one instrumented network run (--metrics-out,
-                    --trace-out, --profile, --causal-out/-dot/-chrome)
-     calm sweep     the policy × scheduler grid, optionally parallel
-                    (--traces-out for deterministic causal JSONL)
-     calm netquery  "the network computes the query" verdict
+     calm run       compile and run once on a simulated network: output
+                    vs Q(input), heartbeat witness, telemetry exports
+     calm sweep     the policy × scheduler grid, optionally parallel;
+                    every cell's output is checked against Q(input)
      calm explain   provenance of an output fact: its causal cone,
                     replay-validated
      calm detect    empirical coordination detection vs the static claim
+     calm explore   model-check every message order on two nodes
      calm validate  schema-check emitted telemetry artifacts
-     calm bench-diff  stable-metric regression guard vs a baseline
-                    (--update accepts the new trajectory in place)
+     calm report    bench-trajectory dashboard, and the guarded-row
+                    regression gate (--diff)
      calm plan      EXPLAIN ANALYZE of the compiled Joindb plans
      calm profile   span-tree attribution of the monotonicity scans
                     (--out/--folded/--chrome exports)
+     calm graph, figure2, lint, certify
 
    Programs use the conventional syntax (see lib/datalog/parser.mli);
    facts are given as 'E(1,2). E(2,3)'. *)
@@ -452,20 +451,31 @@ let check_cmd =
 (* ------------------------------------------------------------------ *)
 (* Shared network-command plumbing *)
 
-let compile_or_exit program =
-  try Calm_core.Compile.compile_program program
-  with Invalid_argument msg ->
-    Printf.eprintf "cannot compile: %s\n" msg;
-    exit 1
+(* What run, sweep, explain, detect and explore start from. A program
+   that stays Beyond compiles to the coordinated barrier strategy. *)
+type setup = {
+  input : Instance.t;
+  compiled : Calm_core.Compile.compiled;
+  network : Distributed.network;
+}
+
+let setup ~outputs ~nodes src facts facts_file =
+  let program = load_program_any ~outputs src in
+  let input =
+    resolve_input (Datalog.Program.input_schema program) facts facts_file
+  in
+  {
+    input;
+    compiled = Calm_core.Compile.compile_program program;
+    network =
+      Distributed.network_of_ints (List.init (max nodes 1) (fun i -> 1 + i));
+  }
 
 let default_policy_for compiled network =
   let schema = compiled.Calm_core.Compile.query.Query.input in
   if compiled.Calm_core.Compile.domain_guided_only then
     Network.Policy.hash_value schema network
   else Network.Policy.hash_fact schema network
-
-let make_network nodes =
-  Distributed.network_of_ints (List.init (max nodes 1) (fun i -> 1 + i))
 
 let nodes_term =
   Arg.(value & opt int 3 & info [ "nodes"; "n" ] ~doc:"Network size.")
@@ -520,58 +530,6 @@ let faults_of_flag = function
       exit 1)
 
 (* ------------------------------------------------------------------ *)
-(* calm simulate *)
-
-let simulate_cmd =
-  let run src outputs facts facts_file nodes scheduler seed =
-    let program = load_program_any ~outputs src in
-    let input = resolve_input (Datalog.Program.input_schema program) facts facts_file in
-    let compiled = compile_or_exit program in
-    Printf.printf "compiled at level %s (%s strategy)\n"
-      (Calm_core.Hierarchy.to_string compiled.Calm_core.Compile.level)
-      (Calm_core.Hierarchy.transducer_model compiled.Calm_core.Compile.level);
-    let network = make_network nodes in
-    let policy = default_policy_for compiled network in
-    let sched = scheduler_of nodes seed scheduler in
-    let result =
-      Network.Run.run ~variant:compiled.Calm_core.Compile.variant ~policy
-        ~transducer:compiled.Calm_core.Compile.transducer ~input sched
-    in
-    let expected = Datalog.Program.run program input in
-    Printf.printf
-      "nodes=%d policy=%s quiesced=%b transitions=%d messages=%d\n" nodes
-      (Network.Policy.name policy) result.Network.Run.quiesced
-      result.Network.Run.transitions result.Network.Run.messages_sent;
-    Printf.printf "distributed output matches centralized: %b\n"
-      (Instance.equal result.Network.Run.outputs expected);
-    Printf.printf "output: %s\n" (Instance.to_string result.Network.Run.outputs);
-    let t0 = Unix.gettimeofday () in
-    let witness =
-      Network.Coordination.heartbeat_witness
-        ~variant:compiled.Calm_core.Compile.variant
-        ~transducer:compiled.Calm_core.Compile.transducer
-        ~query:compiled.Calm_core.Compile.query ~input network
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    match witness with
-    | Some w ->
-      let beats = w.Network.Coordination.result.Network.Run.transitions in
-      Printf.printf
-        "coordination-freeness witness: node %s, %d heartbeats, 0 messages read\n"
-        (Value.to_string w.Network.Coordination.node)
-        beats;
-      Printf.printf "witness search: %.3fs (%.0f heartbeats/s)\n" wall
-        (float_of_int beats /. Float.max wall 1e-9)
-    | None -> print_endline "no heartbeat witness found"
-  in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"compile and run a program on a simulated asynchronous network")
-    Term.(
-      const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ nodes_term $ scheduler_term $ seed_term)
-
-(* ------------------------------------------------------------------ *)
 (* calm run *)
 
 let run_cmd =
@@ -608,12 +566,14 @@ let run_cmd =
   let run src outputs facts facts_file nodes scheduler seed faults causal_out
       causal_dot causal_chrome obs =
     with_observability obs @@ fun () ->
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
+    let { input; compiled; network } =
+      setup ~outputs ~nodes src facts facts_file
     in
-    let compiled = compile_or_exit program in
-    let network = make_network nodes in
+    let level = compiled.Calm_core.Compile.level in
+    Printf.printf "compiled at level %s (%s strategy)\n"
+      (Calm_core.Hierarchy.to_string level)
+      (if level = Calm_core.Hierarchy.Beyond then "coordinated barrier"
+       else Calm_core.Hierarchy.transducer_model level);
     let policy = default_policy_for compiled network in
     let faults = faults_of_flag faults in
     let sched = scheduler_of nodes seed scheduler in
@@ -644,6 +604,30 @@ let run_cmd =
     Printf.printf "output (%d facts): %s\n"
       (Instance.cardinal result.Network.Run.outputs)
       (Instance.to_string result.Network.Run.outputs);
+    (* Q(input) and the witness search record into a throwaway
+       collector, so the telemetry artifacts describe the run alone. *)
+    Observe.Metrics.silenced (fun () ->
+        let query = compiled.Calm_core.Compile.query in
+        Printf.printf "distributed output matches centralized: %b\n"
+          (Instance.equal result.Network.Run.outputs (Query.apply query input));
+        let t0 = Unix.gettimeofday () in
+        match
+          Network.Coordination.heartbeat_witness
+            ~variant:compiled.Calm_core.Compile.variant
+            ~transducer:compiled.Calm_core.Compile.transducer ~query ~input
+            network
+        with
+        | Some w ->
+          let wall = Unix.gettimeofday () -. t0 in
+          let beats = w.Network.Coordination.result.Network.Run.transitions in
+          Printf.printf
+            "coordination-freeness witness: node %s, %d heartbeats, 0 \
+             messages read\n"
+            (Value.to_string w.Network.Coordination.node)
+            beats;
+          Printf.printf "witness search: %.3fs (%.0f heartbeats/s)\n" wall
+            (float_of_int beats /. Float.max wall 1e-9)
+        | None -> print_endline "no heartbeat witness found");
     match tracer with
     | None -> ()
     | Some t ->
@@ -662,9 +646,11 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "compile a program and run it once on a simulated network \
-          (instrumented; see --metrics-out / --trace-out / --profile / \
-          --causal-out / --causal-dot / --causal-chrome / --faults)")
+         "compile a program and run it once on a simulated network; \
+          report whether the output equals Q(input) and search for a \
+          heartbeat-only coordination-freeness witness (instrumented; see \
+          --metrics-out / --trace-out / --profile / --causal-out / \
+          --causal-dot / --causal-chrome / --faults)")
     Term.(
       const run $ program_src_term $ outputs_term $ facts_term
       $ facts_file_term $ nodes_term $ scheduler_term $ seed_term
@@ -688,114 +674,80 @@ let sweep_cmd =
              $(b,--jobs).")
   in
   let run src outputs facts facts_file nodes jobs faults traces_out obs =
-    with_observability obs @@ fun () ->
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
+    (* The exit code leaves the wrapper first, so an inconsistent sweep
+       still writes its telemetry artifacts. *)
+    let code =
+      with_observability obs @@ fun () ->
+      let { input; compiled; network } =
+        setup ~outputs ~nodes src facts facts_file
+      in
+      let query = compiled.Calm_core.Compile.query in
+      let policies =
+        Network.Netquery.default_policies
+          ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
+          query.Query.input network
+      in
+      let faults = faults_of_flag faults in
+      let cells =
+        Network.Netquery.grid policies Network.Netquery.default_schedulers
+      in
+      let results =
+        Network.Run.sweep ~jobs ?faults ~heartbeat:obs.heartbeat
+          ~variant:compiled.Calm_core.Compile.variant
+          ~transducer:compiled.Calm_core.Compile.transducer ~input cells
+      in
+      List.iter
+        (fun (label, r, events) ->
+          Printf.printf
+            "%-28s quiesced=%b rounds=%d transitions=%d messages=%d \
+             outputs=%d events=%d\n"
+            label r.Network.Run.quiesced r.Network.Run.rounds
+            r.Network.Run.transitions r.Network.Run.messages_sent
+            (Instance.cardinal r.Network.Run.outputs)
+            (List.length events))
+        results;
+      Option.iter
+        (fun file ->
+          write_file file
+            (Network.Trace.sweep_to_jsonl
+               (List.map (fun (label, _, events) -> (label, events)) results)))
+        traces_out;
+      let expected =
+        Observe.Metrics.silenced (fun () -> Query.apply query input)
+      in
+      let verdict = Network.Netquery.judge ~expected results in
+      if Network.Netquery.consistent verdict then 0
+      else begin
+        Printf.printf "expected (%d facts): %s\n" (Instance.cardinal expected)
+          (Instance.to_string expected);
+        List.iter
+          (fun (label, r) ->
+            if
+              (not r.Network.Run.quiesced)
+              || List.mem label verdict.Network.Netquery.mismatches
+            then Printf.printf "  mismatch: %s\n" label)
+          verdict.Network.Netquery.runs;
+        print_endline "verdict: INCONSISTENT";
+        2
+      end
     in
-    let compiled = compile_or_exit program in
-    let network = make_network nodes in
-    let schema = compiled.Calm_core.Compile.query.Query.input in
-    let policies =
-      Network.Netquery.default_policies
-        ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
-        schema network
-    in
-    let faults = faults_of_flag faults in
-    let cells =
-      Network.Netquery.grid policies Network.Netquery.default_schedulers
-    in
-    let results =
-      Network.Run.sweep ~jobs ?faults ~heartbeat:obs.heartbeat
-        ~variant:compiled.Calm_core.Compile.variant
-        ~transducer:compiled.Calm_core.Compile.transducer ~input cells
-    in
-    List.iter
-      (fun (label, r, events) ->
-        Printf.printf
-          "%-28s quiesced=%b rounds=%d transitions=%d messages=%d \
-           outputs=%d events=%d\n"
-          label r.Network.Run.quiesced r.Network.Run.rounds
-          r.Network.Run.transitions r.Network.Run.messages_sent
-          (Instance.cardinal r.Network.Run.outputs)
-          (List.length events))
-      results;
-    match traces_out with
-    | None -> ()
-    | Some file ->
-      write_file file
-        (Network.Trace.sweep_to_jsonl
-           (List.map (fun (label, _, events) -> (label, events)) results))
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
          "run the full policy × scheduler grid for a program, optionally \
-          in parallel (and optionally under a --faults plan); stable \
-          metrics and --traces-out bytes are identical under any --jobs")
+          in parallel (and optionally under a --faults plan), and check \
+          that every cell quiesces with output Q(input) (exit 2 \
+          otherwise); stable metrics and --traces-out bytes are identical \
+          under any --jobs")
     Term.(
       const run $ program_src_term $ outputs_term $ facts_term
       $ facts_file_term $ nodes_term $ jobs_term $ faults_term
       $ traces_out_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
-(* calm netquery *)
-
-let netquery_cmd =
-  let run src outputs facts facts_file nodes jobs obs =
-    with_observability obs @@ fun () ->
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
-    in
-    let compiled = compile_or_exit program in
-    let network = make_network nodes in
-    let schema = compiled.Calm_core.Compile.query.Query.input in
-    let policies =
-      Network.Netquery.default_policies
-        ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
-        schema network
-    in
-    let verdict =
-      Network.Netquery.check ~policies ~jobs
-        ~variant:compiled.Calm_core.Compile.variant
-        ~transducer:compiled.Calm_core.Compile.transducer
-        ~query:compiled.Calm_core.Compile.query ~input network
-    in
-    Printf.printf "expected (%d facts): %s\n"
-      (Instance.cardinal verdict.Network.Netquery.expected)
-      (Instance.to_string verdict.Network.Netquery.expected);
-    Printf.printf "runs: %d  all quiesced: %b  mismatches: %d\n"
-      (List.length verdict.Network.Netquery.runs)
-      verdict.Network.Netquery.all_quiesced
-      (List.length verdict.Network.Netquery.mismatches);
-    List.iter
-      (fun label -> Printf.printf "  mismatch: %s\n" label)
-      verdict.Network.Netquery.mismatches;
-    if Network.Netquery.consistent verdict then
-      print_endline "verdict: the network computes the query on this input"
-    else begin
-      print_endline "verdict: INCONSISTENT";
-      exit 2
-    end
-  in
-  Cmd.v
-    (Cmd.info "netquery"
-       ~doc:
-         "check that the compiled network computes the query under every \
-          default policy × scheduler combination")
-    Term.(
-      const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ nodes_term $ jobs_term $ obs_term)
-
-(* ------------------------------------------------------------------ *)
 (* calm explain *)
-
-let compile_any_or_exit program =
-  try Calm_core.Compile.compile_program_any program
-  with Invalid_argument msg ->
-    Printf.eprintf "cannot compile: %s\n" msg;
-    exit 1
 
 let parse_fact s =
   try Fact.of_string s
@@ -814,12 +766,9 @@ let explain_cmd =
              output fact of the run.")
   in
   let run src outputs facts facts_file nodes scheduler seed faults fact =
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
+    let { input; compiled; network } =
+      setup ~outputs ~nodes src facts facts_file
     in
-    let compiled = compile_any_or_exit program in
-    let network = make_network nodes in
     let policy = default_policy_for compiled network in
     let faults = faults_of_flag faults in
     let sched = scheduler_of nodes seed scheduler in
@@ -929,12 +878,9 @@ let detect_cmd =
             "one of --program, --file or --fixture is required\n";
           exit 1
       in
-      let program = load_program_any ~outputs src in
-      let input =
-        resolve_input (Datalog.Program.input_schema program) facts facts_file
+      let { input; compiled; network } =
+        setup ~outputs ~nodes src facts facts_file
       in
-      let compiled = compile_any_or_exit program in
-      let network = make_network nodes in
       let schema = compiled.Calm_core.Compile.query.Query.input in
       let policies =
         let base =
@@ -1029,163 +975,6 @@ let validate_cmd =
           --json trajectory, --trace-out trace, --causal-out causal \
           trace, or --profile-out profile) against its schema")
     Term.(const run $ kind_term $ file_term)
-
-(* ------------------------------------------------------------------ *)
-(* calm bench-diff *)
-
-(* The regression guard for the bench trajectory: the stable metric rows
-   below are deterministic by construction (jobs- and cache-invariant),
-   so any drift against the committed baseline means the scan visited a
-   different pair stream, found different violations, or shrank to
-   different certificates — a semantic regression, not noise. Wall-clock
-   and volatile rows are never compared. *)
-let bench_diff_cmd =
-  (* The guarded row list lives in Observe.Report now, shared with the
-     whole-history `calm report --diff`. *)
-  let guard_metrics = Observe.Report.guard_metrics in
-  let baselines_term =
-    Arg.(
-      non_empty
-      & opt_all file []
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "A committed calm-bench/v1 baseline to compare against. \
-             Repeatable: with several baselines, each experiment is \
-             compared against the $(i,last) given baseline that contains \
-             it, and every reported row names its source baseline.")
-  in
-  let file_term =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"The freshly produced bench --json file.")
-  in
-  let load file =
-    match Observe.Json.of_string (read_file file) with
-    | Error m ->
-      Printf.eprintf "%s: not valid JSON: %s\n" file m;
-      exit 1
-    | Ok j -> (
-      match Observe.Schema_check.validate_bench j with
-      | Error m ->
-        Printf.eprintf "%s: INVALID calm-bench/v1 artifact: %s\n" file m;
-        exit 1
-      | Ok () -> j)
-  in
-  let experiments j =
-    match Observe.Json.member "experiments" j with
-    | Some (Observe.Json.List es) ->
-      List.filter_map
-        (fun e ->
-          match
-            (Observe.Json.member "id" e, Observe.Json.member "metrics" e)
-          with
-          | Some (Observe.Json.String id), Some (Observe.Json.Obj ms) ->
-            Some (id, ms)
-          | _ -> None)
-        es
-    | _ -> []
-  in
-  let update_term =
-    Arg.(
-      value & flag
-      & info [ "update" ]
-          ~doc:
-            "After validating both files and reporting any drift, rewrite \
-             the baseline file in place with the new trajectory and exit 0 \
-             — the accepted-change workflow that used to be a manual copy.")
-  in
-  let run baselines file update =
-    (* Per-experiment resolution across baselines: the last baseline on
-       the command line that contains an experiment wins for it, and
-       every reported row names the baseline it came from. *)
-    let base =
-      List.fold_left
-        (fun acc b ->
-          List.fold_left
-            (fun acc (id, ms) ->
-              (id, (b, ms)) :: List.remove_assoc id acc)
-            acc
-            (experiments (load b)))
-        [] baselines
-    in
-    let base = List.rev base in
-    let cur = experiments (load file) in
-    let compared = ref 0 in
-    let drifts = ref [] in
-    List.iter
-      (fun (id, (src, bms)) ->
-        match List.assoc_opt id cur with
-        | None -> ()
-        | Some cms ->
-          List.iter
-            (fun name ->
-              match List.assoc_opt name bms with
-              | None -> ()
-              | Some bv -> (
-                incr compared;
-                match List.assoc_opt name cms with
-                | Some cv when Observe.Json.equal bv cv -> ()
-                | cv ->
-                  let render = function
-                    | None -> "<missing>"
-                    | Some v -> Observe.Json.to_string v
-                  in
-                  drifts :=
-                    Printf.sprintf "%s/%s: baseline %s (%s), got %s" id name
-                      (render (Some bv)) src (render cv)
-                    :: !drifts))
-            guard_metrics)
-      base;
-    if !compared = 0 && not update then begin
-      Printf.eprintf
-        "bench-diff: no guarded metric rows in common between [%s] and %s\n"
-        (String.concat "; " baselines)
-        file;
-      exit 1
-    end;
-    let drifts = List.rev !drifts in
-    if update then begin
-      let baseline =
-        match baselines with
-        | [ b ] -> b
-        | _ ->
-          Printf.eprintf
-            "bench-diff: --update requires exactly one --baseline\n";
-          exit 1
-      in
-      (* Both files already passed calm-bench/v1 validation in [load], so
-         the rewrite can't replace a good baseline with a malformed one. *)
-      List.iter (fun d -> Printf.printf "  accepting drift: %s\n" d) drifts;
-      write_file baseline (read_file file);
-      Printf.printf
-        "bench-diff: baseline %s updated from %s (%d guarded rows, %d had \
-         drifted)\n"
-        baseline file !compared (List.length drifts)
-    end
-    else
-      match drifts with
-      | [] ->
-        Printf.printf
-          "bench-diff: %d stable metric rows match the baseline(s) (%s)\n"
-          !compared
-          (String.concat "; " baselines)
-      | ds ->
-        Printf.eprintf "bench-diff: %d/%d stable metric rows drifted:\n"
-          (List.length ds) !compared;
-        List.iter (fun d -> Printf.eprintf "  %s\n" d) ds;
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "compare a bench --json trajectory's stable metric rows (probes, \
-          pairs scanned, violations, counterexample sizes) against one or \
-          more committed baselines (repeat --baseline; the last baseline \
-          containing an experiment wins for it, and drift reports name \
-          their source baseline); exits 1 on any drift, or accepts the \
-          new trajectory into a single baseline with --update")
-    Term.(const run $ baselines_term $ file_term $ update_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm plan *)
@@ -1340,23 +1129,10 @@ let explore_cmd =
       & info [ "budget" ] ~doc:"Maximum configurations to explore.")
   in
   let run src outputs facts facts_file budget jobs =
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
+    let { input; compiled; network } =
+      setup ~outputs ~nodes:2 src facts facts_file
     in
-    let compiled =
-      try Calm_core.Compile.compile_program program
-      with Invalid_argument msg ->
-        Printf.eprintf "cannot compile: %s\n" msg;
-        exit 1
-    in
-    let network = Distributed.network_of_ints [ 1; 2 ] in
-    let schema = compiled.Calm_core.Compile.query.Query.input in
-    let policy =
-      if compiled.Calm_core.Compile.domain_guided_only then
-        Network.Policy.hash_value schema network
-      else Network.Policy.hash_fact schema network
-    in
+    let policy = default_policy_for compiled network in
     Printf.printf
       "model-checking every message order on a 2-node network (budget %d)...\n"
       budget;
@@ -1557,20 +1333,11 @@ let report_cmd =
       value & flag
       & info [ "diff" ]
           ~doc:
-            "Regression mode: compare consecutive files' shared \
-             experiments (guarded metric rows must be byte-equal when \
-             present on both sides; wall clock may grow at most \
-             $(b,--threshold)); print the per-metric regression table \
-             and exit 1 on any regression.")
-  in
-  let threshold_term =
-    Arg.(
-      value
-      & opt float Observe.Report.default_threshold
-      & info [ "threshold" ] ~docv:"FRAC"
-          ~doc:
-            "Maximum allowed relative wall-clock increase between \
-             consecutive files in $(b,--diff) mode (1.0 = doubling).")
+            "Regression gate: compare consecutive files' shared \
+             experiments (every guarded metric row of the older file must \
+             appear, byte-equal, in the newer one; wall clocks are not \
+             compared); print the per-metric regression table and exit 1 \
+             on any regression, or when no guarded row was compared.")
   in
   let load_validated kind validate file =
     let contents = read_file file in
@@ -1585,7 +1352,7 @@ let report_cmd =
         exit 1
       | Ok () -> j)
   in
-  let run files html md series metrics profile diff threshold =
+  let run files html md series metrics profile diff =
     let benches =
       List.map
         (fun path ->
@@ -1597,9 +1364,9 @@ let report_cmd =
         files
     in
     if diff then begin
-      let regressions, compared = Observe.Report.diff ~threshold benches in
+      let regressions, compared = Observe.Report.diff benches in
       print_string (Observe.Report.render_diff regressions compared);
-      if regressions <> [] then exit 1
+      if regressions <> [] || compared = 0 then exit 1
     end
     else begin
       let series_contents =
@@ -1650,7 +1417,7 @@ let report_cmd =
           with --diff")
     Term.(
       const run $ files_term $ html_term $ md_term $ series_term
-      $ metrics_term $ profile_term $ diff_term $ threshold_term)
+      $ metrics_term $ profile_term $ diff_term)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1661,8 +1428,8 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            eval_cmd; classify_cmd; check_cmd; simulate_cmd; run_cmd;
-            sweep_cmd; netquery_cmd; explain_cmd; detect_cmd; explore_cmd;
-            validate_cmd; bench_diff_cmd; report_cmd; plan_cmd; profile_cmd;
-            graph_cmd; figure2_cmd; lint_cmd; certify_cmd;
+            eval_cmd; classify_cmd; check_cmd; run_cmd; sweep_cmd;
+            explain_cmd; detect_cmd; explore_cmd; validate_cmd; report_cmd;
+            plan_cmd; profile_cmd; graph_cmd; figure2_cmd; lint_cmd;
+            certify_cmd;
           ]))

@@ -77,31 +77,28 @@ let simulate n =
           (Datalog.Ast.to_string state.rules)
       with
       | exception Invalid_argument msg -> Printf.printf "cannot simulate: %s\n" msg
-      | program -> (
-        match Calm_core.Compile.compile_program program with
-        | exception Invalid_argument msg ->
-          Printf.printf "cannot compile: %s\n" msg
-        | compiled ->
-          let network =
-            Distributed.network_of_ints (List.init (max n 1) (fun i -> i + 1))
-          in
-          let policy =
-            Network.Policy.hash_value compiled.Calm_core.Compile.query.Query.input
-              network
-          in
-          let result =
-            Network.Run.run ~variant:compiled.Calm_core.Compile.variant ~policy
-              ~transducer:compiled.Calm_core.Compile.transducer
-              ~input:state.facts Network.Run.Round_robin
-          in
-          let expected = Datalog.Program.run program state.facts in
-          Printf.printf
-            "level=%s nodes=%d quiesced=%b messages=%d correct=%b\n\
-             output: %s\n"
-            (Calm_core.Hierarchy.to_string compiled.Calm_core.Compile.level)
-            n result.Network.Run.quiesced result.Network.Run.messages_sent
-            (Instance.equal result.Network.Run.outputs expected)
-            (Instance.to_string result.Network.Run.outputs)))
+      | program ->
+        let compiled = Calm_core.Compile.compile_program program in
+        let network =
+          Distributed.network_of_ints (List.init (max n 1) (fun i -> i + 1))
+        in
+        let policy =
+          Network.Policy.hash_value compiled.Calm_core.Compile.query.Query.input
+            network
+        in
+        let result =
+          Network.Run.run ~variant:compiled.Calm_core.Compile.variant ~policy
+            ~transducer:compiled.Calm_core.Compile.transducer
+            ~input:state.facts Network.Run.Round_robin
+        in
+        let expected = Datalog.Program.run program state.facts in
+        Printf.printf
+          "level=%s nodes=%d quiesced=%b messages=%d correct=%b\n\
+           output: %s\n"
+          (Calm_core.Hierarchy.to_string compiled.Calm_core.Compile.level)
+          n result.Network.Run.quiesced result.Network.Run.messages_sent
+          (Instance.equal result.Network.Run.outputs expected)
+          (Instance.to_string result.Network.Run.outputs))
 
 let add_line line =
   let contains_turnstile =

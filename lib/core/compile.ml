@@ -20,20 +20,8 @@ let strategy_for (level : Hierarchy.level) q =
           strategy exists"
          q.Query.name)
 
-let compile ~level q =
-  {
-    level;
-    query = q;
-    transducer = strategy_for level q;
-    variant =
-      (match level with
-      | Hierarchy.Monotone -> Network.Config.oblivious
-      | _ -> Network.Config.policy_aware);
-    domain_guided_only = level = Hierarchy.Domain_disjoint;
-  }
-
-(* The coordinated complement of [compile]: queries outside Mdisjoint
-   have no coordination-free strategy (that is the paper's point), but
+(* The coordinated complement of the coordination-free strategies:
+   queries outside Mdisjoint have none (that is the paper's point), but
    the barrier strategy still computes them — at the price of the
    heard-from-all-nodes cut that {!Network.Detect} observes. It needs no
    policy relations: the original model of Ameloot et al. suffices. *)
@@ -46,10 +34,20 @@ let coordinated q =
     domain_guided_only = false;
   }
 
-let compile_any ~level q =
+let compile ~level q =
   match level with
   | Hierarchy.Beyond -> coordinated q
-  | l -> compile ~level:l q
+  | level ->
+    {
+      level;
+      query = q;
+      transducer = strategy_for level q;
+      variant =
+        (match level with
+        | Hierarchy.Monotone -> Network.Config.oblivious
+        | _ -> Network.Config.policy_aware);
+      domain_guided_only = level = Hierarchy.Domain_disjoint;
+    }
 
 let compile_program ?bounds ?level p =
   let q = Datalog.Program.query ~name:"program" p in
@@ -62,15 +60,3 @@ let compile_program ?bounds ?level p =
       | l -> l)
   in
   compile ~level q
-
-let compile_program_any ?bounds ?level p =
-  let q = Datalog.Program.query ~name:"program" p in
-  let level =
-    match level with
-    | Some l -> l
-    | None -> (
-      match Hierarchy.of_fragment (Datalog.Program.fragment p) with
-      | Hierarchy.Beyond -> Hierarchy.place_empirically ?bounds q
-      | l -> l)
-  in
-  compile_any ~level q

@@ -20,28 +20,21 @@ val strategy_for : Hierarchy.level -> Query.t -> Network.Transducer.t
     @raise Invalid_argument on [Beyond] — no coordination-free strategy
     exists (that is the paper's point). *)
 
-val compile : level:Hierarchy.level -> Query.t -> compiled
-
 val coordinated : Query.t -> compiled
 (** The coordinated fallback: {!Strategies.Barrier} under the original
     model ([Id] and [All], no policy relations). Computes {e any} query
     correctly on any policy, but every output's causal cone contains a
     heard-from-all-nodes cut — the empirically-coordinated complement of
-    {!compile}, at level [Beyond]. *)
+    the coordination-free strategies, at level [Beyond]. *)
 
-val compile_any : level:Hierarchy.level -> Query.t -> compiled
-(** {!compile}, except that [Beyond] falls back to {!coordinated}
-    instead of raising. *)
+val compile : level:Hierarchy.level -> Query.t -> compiled
+(** The level's coordination-free strategy ({!strategy_for}), or
+    {!coordinated} at [Beyond]. Total. *)
 
 val compile_program :
   ?bounds:Monotone.Checker.bounds -> ?level:Hierarchy.level ->
   Datalog.Program.t -> compiled
 (** Level defaults to the program's syntactic placement
     ({!Hierarchy.of_fragment}); when that is [Beyond] the empirical
-    placement is tried before giving up. *)
-
-val compile_program_any :
-  ?bounds:Monotone.Checker.bounds -> ?level:Hierarchy.level ->
-  Datalog.Program.t -> compiled
-(** Like {!compile_program}, but a program that stays [Beyond] even
-    empirically compiles to {!coordinated} instead of raising. *)
+    placement is tried, and a program that stays [Beyond] compiles to
+    {!coordinated}. *)

@@ -69,7 +69,7 @@ let exit_code e = if e.agree then 0 else 2
 let detect_query ?network ?policies ?schedulers ?faults ?jobs ~name ~level
     ~query ~input () =
   detect_compiled ?network ?policies ?schedulers ?faults ?jobs ~name
-    ~compiled:(Compile.compile_any ~level query)
+    ~compiled:(Compile.compile ~level query)
     ~input ()
 
 (* The "bad" domain-guided policy: scatter consecutive integer values
@@ -167,7 +167,7 @@ let forced_disagree ?jobs ?faults () =
   detect_compiled ?jobs ?faults ~network ~policies:[ policy ]
     ~schedulers:[ ("round_robin", Network.Run.Round_robin) ]
     ~name:"forced_disagree"
-    ~compiled:(Compile.compile_any ~level:Hierarchy.Monotone query)
+    ~compiled:(Compile.compile ~level:Hierarchy.Monotone query)
     ~input:(graph_input [ (1, 2); (2, 3); (3, 1); (4, 5); (5, 6); (6, 4) ])
     ()
 

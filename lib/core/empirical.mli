@@ -1,7 +1,7 @@
 (** Empirical coordination detection over the query zoo: the run-level
     cross-check of the static CALM placements.
 
-    For each query, compile it ({!Compile.compile_any}: its
+    For each query, compile it ({!Compile.compile}: its
     hierarchy-level strategy, or the coordinated barrier when [Beyond]),
     run it over a battery of policies × schedulers with causal tracing,
     and ask {!Network.Detect} whether each correct, quiescent run shows
@@ -64,7 +64,7 @@ val detect_compiled :
   input:Instance.t ->
   unit -> entry
 (** Same, for an already-compiled query (e.g. from
-    {!Compile.compile_program_any}). *)
+    {!Compile.compile_program}). *)
 
 val scatter_policy : Schema.t -> Distributed.network -> Network.Policy.t
 (** The "bad" domain-guided policy: value [Int i] lives on node

@@ -19,18 +19,3 @@ let heartbeat_witness ?max_steps ~variant ~transducer ~query ~input network =
     else None
   in
   List.find_map try_node network
-
-let is_coordination_free_on ?schedulers ?(domain_guided_only = false)
-    ?max_rounds ~variant ~transducer ~query ~inputs network =
-  let policies =
-    Netquery.default_policies ~domain_guided_only query.Query.input network
-  in
-  List.for_all
-    (fun input ->
-      let verdict =
-        Netquery.check ?schedulers ~policies ?max_rounds ~variant ~transducer
-          ~query ~input network
-      in
-      Netquery.consistent verdict
-      && heartbeat_witness ~variant ~transducer ~query ~input network <> None)
-    inputs

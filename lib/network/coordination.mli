@@ -5,7 +5,8 @@
     with only heartbeat transitions (no communication). The proofs always
     use the "ideal" policy making one node responsible for everything —
     which is domain-guided, so the same witness serves the domain-guided
-    notion. *)
+    notion. Both halves of Definition 3 over a finite sample — this
+    witness and {!Netquery} consistency — are [Calm_core.Verify.check]. *)
 
 open Relational
 
@@ -26,18 +27,3 @@ val heartbeat_witness :
 (** Searches the network's nodes with the single-node (ideal, domain-
     guided) policy for one whose heartbeat-only prefix already outputs
     [Q(input)]. *)
-
-val is_coordination_free_on :
-  ?schedulers:(string * Run.scheduler) list ->
-  ?domain_guided_only:bool ->
-  ?max_rounds:int ->
-  variant:Config.variant ->
-  transducer:Transducer.t ->
-  query:Query.t ->
-  inputs:Instance.t list ->
-  Distributed.network ->
-  bool
-(** Both halves of Definition 3 over a finite sample: (1) the network
-    computes [Q] on every input under every scheduler × policy (restricted
-    to domain-guided policies when [domain_guided_only]); and (2) a
-    heartbeat witness exists for every input. *)

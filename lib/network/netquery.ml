@@ -36,6 +36,17 @@ let grid policies schedulers =
         schedulers)
     policies
 
+let judge ~expected swept =
+  let runs = List.map (fun (label, r, _) -> (label, r)) swept in
+  let mismatches =
+    List.filter_map
+      (fun (label, r) ->
+        if Instance.equal r.Run.outputs expected then None else Some label)
+      runs
+  in
+  let all_quiesced = List.for_all (fun (_, r) -> r.Run.quiesced) runs in
+  { expected; runs; mismatches; all_quiesced }
+
 let check_traced ?(schedulers = default_schedulers) ?policies ?faults
     ?max_rounds ?jobs ~variant ~transducer ~query ~input network =
   let policies =
@@ -48,15 +59,7 @@ let check_traced ?(schedulers = default_schedulers) ?policies ?faults
     Run.sweep ?jobs ?faults ?max_rounds ~variant ~transducer ~input
       (grid policies schedulers)
   in
-  let runs = List.map (fun (label, r, _events) -> (label, r)) swept in
-  let mismatches =
-    List.filter_map
-      (fun (label, r) ->
-        if Instance.equal r.Run.outputs expected then None else Some label)
-      runs
-  in
-  let all_quiesced = List.for_all (fun (_, r) -> r.Run.quiesced) runs in
-  ( { expected; runs; mismatches; all_quiesced },
+  ( judge ~expected swept,
     List.map (fun (label, _r, events) -> (label, events)) swept )
 
 let check ?schedulers ?policies ?max_rounds ?jobs ~variant ~transducer ~query

@@ -30,6 +30,11 @@ type verdict = {
 val consistent : verdict -> bool
 (** No mismatches and every run quiesced. *)
 
+val judge :
+  expected:Instance.t -> (string * Run.result * 'a) list -> verdict
+(** The verdict over {!Run.sweep} results: each cell's output compared
+    with [expected] (normally [Q(input)]). *)
+
 val check :
   ?schedulers:(string * Run.scheduler) list ->
   ?policies:Policy.t list ->

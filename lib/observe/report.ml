@@ -1,11 +1,9 @@
 (* Aggregate committed bench trajectories (BENCH_*.json) plus optional
    metrics / series / profile artifacts into a self-contained HTML
-   dashboard, a markdown summary, and a regression diff — the
-   whole-history generalization of the pairwise bench-diff guard. Built
-   on {!Json} only: no external deps, sparklines are inline SVG. *)
+   dashboard, a markdown summary, and the guarded-row regression diff.
+   Built on {!Json} only: no external deps, sparklines are inline SVG. *)
 
-(* The stable metric rows guarded against drift. Shared with the CLI's
-   bench-diff (which used to carry its own copy): deterministic by
+(* The stable metric rows guarded against drift: deterministic by
    construction (jobs- and cache-invariant), so any change against a
    committed value means the scan visited a different pair stream, found
    different violations, or maintained a different volume — a semantic
@@ -116,70 +114,52 @@ type regression = {
   from_file : string;
   to_file : string;
   experiment : string;
-  metric : string;  (* "wall_s" or a guard metric name *)
+  metric : string;  (* a guard metric name *)
   before : string;
   after : string;
 }
 
-let default_threshold = 1.0
-
-(* Scan consecutive pairs of the (chronologically ordered) history.
-   A guard metric regresses when it is present on both sides and
-   unequal — a metric newly appearing (instrumentation added by a later
-   change) is not drift, which is exactly how the committed trajectory
-   reads. Wall clock regresses when it grows by more than [threshold]
-   (relative, 1.0 = doubling): benches run on different machines and
-   under different loads, so only gross slowdowns are flagged. *)
-let diff ?(threshold = default_threshold) benches =
+(* Scan consecutive pairs of the (chronologically ordered) history. A
+   guarded row of the older file regresses when the newer file lacks it
+   (its experiment included) or holds a different value; a row newly
+   appearing (instrumentation added by a later change) is not drift,
+   which is exactly how the committed trajectory reads. Wall clocks are
+   never compared: one sample per experiment cannot tell a slowdown
+   from a noisy machine, and calm-perf (bench/perf) is the perf gate. *)
+let diff benches =
   let compared = ref 0 in
   let regressions = ref [] in
-  let add r = regressions := r :: !regressions in
   let rec pairs = function
-    | a :: (b : bench) :: rest ->
+    | (a : bench) :: b :: rest ->
       List.iter
-        (fun (eb : experiment) ->
-          match find_experiment a eb.id with
-          | None -> ()
-          | Some ea ->
-            List.iter
-              (fun name ->
+        (fun (ea : experiment) ->
+          let eb = find_experiment b ea.id in
+          List.iter
+            (fun name ->
+              match List.assoc_opt name ea.metrics with
+              | None -> ()
+              | Some va -> (
+                incr compared;
                 match
-                  ( List.assoc_opt name ea.metrics,
-                    List.assoc_opt name eb.metrics )
+                  Option.bind eb (fun e -> List.assoc_opt name e.metrics)
                 with
-                | Some va, Some vb ->
-                  incr compared;
-                  if not (Json.equal va vb) then
-                    add
-                      {
-                        from_file = a.path;
-                        to_file = b.path;
-                        experiment = eb.id;
-                        metric = name;
-                        before = Json.to_string va;
-                        after = Json.to_string vb;
-                      }
-                | _ -> ())
-              guard_metrics;
-            incr compared;
-            if
-              ea.wall_s > 0.
-              && eb.wall_s > ea.wall_s *. (1. +. threshold)
-            then
-              add
-                {
-                  from_file = a.path;
-                  to_file = b.path;
-                  experiment = eb.id;
-                  metric = "wall_s";
-                  before = Printf.sprintf "%.4fs" ea.wall_s;
-                  after =
-                    Printf.sprintf "%.4fs (+%.0f%% > +%.0f%% threshold)"
-                      eb.wall_s
-                      ((eb.wall_s /. ea.wall_s -. 1.) *. 100.)
-                      (threshold *. 100.);
-                })
-        b.experiments;
+                | Some vb when Json.equal va vb -> ()
+                | vb ->
+                  regressions :=
+                    {
+                      from_file = a.path;
+                      to_file = b.path;
+                      experiment = ea.id;
+                      metric = name;
+                      before = Json.to_string va;
+                      after =
+                        (match vb with
+                        | Some v -> Json.to_string v
+                        | None -> "<missing>");
+                    }
+                    :: !regressions))
+            guard_metrics)
+        a.experiments;
       pairs (b :: rest)
     | _ -> ()
   in
@@ -189,11 +169,15 @@ let diff ?(threshold = default_threshold) benches =
 let render_diff regressions compared =
   let b = Buffer.create 256 in
   (match regressions with
+  | [] when compared = 0 ->
+    Buffer.add_string b
+      "report-diff: no guarded metric row compared (give two or more \
+       files, the older ones holding guarded rows)\n"
   | [] ->
     Buffer.add_string b
       (Printf.sprintf
-         "report-diff: %d metric comparisons across the trajectory, no \
-          regression\n"
+         "report-diff: %d guarded metric comparisons across the trajectory, \
+          no regression\n"
          compared)
   | rs ->
     Buffer.add_string b

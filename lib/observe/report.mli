@@ -1,7 +1,7 @@
 (** Trajectory reporting: aggregate the committed bench history
     ([BENCH_*.json]) plus optional metrics / series / profile artifacts
     into a self-contained HTML dashboard, a markdown summary, and a
-    whole-history regression diff.
+    whole-history regression diff over the guarded metric rows.
 
     Everything is hand-rolled on {!Json}: no external dependencies, and
     the dashboard's sparklines are inline SVG, so the output is a single
@@ -9,8 +9,7 @@
 
 val guard_metrics : string list
 (** The stable metric rows guarded against drift — deterministic by
-    construction (jobs- and cache-invariant), shared with the CLI's
-    [bench-diff]. *)
+    construction (jobs- and cache-invariant). *)
 
 type experiment = {
   id : string;
@@ -36,21 +35,19 @@ type regression = {
   from_file : string;
   to_file : string;
   experiment : string;
-  metric : string;  (** ["wall_s"] or a {!guard_metrics} name *)
+  metric : string;  (** a {!guard_metrics} name *)
   before : string;
   after : string;
 }
 
-val default_threshold : float
-(** [1.0]: wall clock may at most double between consecutive files. *)
-
-val diff : ?threshold:float -> bench list -> regression list * int
-(** Scan consecutive pairs of the chronologically ordered history.
-    A guard metric regresses when present on both sides and unequal
-    (newly appearing metrics are instrumentation growth, not drift);
-    [wall_s] regresses when it grows by more than [threshold]
-    (relative). Returns the regressions and the number of comparisons
-    made. *)
+val diff : bench list -> regression list * int
+(** Scan consecutive pairs of the chronologically ordered history. A
+    guard metric row of the older file regresses when the newer file
+    lacks it, its experiment included ([after] is ["<missing>"]), or
+    holds a different value; rows newly appearing are instrumentation
+    growth, not drift. Wall clocks are not compared. Returns the
+    regressions and the number of guarded rows of older files
+    compared. *)
 
 val render_diff : regression list -> int -> string
 (** Human-readable (markdown-table) rendering of a {!diff} result. *)

@@ -118,9 +118,9 @@ let test_compiled_program_runs () =
 (* ------------------------------------------------------------------ *)
 (* Empirical coordination detection (E25) *)
 
-let test_compile_any_beyond_barrier () =
-  (* Beyond queries now compile: to the coordinated barrier strategy. *)
-  let c = Compile.compile_any ~level:Hierarchy.Beyond (Zoo.q_clique 3) in
+let test_compile_beyond_barrier () =
+  (* Beyond queries compile to the coordinated barrier strategy. *)
+  let c = Compile.compile ~level:Hierarchy.Beyond (Zoo.q_clique 3) in
   check_bool "level stays Beyond" true (c.Compile.level = Hierarchy.Beyond);
   check_bool "any policy allowed" false c.Compile.domain_guided_only;
   let input = Graph_gen.of_edges [ (1, 2); (2, 3) ] in
@@ -257,8 +257,8 @@ let () =
         ] );
       ( "empirical",
         [
-          Alcotest.test_case "compile_any: barrier computes Beyond" `Slow
-            test_compile_any_beyond_barrier;
+          Alcotest.test_case "compile: barrier computes Beyond" `Slow
+            test_compile_beyond_barrier;
           Alcotest.test_case "zoo agrees with static claims" `Slow
             test_empirical_zoo_agrees;
         ] );

@@ -121,7 +121,7 @@ let battery_sweep ?jobs compiled input plan =
 let test_battery () =
   List.iter
     (fun (name, level, query, input) ->
-      let compiled = Calm_core.Compile.compile_any ~level query in
+      let compiled = Calm_core.Compile.compile ~level query in
       let oracle = Query.apply query input in
       (* The failure-free round-robin oracle equals Q(I). *)
       let policies =
@@ -157,7 +157,7 @@ let test_battery () =
    same results, same events, same stable metrics. *)
 let test_battery_jobs_invariant () =
   let name, level, query, input = List.hd battery_specs in
-  let compiled = Calm_core.Compile.compile_any ~level query in
+  let compiled = Calm_core.Compile.compile ~level query in
   let sweep jobs =
     Observe.Metrics.reset Observe.Metrics.root;
     let results = battery_sweep ~jobs compiled input all_plan in
@@ -195,7 +195,7 @@ let test_thousand_nodes () =
   let input = Graph_gen.of_edges [ (1, 2); (2, 3); (3, 4) ] in
   let query = Zoo.tc in
   let compiled =
-    Calm_core.Compile.compile_any ~level:Calm_core.Hierarchy.Monotone query
+    Calm_core.Compile.compile ~level:Calm_core.Hierarchy.Monotone query
   in
   let expected = Query.apply query input in
   let big_plan =
@@ -294,7 +294,7 @@ let test_heartbeat_pin () =
 (* Empty fault plan ≡ base scheduler, byte for byte *)
 
 let identity_compiled =
-  Calm_core.Compile.compile_any ~level:Calm_core.Hierarchy.Monotone Zoo.tc
+  Calm_core.Compile.compile ~level:Calm_core.Hierarchy.Monotone Zoo.tc
 
 let identity_input = Graph_gen.of_edges [ (1, 2); (2, 3); (3, 4) ]
 

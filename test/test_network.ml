@@ -643,14 +643,6 @@ let test_heartbeat_witness_domain_request () =
        ~transducer:t ~query:Zoo.winmove ~input:winmove_input net12
     <> None)
 
-let test_coordination_free_summary () =
-  let t = Strategies.Broadcast.transducer Zoo.tc in
-  check_bool "broadcast/tc coordination-free" true
-    (Coordination.is_coordination_free_on ~variant:Config.policy_aware
-       ~transducer:t ~query:Zoo.tc
-       ~inputs:[ Instance.empty; tc_input ]
-       net12)
-
 (* ------------------------------------------------------------------ *)
 (* Three-node network sanity *)
 
@@ -1184,7 +1176,7 @@ let oracle_strategies =
   List.map
     (fun level ->
       ( Calm_core.Hierarchy.to_string level,
-        (Calm_core.Compile.compile_any ~level Zoo.comp_tc)
+        (Calm_core.Compile.compile ~level Zoo.comp_tc)
           .Calm_core.Compile.transducer ))
     Calm_core.Hierarchy.levels
 
@@ -1392,8 +1384,6 @@ let () =
             test_heartbeat_witness_absence;
           Alcotest.test_case "witness: domain-request/win-move" `Quick
             test_heartbeat_witness_domain_request;
-          Alcotest.test_case "full coordination-freeness" `Slow
-            test_coordination_free_summary;
         ] );
       ( "multi-node",
         [ Alcotest.test_case "three nodes" `Slow test_three_nodes ] );

@@ -15,7 +15,8 @@
       loader rejects crafted infinities).
    4. The calm-series/v1 validator accepts the exporter's output and
       rejects tampered documents; Report.diff flags the seeded
-      regression fixture and passes the committed trajectory. *)
+      regression fixture and a dropped guarded row, passes the committed
+      trajectory, and never flags wall-clock growth. *)
 
 open Relational
 open Monotone
@@ -417,6 +418,39 @@ let test_report_diff_trajectory () =
   | rs -> Alcotest.failf "expected exactly one regression, got %d"
             (List.length rs)
 
+(* BENCH_series.json under another path, each experiment rewritten. *)
+let rewritten path f =
+  let b = load_bench_exn (bench_file "BENCH_series.json") in
+  (b, { b with Observe.Report.path; experiments = List.map f b.experiments })
+
+(* The gate compares guarded rows only. A guarded row the older file
+   has and the newer one lacks is a regression, not a skipped row. *)
+let test_report_diff_missing_row () =
+  let older, newer =
+    rewritten "dropped.json" (fun (e : Observe.Report.experiment) ->
+        if e.id = "E12" then
+          { e with metrics = List.remove_assoc "monotone.probes" e.metrics }
+        else e)
+  in
+  match Observe.Report.diff [ older; newer ] with
+  | [ r ], _ ->
+    check_str "regressed experiment" "E12" r.Observe.Report.experiment;
+    check_str "regressed metric" "monotone.probes" r.Observe.Report.metric;
+    check_str "newer side" "<missing>" r.Observe.Report.after
+  | rs, _ ->
+    Alcotest.failf "expected exactly one regression, got %d" (List.length rs)
+
+(* One wall-clock sample per experiment cannot tell a slowdown from a
+   noisy machine, so wall growth alone never regresses. *)
+let test_report_diff_ignores_walls () =
+  let older, newer =
+    rewritten "slower.json" (fun (e : Observe.Report.experiment) ->
+        { e with wall_s = 3. *. e.wall_s })
+  in
+  let regressions, compared = Observe.Report.diff [ older; newer ] in
+  check_int "no regression from walls x3" 0 (List.length regressions);
+  check_bool "guarded rows were compared" true (compared > 0)
+
 let test_report_renderers () =
   let history =
     List.map
@@ -483,6 +517,10 @@ let () =
             test_series_jsonl_validate;
           Alcotest.test_case "diff trajectory + fixture" `Quick
             test_report_diff_trajectory;
+          Alcotest.test_case "diff flags a missing guarded row" `Quick
+            test_report_diff_missing_row;
+          Alcotest.test_case "diff ignores wall growth" `Quick
+            test_report_diff_ignores_walls;
           Alcotest.test_case "markdown + dashboard" `Quick
             test_report_renderers;
         ] );
