@@ -23,6 +23,20 @@ let guard_metrics =
     "monotone.ivm_hits";
     "eval.ivm_applies";
     "eval.ivm_rederived";
+    (* Network runs: every transition, message and round of a seeded
+       scheduler. *)
+    "net.transitions";
+    "net.messages_sent";
+    "net.deliveries";
+    "net.heartbeat_steps";
+    "net.rounds";
+    "net.quiescence_round";
+    "net.round_output_delta";
+    "net.transition_output_delta";
+    (* The model checker's search shape. *)
+    "explore.expanded";
+    "explore.frontier";
+    "explore.dedup_hits";
   ]
 
 type experiment = {
@@ -97,6 +111,11 @@ let load_bench ~path contents =
 
 let find_experiment b id = List.find_opt (fun e -> e.id = id) b.experiments
 
+(* The bechamel section repeats its runs as often as its timer asks, so
+   its counter rows count iterations, not behaviour: never guarded. *)
+let guarded_experiments b =
+  List.filter (fun e -> e.id <> "bechamel") b.experiments
+
 (* Union of experiment ids across the history, in order of first
    appearance. *)
 let all_ids benches =
@@ -159,7 +178,7 @@ let diff benches =
                     }
                     :: !regressions))
             guard_metrics)
-        a.experiments;
+        (guarded_experiments a);
       pairs (b :: rest)
     | _ -> ()
   in
@@ -249,7 +268,7 @@ let markdown benches =
                 (Printf.sprintf "| %s | %s | %s |\n" e.id name
                    (Json.to_string v)))
           guard_metrics)
-      latest.experiments);
+      (guarded_experiments latest));
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -421,7 +440,7 @@ let html ?series ?metrics ?profile benches =
             guard_metrics;
           add "</tr>\n"
         end)
-      latest.experiments;
+      (guarded_experiments latest);
     add "</table>\n");
   (match series with
   | None -> ()

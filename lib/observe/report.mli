@@ -45,9 +45,10 @@ val diff : bench list -> regression list * int
     guard metric row of the older file regresses when the newer file
     lacks it, its experiment included ([after] is ["<missing>"]), or
     holds a different value; rows newly appearing are instrumentation
-    growth, not drift. Wall clocks are not compared. Returns the
-    regressions and the number of guarded rows of older files
-    compared. *)
+    growth, not drift. Wall clocks are not compared, and neither is the
+    [bechamel] experiment, whose counters follow timer-chosen iteration
+    counts. Returns the regressions and the number of guarded rows of
+    older files compared. *)
 
 val render_diff : regression list -> int -> string
 (** Human-readable (markdown-table) rendering of a {!diff} result. *)

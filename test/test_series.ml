@@ -15,8 +15,9 @@
       loader rejects crafted infinities).
    4. The calm-series/v1 validator accepts the exporter's output and
       rejects tampered documents; Report.diff flags the seeded
-      regression fixture and a dropped guarded row, passes the committed
-      trajectory, and never flags wall-clock growth. *)
+      regression fixture, a dropped guarded row and a changed explorer
+      counter, passes the committed trajectory, and never flags
+      wall-clock growth or the bechamel section's counters. *)
 
 open Relational
 open Monotone
@@ -451,6 +452,60 @@ let test_report_diff_ignores_walls () =
   check_int "no regression from walls x3" 0 (List.length regressions);
   check_bool "guarded rows were compared" true (compared > 0)
 
+(* The network and explorer counters are guarded: one more expanded
+   configuration in E19 is a semantic change. *)
+let test_report_diff_flags_explore_row () =
+  let older, newer =
+    rewritten "explored.json" (fun (e : Observe.Report.experiment) ->
+        if e.id = "E19" then
+          {
+            e with
+            metrics =
+              List.map
+                (fun (name, v) ->
+                  match (name, v) with
+                  | "explore.expanded", Observe.Json.Int n ->
+                    (name, Observe.Json.Int (n + 1))
+                  | _ -> (name, v))
+                e.metrics;
+          }
+        else e)
+  in
+  match Observe.Report.diff [ older; newer ] with
+  | [ r ], _ ->
+    check_str "regressed experiment" "E19" r.Observe.Report.experiment;
+    check_str "regressed metric" "explore.expanded" r.Observe.Report.metric
+  | rs, _ ->
+    Alcotest.failf "expected exactly one regression, got %d" (List.length rs)
+
+(* The bechamel section's counters follow timer-chosen iteration
+   counts, so changing every one of them is not a regression. *)
+let test_report_diff_skips_bechamel () =
+  let older, newer =
+    rewritten "rebenched.json" (fun (e : Observe.Report.experiment) ->
+        if e.id = "bechamel" then
+          {
+            e with
+            metrics =
+              List.map
+                (fun (name, v) ->
+                  match v with
+                  | Observe.Json.Int n -> (name, Observe.Json.Int (n + 1))
+                  | Observe.Json.Float f -> (name, Observe.Json.Float (f +. 1.))
+                  | _ -> (name, v))
+                e.metrics;
+          }
+        else e)
+  in
+  check_bool "bechamel holds net rows" true
+    (List.exists
+       (fun (e : Observe.Report.experiment) ->
+         e.id = "bechamel" && List.mem_assoc "net.transitions" e.metrics)
+       older.Observe.Report.experiments);
+  let regressions, compared = Observe.Report.diff [ older; newer ] in
+  check_int "no regression from bechamel rows" 0 (List.length regressions);
+  check_bool "guarded rows were compared" true (compared > 0)
+
 let test_report_renderers () =
   let history =
     List.map
@@ -521,6 +576,10 @@ let () =
             test_report_diff_missing_row;
           Alcotest.test_case "diff ignores wall growth" `Quick
             test_report_diff_ignores_walls;
+          Alcotest.test_case "diff flags an explore row" `Quick
+            test_report_diff_flags_explore_row;
+          Alcotest.test_case "diff skips bechamel rows" `Quick
+            test_report_diff_skips_bechamel;
           Alcotest.test_case "markdown + dashboard" `Quick
             test_report_renderers;
         ] );
