@@ -41,6 +41,10 @@ val outputs : Transducer_schema.t -> t -> Instance.t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash : t -> int
+(** A structural digest consistent with {!equal}: [equal a b] implies
+    [hash a = hash b]. *)
+
 type stats = {
   messages_sent : int;      (** copies enqueued (fact × recipients) *)
   delivered : int;          (** message copies consumed *)
@@ -71,14 +75,28 @@ val prepare :
     @raise Invalid_argument if the policy assigns an input fact to no
     node of its network. *)
 
+val react :
+  ctx -> node:Value.t -> Instance.t -> Fact.Set.t -> Instance.t * Instance.t
+(** [react ctx ~node state delivered] is the node's reaction to the
+    delivered facts: the system facts and the four transducer queries
+    over its visible instance [D] (local input, [state], [delivered] and
+    the system facts), giving its next state and [Q_snd], the message
+    facts it sends. Only the support of a delivery matters, so
+    [delivered] is a set. The transducer's components are queries, so
+    for a fixed [ctx] this is a pure function of (node, state,
+    delivered). It touches no buffer, builds no {!stats}, records no
+    [net.*] counter and does not check that the node is in the
+    network. *)
+
 val step : ctx -> t -> node:Value.t -> deliver:Multiset.t -> t * stats
 (** One transition of the given node consuming the given submultiset of
     its buffer (the paper's [(ρ1, x, m, ρ2)]), on a configuration over
-    the policy's network (as {!start} builds it). Besides the four
-    transducer queries and building [A] and [S] (which list every node
-    when the variant exposes [All]), a transition that sends nothing
-    updates one state and one buffer (O(log |N|)); one that sends adds
-    [Q_snd] to every other buffer (O(|N|)).
+    the policy's network (as {!start} builds it): {!react} on the
+    node's state and the support of [deliver], then the bookkeeping.
+    Besides the reaction, a transition that sends nothing updates one
+    state and one buffer (O(log |N|)); one that sends adds [Q_snd] to
+    every other buffer (O(|N|)). Records the [net.*] transition
+    counters.
     @raise Invalid_argument if [deliver] is not a submultiset of the
     node's buffer or the node is not in the network. *)
 

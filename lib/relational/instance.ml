@@ -49,9 +49,11 @@ let by_rel t name =
 
 (* Order-insensitive only because set iteration is sorted: the digest is
    a fold over facts in {!Fact.compare} order, so equal instances hash
-   equally. Cheap enough for memo keys; not cryptographic. *)
+   equally. Each fact is digested by the structural [Hashtbl.hash], which
+   agrees with {!Fact.equal} and, unlike {!Fact.hash}, allocates nothing.
+   Cheap enough for memo keys; not cryptographic. *)
 let hash t =
-  Fact.Set.fold (fun f acc -> (acc * 486187739) + Fact.hash f) t 0x9e3779b9
+  Fact.Set.fold (fun f acc -> (acc * 486187739) + Hashtbl.hash f) t 0x9e3779b9
 
 (* Least fact of [a] missing from [b] — equals
    [List.hd (to_list (diff a b))] when the diff is non-empty, without

@@ -52,8 +52,8 @@ val by_rel : t -> string -> Fact.t list
 (** All facts with the given relation name. *)
 
 val hash : t -> int
-(** Structural digest: a fold of {!Fact.hash} over the facts in
-    {!Fact.compare} order, so [equal a b] implies [hash a = hash b].
+(** Structural digest: a fold of a structural fact digest over the facts
+    in {!Fact.compare} order, so [equal a b] implies [hash a = hash b].
     Suitable as a memo key (paired with {!equal} on collision); not
     cryptographic. *)
 
