@@ -108,14 +108,6 @@ let facts_file_term =
     & opt (some file) None
     & info [ "facts-file" ] ~docv:"FILE" ~doc:"File of input facts.")
 
-let parse_facts s =
-  s
-  |> String.split_on_char '.'
-  |> List.filter_map (fun part ->
-         let part = String.trim part in
-         if part = "" then None else Some (Fact.of_string part))
-  |> Instance.of_list
-
 let default_input schema =
   List.fold_left
     (fun acc (name, ar) ->
@@ -128,11 +120,35 @@ let default_input schema =
     Instance.empty
     (Schema.relations schema)
 
+(* Malformed facts, and facts whose arity disagrees with the program's
+   input schema, end the command with exit 1. *)
 let resolve_input schema facts facts_file =
-  match (facts, facts_file) with
-  | Some s, _ -> parse_facts s
-  | None, Some f -> parse_facts (read_file f)
-  | None, None -> default_input schema
+  let invalid fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "invalid facts: %s\n" msg;
+        exit 1)
+      fmt
+  in
+  let parse s =
+    try Io.parse_facts s with Invalid_argument msg -> invalid "%s" msg
+  in
+  let input =
+    match (facts, facts_file) with
+    | Some s, _ -> parse s
+    | None, Some f -> parse (read_file f)
+    | None, None -> default_input schema
+  in
+  Instance.iter
+    (fun f ->
+      match Schema.arity schema (Fact.rel f) with
+      | Some k when k <> Fact.arity f ->
+        invalid "%s has arity %d, but the program's input relation %s has \
+                 arity %d"
+          (Fact.to_string f) (Fact.arity f) (Fact.rel f) k
+      | _ -> ())
+    input;
+  input
 
 let load_program ~outputs ~semantics src =
   try Datalog.Program.parse ~outputs ~semantics src with
@@ -460,6 +476,11 @@ type setup = {
 }
 
 let setup ~outputs ~nodes src facts facts_file =
+  if nodes < 1 then begin
+    Printf.eprintf "invalid --nodes %d: a network has at least one node\n"
+      nodes;
+    exit 1
+  end;
   let program = load_program_any ~outputs src in
   let input =
     resolve_input (Datalog.Program.input_schema program) facts facts_file
@@ -467,8 +488,7 @@ let setup ~outputs ~nodes src facts facts_file =
   {
     input;
     compiled = Calm_core.Compile.compile_program program;
-    network =
-      Distributed.network_of_ints (List.init (max nodes 1) (fun i -> 1 + i));
+    network = Distributed.network_of_ints (List.init nodes (fun i -> 1 + i));
   }
 
 let default_policy_for compiled network =

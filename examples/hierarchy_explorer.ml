@@ -20,14 +20,6 @@ let demos =
     ("p2", (Queries.Zoo.example_51_p2, [ "O" ]));
   ]
 
-let parse_facts s =
-  s
-  |> String.split_on_char '.'
-  |> List.filter_map (fun part ->
-         let part = String.trim part in
-         if part = "" then None else Some (Fact.of_string part))
-  |> Instance.of_list
-
 let default_input schema =
   (* A small generic input: a path over each binary relation, a couple of
      unary facts. *)
@@ -85,7 +77,7 @@ let explore src outputs facts verify =
 
   let input =
     match facts with
-    | Some s -> parse_facts s
+    | Some s -> Io.parse_facts s
     | None -> default_input (Datalog.Program.input_schema program)
   in
   Printf.printf "\ninput I = %s\n" (Instance.to_string input);

@@ -54,6 +54,8 @@ let of_string s =
       invalid_arg ("Fact.of_string: missing ')' in " ^ s);
     let rel = String.trim (String.sub s 0 i) in
     let inner = String.sub s (i + 1) (String.length s - i - 2) in
+    if String.exists (fun c -> c = '(' || c = ')') inner then
+      invalid_arg ("Fact.of_string: parenthesis inside an argument in " ^ s);
     let parts = String.split_on_char ',' inner in
     let vals = List.map (fun p -> Value.of_string (String.trim p)) parts in
     if rel = "" || List.exists (fun v -> Value.to_string v = "") vals then

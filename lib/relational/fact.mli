@@ -32,7 +32,8 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t
-(** Parses ["R(a, 1, b)"]. @raise Invalid_argument on syntax errors. *)
+(** Parses ["R(a, 1, b)"]. @raise Invalid_argument on syntax errors,
+    among them a parenthesis inside an argument (["E(1,2)))"]). *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -71,6 +71,20 @@ let test_fact_roundtrip () =
   Alcotest.(check string) "print" "R(a,1,b)" (Fact.to_string f);
   check_bool "reparse" true (Fact.equal f (Fact.of_string (Fact.to_string f)))
 
+(* A parenthesis inside an argument is a syntax error, not part of a
+   value: "E(1,2)))" once parsed to E(1, "2)))"). *)
+let test_fact_of_string_rejects_parens () =
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises bad
+        (Invalid_argument
+           ("Fact.of_string: parenthesis inside an argument in " ^ bad))
+        (fun () -> ignore (Fact.of_string bad)))
+    [ "E(1,2)))"; "E((1,2)"; "E(1,(2))" ];
+  Alcotest.check_raises "unclosed"
+    (Invalid_argument "Fact.of_string: missing ')' in E(1,2") (fun () ->
+      ignore (Fact.of_string "E(1,2"))
+
 let test_fact_order_total () =
   let f1 = edge 1 2 and f2 = edge 1 3 and f3 = fact "F" [ 1; 2 ] in
   check_bool "E(1,2) < E(1,3)" true (Fact.compare f1 f2 < 0);
@@ -479,6 +493,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_fact_basic;
           Alcotest.test_case "nullary rejected" `Quick test_fact_nullary_rejected;
           Alcotest.test_case "roundtrip" `Quick test_fact_roundtrip;
+          Alcotest.test_case "of_string rejects parentheses in arguments"
+            `Quick test_fact_of_string_rejects_parens;
           Alcotest.test_case "total order" `Quick test_fact_order_total;
         ] );
       ( "schema",
