@@ -50,6 +50,13 @@ val check :
     single-fact deliveries — complete for transducers that accumulate
     deliveries in memory, which all of this library's strategies do. The
     space is then finite whenever states grow monotonically over a finite
-    fact universe, so exploration terminates. *)
+    fact universe, so exploration terminates.
+
+    Each check memoises every node's reaction ({!Config.react}) on
+    (node, state, delivered support), shared by the pool's domains. This
+    relies on the transducer's components being queries, that is,
+    functions of the visible instance [D] alone (see {!Transducer}): a
+    component that kept hidden state or read anything besides its
+    argument would be replayed from the memo rather than re-run. *)
 
 val verdict_to_string : verdict -> string
