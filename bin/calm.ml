@@ -539,15 +539,30 @@ let faults_term =
            under a plan are deterministic from the seed; quiescence \
            additionally requires every fault to have struck and healed.")
 
-let faults_of_flag = function
-  | None -> None
-  | Some "default" -> Some Network.Fault.default
-  | Some s -> (
-    match Network.Fault.of_string s with
-    | Ok plan -> Some plan
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1)
+(* A plan is checked against the network it will run on: a crash or a
+   partition member outside it is a typed error, not a run that never
+   quiesces. *)
+let faults_of_flag ~network flag =
+  let plan =
+    match flag with
+    | None -> None
+    | Some "default" -> Some Network.Fault.default
+    | Some s -> (
+      match Network.Fault.of_string s with
+      | Ok plan -> Some plan
+      | Error msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 1)
+  in
+  Option.iter
+    (fun plan ->
+      match Network.Fault.check plan ~network with
+      | Ok () -> ()
+      | Error msg ->
+        Printf.eprintf "invalid faults: %s\n" msg;
+        exit 1)
+    plan;
+  plan
 
 (* ------------------------------------------------------------------ *)
 (* calm run *)
@@ -589,13 +604,13 @@ let run_cmd =
     let { input; compiled; network } =
       setup ~outputs ~nodes src facts facts_file
     in
+    let faults = faults_of_flag ~network faults in
     let level = compiled.Calm_core.Compile.level in
     Printf.printf "compiled at level %s (%s strategy)\n"
       (Calm_core.Hierarchy.to_string level)
       (if level = Calm_core.Hierarchy.Beyond then "coordinated barrier"
        else Calm_core.Hierarchy.transducer_model level);
     let policy = default_policy_for compiled network in
-    let faults = faults_of_flag faults in
     let sched = scheduler_of nodes seed scheduler in
     let tracer =
       if causal_out <> None || causal_dot <> None || causal_chrome <> None
@@ -707,7 +722,7 @@ let sweep_cmd =
           ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
           query.Query.input network
       in
-      let faults = faults_of_flag faults in
+      let faults = faults_of_flag ~network faults in
       let cells =
         Network.Netquery.grid policies Network.Netquery.default_schedulers
       in
@@ -790,7 +805,7 @@ let explain_cmd =
       setup ~outputs ~nodes src facts facts_file
     in
     let policy = default_policy_for compiled network in
-    let faults = faults_of_flag faults in
+    let faults = faults_of_flag ~network faults in
     let sched = scheduler_of nodes seed scheduler in
     let tracer = Network.Trace.collector () in
     let result =
@@ -885,9 +900,11 @@ let detect_cmd =
     exit (Calm_core.Empirical.exit_code entry)
   in
   let run src outputs facts facts_file nodes jobs scatter fixture faults =
-    let faults = faults_of_flag faults in
     match fixture with
     | Some `Forced ->
+      let faults =
+        faults_of_flag ~network:Calm_core.Empirical.default_network faults
+      in
       finish (Calm_core.Empirical.forced_disagree ~jobs ?faults ())
     | None ->
       let src =
@@ -901,6 +918,7 @@ let detect_cmd =
       let { input; compiled; network } =
         setup ~outputs ~nodes src facts facts_file
       in
+      let faults = faults_of_flag ~network faults in
       let schema = compiled.Calm_core.Compile.query.Query.input in
       let policies =
         let base =

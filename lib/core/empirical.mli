@@ -36,6 +36,10 @@ type entry = {
   agree : bool;                   (** observed_free = static_free *)
 }
 
+val default_network : Distributed.network
+(** Nodes 1, 2 and 3: the network of {!detect_query} when none is given,
+    and of {!forced_disagree}. *)
+
 val detect_query :
   ?network:Distributed.network ->
   ?policies:Network.Policy.t list ->

@@ -97,19 +97,20 @@ let record_stats stats =
   Observe.Metrics.observe m_output_delta
     (float_of_int (Instance.cardinal stats.output_delta))
 
-let system_facts variant policy network x a =
+(* The [All] facts the variant shows: one per node, none without [All]. *)
+let all_shown variant network =
+  if not variant.with_all then Instance.empty
+  else
+    List.fold_left
+      (fun acc y ->
+        Instance.add (Fact.make Transducer_schema.all_rel [ y ]) acc)
+      Instance.empty network
+
+(* [S] given [all], the variant's [All] facts. *)
+let system_facts_over ~all variant policy x a =
   let open Transducer_schema in
-  let base = Instance.empty in
   let base =
-    if variant.with_id then Instance.add (Fact.make id_rel [ x ]) base
-    else base
-  in
-  let base =
-    if variant.with_all then
-      List.fold_left
-        (fun acc y -> Instance.add (Fact.make all_rel [ y ]) acc)
-        base network
-    else base
+    if variant.with_id then Instance.add (Fact.make id_rel [ x ]) all else all
   in
   if not variant.with_policy then base
   else
@@ -128,16 +129,48 @@ let system_facts variant policy network x a =
       base
       (Schema.all_facts (Policy.schema policy) a)
 
+let system_facts variant policy network x a =
+  system_facts_over ~all:(all_shown variant network) variant policy x a
+
+(* The policy-aware system facts of one node depend on (node, A) alone,
+   and A changes far less often than D: fair senders re-deliver what a
+   node already knows. The key is digested once, outside the lock. *)
+type sys_key = { digest : int; node : Value.t; a : Value.Set.t }
+
+let sys_key node a =
+  {
+    digest =
+      Value.Set.fold
+        (fun v acc -> (acc * 31) + Hashtbl.hash v)
+        a (Hashtbl.hash node);
+    node;
+    a;
+  }
+
+module System = Hashtbl.Make (struct
+  type t = sys_key
+
+  let hash k = k.digest
+
+  let equal k l =
+    k.digest = l.digest && Value.equal k.node l.node
+    && Value.Set.equal k.a l.a
+end)
+
 type ctx = {
   variant : variant;
   policy : Policy.t;
   transducer : Transducer.t;
   locals : Distributed.t;
   recipients : int;
+  all : Instance.t;  (* [all_shown] *)
+  system : Instance.t System.t;  (* policy-aware [S] on (node, A) *)
+  lock : Mutex.t;  (* guards [system] *)
 }
 
 let prepare ~variant ~policy ~transducer ~input =
   let schema = transducer.Transducer.schema in
+  let network = Policy.network policy in
   {
     variant;
     policy;
@@ -145,8 +178,26 @@ let prepare ~variant ~policy ~transducer ~input =
     locals =
       Policy.dist policy
         (Instance.restrict input schema.Transducer_schema.input);
-    recipients = List.length (Policy.network policy) - 1;
+    recipients = List.length network - 1;
+    all = all_shown variant network;
+    system = System.create 64;
+    lock = Mutex.create ();
   }
+
+(* Without policy relations [S] is [Id] and [All], cheaper to build than
+   to look up. With them, two domains that miss on one key compute the
+   same facts. *)
+let system ctx x a =
+  let build () = system_facts_over ~all:ctx.all ctx.variant ctx.policy x a in
+  if not ctx.variant.with_policy then build ()
+  else
+    let k = sys_key x a in
+    match Mutex.protect ctx.lock (fun () -> System.find_opt ctx.system k) with
+    | Some s -> s
+    | None ->
+      let s = build () in
+      Mutex.protect ctx.lock (fun () -> System.replace ctx.system k s);
+      s
 
 let react ctx ~node:x s1 delivered =
   let { variant; policy; transducer; locals; _ } = ctx in
@@ -161,7 +212,7 @@ let react ctx ~node:x s1 delivered =
       List.fold_left (fun acc y -> Value.Set.add y acc) from_j network
     else Value.Set.add x from_j
   in
-  let s = system_facts variant policy network x a in
+  let s = system ctx x a in
   let d = Instance.union j s in
   let out_new = Instance.restrict (transducer.Transducer.q_out d) schema.Transducer_schema.output in
   let ins = Instance.restrict (transducer.Transducer.q_ins d) schema.Transducer_schema.memory in

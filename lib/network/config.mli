@@ -57,13 +57,19 @@ val system_facts :
   variant -> Policy.t -> Distributed.network -> Value.t -> Value.Set.t ->
   Instance.t
 (** The set [S] of system facts shown to node [x] given the value set [A]
-    (already including whatever the variant prescribes). Exposed for
-    tests. *)
+    (already including whatever the variant prescribes), built anew on
+    every call: one {!Policy.responsible} call per candidate fact over
+    [A].
+    {!react} takes the same facts from its context's table instead. The
+    reference transition of the tests calls this. *)
 
 type ctx
 (** What every transition of one run shares: the variant, the policy,
-    the transducer, and the input distributed once by [Policy.dist].
-    Immutable, so one context may serve steps on several domains. *)
+    the transducer, the input distributed once by [Policy.dist], the
+    [All] facts, and a table of the policy-aware system facts keyed on
+    (node, [A]), filled as transitions meet new keys. The table is the
+    one mutable part and is guarded by a lock, so one context still
+    serves steps on several domains. *)
 
 val prepare :
   variant:variant ->
@@ -84,9 +90,11 @@ val react :
     facts it sends. Only the support of a delivery matters, so
     [delivered] is a set. The transducer's components are queries, so
     for a fixed [ctx] this is a pure function of (node, state,
-    delivered). It touches no buffer, builds no {!stats}, records no
-    [net.*] counter and does not check that the node is in the
-    network. *)
+    delivered): the system-facts table changes only how [S] is found.
+    Under [with_policy] it builds [S] once per (node, [A]) and then looks
+    it up; without, [S] is [Id] and the prepared [All] facts. It touches
+    no buffer, builds no {!stats}, records no [net.*] counter and does
+    not check that the node is in the network. *)
 
 val step : ctx -> t -> node:Value.t -> deliver:Multiset.t -> t * stats
 (** One transition of the given node consuming the given submultiset of

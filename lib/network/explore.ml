@@ -73,7 +73,8 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
   let network = Policy.network policy in
   let expected = Query.apply query input in
   let schema = transducer.Transducer.schema in
-  (* Immutable, so the parallel mode's domains share it. *)
+  (* Its one table is lock-guarded, so the parallel mode's domains share
+     it. *)
   let ctx = Config.prepare ~variant ~policy ~transducer ~input in
   (* The transducer's components are queries, so a reaction is a pure
      function of its key. The pool's domains share the table; two that

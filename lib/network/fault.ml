@@ -58,6 +58,16 @@ let float_to_string f =
   let s = Printf.sprintf "%.12g" f in
   s
 
+let crash_clause (n, r) = Printf.sprintf "crash=%s@%d" (Value.to_string n) r
+
+let part_clause part =
+  Printf.sprintf "part=%s@%d+%d"
+    (String.concat "|"
+       (List.map
+          (fun g -> String.concat "," (List.map Value.to_string g))
+          part.groups))
+    part.from_round part.rounds
+
 let to_string p =
   let buf = Buffer.create 64 in
   let clause s =
@@ -72,20 +82,8 @@ let to_string p =
     clause
       (Printf.sprintf "loss=%s:%d" (float_to_string p.loss_prob) p.loss_delay);
   clause (Printf.sprintf "horizon=%d" p.horizon);
-  List.iter
-    (fun (n, r) ->
-      clause (Printf.sprintf "crash=%s@%d" (Value.to_string n) r))
-    p.crashes;
-  List.iter
-    (fun part ->
-      clause
-        (Printf.sprintf "part=%s@%d+%d"
-           (String.concat "|"
-              (List.map
-                 (fun g -> String.concat "," (List.map Value.to_string g))
-                 part.groups))
-           part.from_round part.rounds))
-    p.partitions;
+  List.iter (fun c -> clause (crash_clause c)) p.crashes;
+  List.iter (fun part -> clause (part_clause part)) p.partitions;
   Buffer.contents buf
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)
@@ -194,6 +192,26 @@ let of_string s =
       if String.trim c = "" then Ok p else clause p c)
     (Ok none)
     (String.split_on_char ';' s)
+
+let check p ~network =
+  let named =
+    List.map (fun ((n, _) as c) -> (crash_clause c, [ n ])) p.crashes
+    @ List.map (fun part -> (part_clause part, List.concat part.groups))
+        p.partitions
+  in
+  let outside nodes =
+    List.find_opt (fun n -> not (List.exists (Value.equal n) network)) nodes
+  in
+  match
+    List.find_map
+      (fun (clause, nodes) -> Option.map (fun n -> (clause, n)) (outside nodes))
+      named
+  with
+  | None -> Ok ()
+  | Some (clause, n) ->
+    Error
+      (Printf.sprintf "%s names node %s, outside the %d-node network" clause
+         (Value.to_string n) (List.length network))
 
 (* -- telemetry ------------------------------------------------------- *)
 

@@ -88,6 +88,12 @@ val of_string : string -> (plan, string) result
     comma-separated node ints). Example:
     ["seed=7;dup=0.4x3;loss=0.3:2;crash=2@4;part=1|2,3@2+3"]. *)
 
+val check : plan -> network:Value.t list -> (unit, string) result
+(** [Ok ()] when every crashed node and every partition member is in the
+    network; otherwise an error naming the first clause (in {!to_string}
+    order) that names an outside node. A crash outside the network would
+    never fire, so a run under it could never quiesce. *)
+
 val pp : Format.formatter -> plan -> unit
 
 (** {1 Per-run fault state}

@@ -452,10 +452,10 @@ let random_phase rt ~stingy st steps config =
       let deliver_of c =
         let b = Config.buffer_of c node in
         if stingy then
-          match Multiset.to_list b with
-          | [] -> Multiset.empty
-          | l ->
-            Multiset.add (List.nth l (Random.State.int st (List.length l)))
+          if Multiset.is_empty b then Multiset.empty
+          else
+            Multiset.add
+              (Multiset.nth b (Random.State.int st (Multiset.size b)))
               Multiset.empty
         else random_submultiset st b
       in

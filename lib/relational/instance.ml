@@ -44,8 +44,25 @@ let rels t =
   Fact.Set.fold (fun f acc -> Sset.add (Fact.rel f) acc) t Sset.empty
   |> Sset.elements
 
-let by_rel t name =
-  Fact.Set.fold (fun f acc -> if Fact.rel f = name then f :: acc else acc) t []
+(* Facts sort by relation name first ({!Fact.compare}), so the facts of
+   one relation, and those of every relation whose name starts with a
+   given prefix, form one contiguous run of the set. A range read finds
+   the run's first fact ([rel f >= name] is monotone in the set order)
+   and walks forward while the test holds, consing, so the list comes
+   out in descending order, as a fold over the whole set would give it. *)
+let range t first keep =
+  let rec go acc s =
+    match s () with
+    | Seq.Cons (f, s) when keep (Fact.rel f) -> go (f :: acc) s
+    | _ -> acc
+  in
+  let from f = String.compare (Fact.rel f) first >= 0 in
+  match Fact.Set.find_first_opt from t with
+  | None -> []
+  | Some f -> go [] (Fact.Set.to_seq_from f t)
+
+let by_rel t name = range t name (String.equal name)
+let by_prefix t prefix = range t prefix (String.starts_with ~prefix)
 
 (* Order-insensitive only because set iteration is sorted: the digest is
    a fold over facts in {!Fact.compare} order, so equal instances hash

@@ -49,7 +49,16 @@ val rels : t -> string list
 (** Relation names occurring in the instance, sorted, without duplicates. *)
 
 val by_rel : t -> string -> Fact.t list
-(** All facts with the given relation name. *)
+(** All facts with the given relation name, in descending {!Fact.compare}
+    order. Facts sort by relation name first, so they form one
+    contiguous run of the set: this is a range read in O(log n + k) for
+    k facts, not a scan of the instance. *)
+
+val by_prefix : t -> string -> Fact.t list
+(** All facts whose relation name starts with the given prefix (the
+    empty prefix selects every fact), in descending {!Fact.compare} order.
+    The relations sharing a prefix are adjacent in that order, so this
+    too is a range read in O(log n + k). *)
 
 val hash : t -> int
 (** Structural digest: a fold of a structural fact digest over the facts

@@ -14,7 +14,7 @@ let add ?(copies = 1) f t =
 
 let of_list l = List.fold_left (fun t f -> add f t) empty l
 let of_instance i = Instance.fold (fun f t -> add f t) i empty
-let union a b = Fact.Map.fold (fun f n t -> add ~copies:n f t) b a
+let union a b = Fact.Map.union (fun _ m n -> Some (m + n)) a b
 
 let diff a b =
   Fact.Map.fold
@@ -37,6 +37,15 @@ let to_list t =
     (fun f n acc -> List.rev_append (List.init n (fun _ -> f)) acc)
     t []
   |> List.sort Fact.compare
+
+let nth t k =
+  let rec go k s =
+    match s () with
+    | Seq.Nil -> invalid_arg "Multiset.nth: index out of range"
+    | Seq.Cons ((f, n), s) -> if k < n then f else go (k - n) s
+  in
+  if k < 0 then invalid_arg "Multiset.nth: negative index"
+  else go k (Fact.Map.to_seq t)
 
 let equal a b = Fact.Map.equal Int.equal a b
 let compare a b = Fact.Map.compare Int.compare a b

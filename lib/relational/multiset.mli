@@ -21,7 +21,8 @@ val of_list : Fact.t list -> t
 val of_instance : Instance.t -> t
 
 val union : t -> t -> t
-(** Multiset union: multiplicities add. *)
+(** Multiset union: multiplicities add. The two maps are merged
+    ([Fact.Map.union]), not rebuilt one copy at a time. *)
 
 val diff : t -> t -> t
 (** Multiset difference: multiplicities subtract, truncated at zero. *)
@@ -34,7 +35,12 @@ val sub : t -> t -> bool
 
 val fold : (Fact.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> Fact.t list
-(** Each fact repeated by its multiplicity. *)
+(** Each fact repeated by its multiplicity, in {!Fact.compare} order. *)
+
+val nth : t -> int -> Fact.t
+(** [nth b k = List.nth (to_list b) k], found by walking the cumulative
+    multiplicities: no copy is materialised.
+    @raise Invalid_argument unless [0 <= k < size b]. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -14,26 +14,43 @@ let known_absent input d =
     (Instance.restrict stored input)
     (Instance.restrict delivered input)
 
+let inside a f = Array.for_all (fun v -> Value.Set.mem v a) f.Fact.args
+
+(* The system facts show [policy_R(ā)] exactly for the facts [R(ā)] over
+   [MyAdom] that this node is responsible for, so the certificates are
+   read off those rows rather than enumerated over [MyAdom]^k. *)
 let certified_absences input d =
-  let local = Common.restrict_input input d in
   let a = Common.my_adom d in
   List.fold_left
-    (fun acc f ->
-      if Common.responsible_fact d f && not (Instance.mem f local) then
-        Instance.add f acc
-      else acc)
-    Instance.empty
-    (Schema.all_facts input a)
+    (fun acc (r, k) ->
+      List.fold_left
+        (fun acc p ->
+          if Fact.arity p = k && inside a p then
+            let f = Fact.make_array r p.Fact.args in
+            if Instance.mem f d then acc else Instance.add f acc
+          else acc)
+        acc
+        (Instance.by_rel d (Network.Transducer_schema.policy_rel r)))
+    Instance.empty (Schema.relations input)
 
-let complete input d =
-  let known = Broadcast.known input d in
-  let absent =
-    Instance.union (known_absent input d) (certified_absences input d)
-  in
+(* Known and absent facts are all over the input schema, so those over
+   [MyAdom] are candidate facts, each counted once: [MyAdom] is complete
+   iff they number all Σ|MyAdom|^k candidates. *)
+let complete_with input d ~known =
   let a = Common.my_adom d in
-  List.for_all
-    (fun f -> Instance.mem f known || Instance.mem f absent)
-    (Schema.all_facts input a)
+  let covered =
+    Instance.union known
+      (Instance.union (known_absent input d) (certified_absences input d))
+  in
+  let n =
+    Instance.fold (fun f n -> if inside a f then n + 1 else n) covered 0
+  in
+  let card = Value.Set.cardinal a in
+  let rec pow k = if k = 0 then 1 else card * pow (k - 1) in
+  n
+  = List.fold_left (fun acc (_, k) -> acc + pow k) 0 (Schema.relations input)
+
+let complete input d = complete_with input d ~known:(Broadcast.known input d)
 
 (* Nodes also broadcast their own identifier. The paper's with-All model
    gets node identifiers into every [A] for free ([A = N ∪ adom J]); in
@@ -70,7 +87,8 @@ let transducer (q : Query.t) =
   in
   Network.Transducer.make ~schema
     ~out:(fun d ->
-      if complete input d then Query.apply q (Broadcast.known input d)
+      let known = Broadcast.known input d in
+      if complete_with input d ~known then Query.apply q known
       else Instance.empty)
     ~ins:(fun d ->
       Instance.union (seen_ids d)

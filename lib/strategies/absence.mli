@@ -19,10 +19,17 @@ val absence_mem_prefix : string  (* "Abs_" *)
 
 val certified_absences : Schema.t -> Instance.t -> Instance.t
 (** Candidate input facts over [MyAdom] that this node is responsible for
-    but does not hold locally — certified globally absent. *)
+    but does not hold locally — certified globally absent. They are read
+    off the [policy_R] rows of [D]: a row of [R]'s arity whose values
+    all lie in [MyAdom] certifies [R(ā)] unless [D] holds it. The system
+    facts show exactly those rows, so this costs a range read of each
+    [policy_R], not an enumeration of [MyAdom]^k. *)
 
 val complete : Schema.t -> Instance.t -> bool
 (** Is [MyAdom] complete at this node (every candidate fact over it either
-    known present or known absent)? *)
+    known present or known absent)? Decided by counting: the known and
+    absent facts are over the input schema, so [MyAdom] is complete iff
+    those whose values all lie in [MyAdom] number Σ|MyAdom|^k over the
+    input relations [R/k]. *)
 
 val transducer : Query.t -> Network.Transducer.t

@@ -9,19 +9,37 @@ let rename ~prefix i =
     (fun f acc -> Instance.add (Fact.make (prefix ^ Fact.rel f) (Fact.args f)) acc)
     i Instance.empty
 
-let unrename ~prefix i =
+(* A range read of the prefixed relations. Consecutive facts mostly share
+   their relation, so each stripped name is cut once per run of them. *)
+let fold_prefixed ~prefix g i init =
   let pl = String.length prefix in
-  Instance.fold
-    (fun f acc ->
+  let last = ref "" and base = ref "" in
+  List.fold_left
+    (fun acc f ->
       let name = Fact.rel f in
-      if String.length name > pl && String.sub name 0 pl = prefix then
-        Instance.add
-          (Fact.make (String.sub name pl (String.length name - pl)) (Fact.args f))
-          acc
+      if String.length name > pl then begin
+        if not (String.equal name !last) then begin
+          last := name;
+          base := String.sub name pl (String.length name - pl)
+        end;
+        g !base f acc
+      end
       else acc)
+    init
+    (Instance.by_prefix i prefix)
+
+let unrename ~prefix i =
+  fold_prefixed ~prefix
+    (fun base f acc -> Instance.add (Fact.make_array base f.Fact.args) acc)
     i Instance.empty
 
-let restrict_input input d = Instance.restrict d input
+let restrict_input input d =
+  List.fold_left
+    (fun acc (r, k) ->
+      List.fold_left
+        (fun acc f -> if Fact.arity f = k then Instance.add f acc else acc)
+        acc (Instance.by_rel d r))
+    Instance.empty (Schema.relations input)
 
 let my_id d =
   match Instance.by_rel d Network.Transducer_schema.id_rel with

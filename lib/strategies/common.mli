@@ -7,11 +7,19 @@ open Relational
 val rename_schema : prefix:string -> Schema.t -> Schema.t
 val rename : prefix:string -> Instance.t -> Instance.t
 
+val fold_prefixed :
+  prefix:string -> (string -> Fact.t -> 'a -> 'a) -> Instance.t -> 'a -> 'a
+(** [fold_prefixed ~prefix g i init] folds [g base f] over the facts [f]
+    of [i] whose relation is [prefix ^ base] with [base] non-empty. A
+    range read ({!Instance.by_prefix}): it touches only those facts. *)
+
 val unrename : prefix:string -> Instance.t -> Instance.t
-(** Keeps only facts whose relation carries the prefix, stripping it. *)
+(** Keeps only facts whose relation carries the prefix, stripping it.
+    Reads only the prefixed relations. *)
 
 val restrict_input : Schema.t -> Instance.t -> Instance.t
-(** The node's local input fragment: [D] restricted to the input schema. *)
+(** The node's local input fragment: [D] restricted to the input schema,
+    read relation by relation ({!Instance.by_rel}). *)
 
 val my_id : Instance.t -> Value.t option
 (** The node's identifier from the [Id] system relation. *)

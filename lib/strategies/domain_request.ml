@@ -46,31 +46,17 @@ let complete input d =
       c
 
 (* Acks this node has seen from requester z, as a fact set over the input
-   schema. *)
+   schema: range reads of the stored and the delivered ack relations. *)
 let acks_from d z =
-  List.fold_left
-    (fun acc f ->
-      let rel = Fact.rel f in
-      let prefix_len_mem = String.length got_ack_prefix in
-      let prefix_len_msg = String.length ack_msg_prefix in
-      let base =
-        if
-          String.length rel > prefix_len_mem
-          && String.sub rel 0 prefix_len_mem = got_ack_prefix
-        then Some (String.sub rel prefix_len_mem (String.length rel - prefix_len_mem))
-        else if
-          String.length rel > prefix_len_msg
-          && String.sub rel 0 prefix_len_msg = ack_msg_prefix
-        then Some (String.sub rel prefix_len_msg (String.length rel - prefix_len_msg))
-        else None
-      in
-      match base with
-      | Some base when Fact.arity f >= 2 && Value.equal (Fact.arg f 0) z ->
-        Instance.add
-          (Fact.make base (List.tl (Fact.args f)))
-          acc
-      | _ -> acc)
-    Instance.empty (Instance.to_list d)
+  let from prefix acc =
+    Common.fold_prefixed ~prefix
+      (fun base f acc ->
+        if Fact.arity f >= 2 && Value.equal (Fact.arg f 0) z then
+          Instance.add (Fact.make base (List.tl (Fact.args f))) acc
+        else acc)
+      d acc
+  in
+  from got_ack_prefix (from ack_msg_prefix Instance.empty)
 
 let requests_seen d = pairs_of d [ got_req_rel; req_rel ]
 
@@ -138,20 +124,11 @@ let q_ins input d =
   List.iter
     (fun (z, a) -> add (Fact.make got_ok_rel [ z; a ]))
     (pairs_of d [ ok_rel; got_ok_rel ]);
-  Instance.iter
-    (fun f ->
-      let rel = Fact.rel f in
-      let pl = String.length ack_msg_prefix in
-      if String.length rel > pl && String.sub rel 0 pl = ack_msg_prefix then
-        add
-          (Fact.make
-             (got_ack_prefix ^ String.sub rel pl (String.length rel - pl))
-             (Fact.args f))
-      else if
-        String.length rel > String.length got_ack_prefix
-        && String.sub rel 0 (String.length got_ack_prefix) = got_ack_prefix
-      then add f)
-    d;
+  Common.fold_prefixed ~prefix:ack_msg_prefix
+    (fun base f () ->
+      add (Fact.make_array (got_ack_prefix ^ base) f.Fact.args))
+    d ();
+  Common.fold_prefixed ~prefix:got_ack_prefix (fun _ f () -> add f) d ();
   !out
 
 let q_out q input d =

@@ -78,6 +78,35 @@ let test_plan_roundtrip () =
       | Error _ -> ())
     [ "dup=1.5"; "loss=0.2:0"; "crash=2"; "part=1|2"; "bogus=1"; "seed" ]
 
+(* A plan naming a node outside the network is rejected with its first
+   such clause; the ones that fit, the default plan included, pass. *)
+let test_plan_network_check () =
+  let network = Distributed.network_of_ints [ 1; 2; 3 ] in
+  let checked s =
+    match Fault.of_string s with
+    | Ok p -> Fault.check p ~network
+    | Error m -> Alcotest.failf "%s: %s" s m
+  in
+  List.iter
+    (fun (label, plan) ->
+      check_bool (label ^ " fits") true (Fault.check plan ~network = Ok ()))
+    (("default", Fault.default) :: plans);
+  List.iter
+    (fun (s, expected) ->
+      match checked s with
+      | Ok () -> Alcotest.failf "accepted %S on nodes 1..3" s
+      | Error m -> check_str s expected m)
+    [
+      ("crash=9@1", "crash=9@1 names node 9, outside the 3-node network");
+      ( "part=1|9@1+2",
+        "part=1|9@1+2 names node 9, outside the 3-node network" );
+      ( "crash=2@1;part=0,1|2@1+2;crash=7@2",
+        "crash=7@2 names node 7, outside the 3-node network" );
+    ];
+  check_bool "default on two nodes" false
+    (Fault.check Fault.default ~network:(Distributed.network_of_ints [ 1; 2 ])
+    = Ok ())
+
 (* ------------------------------------------------------------------ *)
 (* The headline battery: zoo queries × placements × schedulers × plans *)
 
@@ -490,8 +519,12 @@ let () =
   Alcotest.run "faults"
     [
       ( "plan",
-        [ Alcotest.test_case "grammar roundtrip+rejects" `Quick
-            test_plan_roundtrip ] );
+        [
+          Alcotest.test_case "grammar roundtrip+rejects" `Quick
+            test_plan_roundtrip;
+          Alcotest.test_case "nodes outside the network rejected" `Quick
+            test_plan_network_check;
+        ] );
       ( "battery",
         [
           Alcotest.test_case "zoo × placement × scheduler × plan wall"

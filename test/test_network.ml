@@ -1167,18 +1167,35 @@ let qcheck_cases =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential wall: [Config.transition] and the prepared [Config.step]
-   against the whole-state reference transition ([Reftransition]), on
-   random delivery sequences over every compiled strategy, variant and
-   policy shape. *)
+(* Differential wall: the library's strategies through [Config.transition]
+   and the prepared [Config.step] (range reads of D, memoised system
+   facts) against the reference strategies ([Refstrategies]) through the
+   whole-state reference transition ([Reftransition], unmemoised
+   [Config.system_facts]), on random delivery sequences over every
+   compiled strategy, variant and policy shape. The barrier strategy has
+   no reference copy: it is its own. *)
 
 let oracle_strategies =
+  let q = Zoo.comp_tc in
   List.map
     (fun level ->
+      let reference =
+        match level with
+        | Calm_core.Hierarchy.Monotone -> Refstrategies.Broadcast.transducer q
+        | Calm_core.Hierarchy.Domain_distinct ->
+          Refstrategies.Absence.transducer q
+        | Calm_core.Hierarchy.Domain_disjoint ->
+          Refstrategies.Domain_request.transducer q
+        | Calm_core.Hierarchy.Beyond -> Strategies.Barrier.transducer q
+      in
       ( Calm_core.Hierarchy.to_string level,
-        (Calm_core.Compile.compile ~level Zoo.comp_tc)
-          .Calm_core.Compile.transducer ))
+        (Calm_core.Compile.compile ~level q).Calm_core.Compile.transducer,
+        reference ))
     Calm_core.Hierarchy.levels
+
+let oracle_strategy_name i =
+  let name, _, _ = List.nth oracle_strategies i in
+  name
 
 let oracle_variants =
   [
@@ -1246,7 +1263,7 @@ let gen_transition_case =
 
 let print_transition_case (strategy, variant, policy, n, input, steps) =
   Printf.sprintf "%s/%s policy #%d on %d nodes, input %s, steps [%s]"
-    (fst (List.nth oracle_strategies strategy))
+    (oracle_strategy_name strategy)
     (fst (List.nth oracle_variants variant))
     policy n (Instance.to_string input)
     (String.concat "; "
@@ -1259,7 +1276,7 @@ let prop_transition_matches_reference =
     ~count:500 ~print:print_transition_case gen_transition_case
     (fun (strategy, variant, policy, n, input, steps) ->
       let net = Distributed.network_of_ints (List.init n (fun i -> i + 1)) in
-      let transducer = snd (List.nth oracle_strategies strategy) in
+      let _, transducer, reference = List.nth oracle_strategies strategy in
       let variant = snd (List.nth oracle_variants variant) in
       let policy = List.nth (oracle_policies net) policy in
       let ctx = Config.prepare ~variant ~policy ~transducer ~input in
@@ -1267,8 +1284,8 @@ let prop_transition_matches_reference =
       let agreed config ~node ~deliver =
         let reference =
           outcome (fun () ->
-              Reftransition.transition ~variant ~policy ~transducer ~input
-                config ~node ~deliver)
+              Reftransition.transition ~variant ~policy ~transducer:reference
+                ~input config ~node ~deliver)
         in
         let agree =
           same_outcome reference
@@ -1299,6 +1316,82 @@ let prop_transition_matches_reference =
           | _ -> false)
       in
       go (Config.start net) steps)
+
+(* The absence strategy's certificate read and completeness count
+   against the reference enumeration over [MyAdom]^k, on hand-built D
+   over an input schema with a binary and a unary relation. Each
+   candidate fact over [MyAdom] is held locally, stored, delivered,
+   stored or delivered absent, certified by a policy row (with or without
+   the fact held), or left uncovered. Extra facts and policy rows may use
+   values outside [MyAdom] or the wrong arity; the [MyAdom] rows or the
+   policy rows may be missing altogether. *)
+
+let absence_input = Schema.of_list [ ("E", 2); ("V", 1) ]
+
+let gen_absence_d =
+  QCheck2.Gen.(
+    let policy_rel = Transducer_schema.policy_rel in
+    let fact r args = Fact.make r (List.map v args) in
+    let covering r args = function
+      | 1 -> [ fact r args ]
+      | 2 -> [ fact ("Got_" ^ r) args ]
+      | 3 -> [ fact ("Msg_" ^ r) args ]
+      | 4 -> [ fact ("Abs_" ^ r) args ]
+      | 5 -> [ fact ("AbsMsg_" ^ r) args ]
+      | 6 -> [ fact (policy_rel r) args ]
+      | 7 -> [ fact (policy_rel r) args; fact r args ]
+      | _ -> []
+    in
+    let* myadom =
+      map (List.sort_uniq compare) (list_size (int_range 0 3) (int_range 0 3))
+    in
+    let candidates =
+      List.concat_map
+        (fun x -> List.map (fun y -> ("E", [ x; y ])) myadom)
+        myadom
+      @ List.map (fun x -> ("V", [ x ])) myadom
+    in
+    let* choices =
+      list_repeat (List.length candidates)
+        (frequency [ (1, return 0); (12, int_range 1 7) ])
+    in
+    let* extras =
+      list_size (int_range 0 4)
+        (let* kind = int_range 1 7 in
+         let* r, arity =
+           oneofl [ ("E", 2); ("V", 1); ("E", 1); ("V", 2); ("E", 3) ]
+         in
+         let* args = list_repeat arity (int_range 0 5) in
+         return (covering r args kind))
+    in
+    let* keep_myadom = frequency [ (4, return true); (1, return false) ] in
+    let* keep_policy = frequency [ (4, return true); (1, return false) ] in
+    let facts =
+      List.concat
+        (List.map2 (fun (r, args) c -> covering r args c) candidates choices)
+      @ List.concat extras
+      @ (if keep_myadom then
+           List.map (fun x -> fact Transducer_schema.myadom_rel [ x ]) myadom
+         else [])
+    in
+    let policy_row f =
+      String.starts_with ~prefix:(policy_rel "") (Fact.rel f)
+    in
+    return
+      (Instance.of_list
+         (if keep_policy then facts
+          else List.filter (fun f -> not (policy_row f)) facts)))
+
+let prop_absence_matches_reference =
+  QCheck2.Test.make
+    ~name:"absence certificates and completeness = reference on hand-built D"
+    ~count:1000 ~print:Instance.to_string gen_absence_d (fun d ->
+      Instance.equal
+        (Strategies.Absence.certified_absences absence_input d)
+        (Refstrategies.Absence.certified_absences absence_input d)
+      && Bool.equal
+           (Strategies.Absence.complete absence_input d)
+           (Refstrategies.Absence.complete absence_input d))
 
 (* ------------------------------------------------------------------ *)
 (* Differential wall: [Explore.check] at jobs 1 and 2 against the
@@ -1597,7 +1690,10 @@ let () =
         ] );
       ("properties", qcheck_cases);
       ( "transition-oracle",
-        [ QCheck_alcotest.to_alcotest prop_transition_matches_reference ] );
+        [
+          QCheck_alcotest.to_alcotest prop_transition_matches_reference;
+          QCheck_alcotest.to_alcotest prop_absence_matches_reference;
+        ] );
       ( "explore-oracle",
         [
           Alcotest.test_case "E19 cells at jobs 1 and 2" `Slow

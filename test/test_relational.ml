@@ -464,6 +464,77 @@ let prop_fact_compare_total_order =
       let cmp = Fact.compare f g in
       (cmp = 0) = Fact.equal f g && cmp = -Fact.compare g f)
 
+(* Range reads and copy-free multiset operations, each against the
+   whole-structure fold it replaced. The relation names prefix one
+   another, so a range that runs one fact too far, or stops one short,
+   shows. *)
+
+let range_names = [ "D"; "E"; "E2"; "E_x"; "Ex"; "F" ]
+
+let gen_named_instance =
+  QCheck2.Gen.(
+    let gen_fact =
+      let* name = oneofl range_names in
+      let* args = list_size (int_range 1 2) (int_range 0 3) in
+      return (Fact.make name (List.map Value.int args))
+    in
+    map Instance.of_list (list_size (int_range 0 25) gen_fact))
+
+let fold_filter keep i =
+  Instance.fold (fun f acc -> if keep (Fact.rel f) then f :: acc else acc) i []
+
+let prop_by_rel_is_fold =
+  QCheck2.Test.make ~name:"by_rel = the whole-instance fold, same order"
+    ~count:300 ~print:Instance.to_string gen_named_instance (fun i ->
+      List.for_all
+        (fun name ->
+          List.equal Fact.equal (Instance.by_rel i name)
+            (fold_filter (String.equal name) i))
+        ("" :: "Ea" :: "G" :: range_names))
+
+let prop_by_prefix_is_filter =
+  QCheck2.Test.make ~name:"by_prefix = a starts_with filter, same order"
+    ~count:300 ~print:Instance.to_string gen_named_instance (fun i ->
+      List.for_all
+        (fun prefix ->
+          let filter i = fold_filter (String.starts_with ~prefix) i in
+          List.equal Fact.equal (Instance.by_prefix i prefix) (filter i)
+          && Instance.by_prefix Instance.empty prefix = [])
+        [ ""; "A"; "D"; "E"; "E2"; "E_"; "E_x"; "Ex"; "Exy"; "F"; "Z" ])
+
+let gen_multiset =
+  QCheck2.Gen.(
+    map
+      (List.fold_left
+         (fun m ((a, b), n) -> Multiset.add ~copies:n (edge a b) m)
+         Multiset.empty)
+      (list_size (int_range 0 8)
+         (pair (pair (int_range 0 3) (int_range 0 3)) (int_range 0 4))))
+
+let print_multiset = Format.asprintf "%a" Multiset.pp
+
+let prop_multiset_union_is_fold =
+  QCheck2.Test.make ~name:"multiset union = the fold of add" ~count:300
+    ~print:QCheck2.Print.(pair print_multiset print_multiset)
+    (QCheck2.Gen.pair gen_multiset gen_multiset) (fun (a, b) ->
+      Multiset.equal (Multiset.union a b)
+        (Multiset.fold (fun f n t -> Multiset.add ~copies:n f t) b a))
+
+let prop_multiset_nth =
+  QCheck2.Test.make ~name:"multiset nth = List.nth of to_list" ~count:300
+    ~print:print_multiset gen_multiset (fun b ->
+      let l = Multiset.to_list b in
+      let raises k =
+        match Multiset.nth b k with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.for_all
+        (fun k -> Fact.equal (Multiset.nth b k) (List.nth l k))
+        (List.init (Multiset.size b) Fun.id)
+      && raises (-1)
+      && raises (Multiset.size b))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -553,4 +624,12 @@ let () =
           Alcotest.test_case "dot export" `Quick test_dot;
         ] );
       ("properties", qcheck_cases);
+      ( "range-reads",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_by_rel_is_fold;
+            prop_by_prefix_is_filter;
+            prop_multiset_union_is_fold;
+            prop_multiset_nth;
+          ] );
     ]
