@@ -1,41 +1,45 @@
-(* Benchmark harness: regenerates every figure and theorem-level claim of
-   the paper as a table (experiments E1-E13 of DESIGN.md), measures the
-   cost of the three coordination-free evaluation strategies (E14), and
-   finishes with bechamel timing benches (E14/E15).
+(* Benchmark harness: regenerates Figure 2 and every theorem-level claim
+   of the paper as a table (experiments E1-E22 of EXPERIMENTS.md, plus
+   the E25/E26 extensions). No table prints a wall clock, so stdout is
+   deterministic: bench/quick.expected pins the --quick output.
 
-   Run with: dune exec bench/main.exe
-   Pass --quick to shrink the slowest experiments, and --jobs N to size
-   the Domain pool of the E23 parallel-speedup section (default: all
-   cores). Pass --json FILE to additionally write a calm-bench/v1
-   trajectory document: per experiment, its wall-clock and its stable
-   telemetry counters (see lib/observe). *)
+   Run with: dune exec bench/main.exe -- [--quick] [--jobs N] [--json FILE]
+   --quick shrinks the slowest experiments; --jobs N (N >= 1, default: all
+   cores) sizes the Domain pool of E25's sweeps; --json FILE additionally
+   writes a calm-bench/v1 trajectory document: per experiment, its
+   wall-clock and its stable telemetry counters (see lib/observe). Any
+   other argument prints a usage line and exits 2. Timing lives in
+   bench/perf. *)
 
 open Relational
 open Monotone
 open Queries
 open Calm_core
 
-let quick = Array.exists (fun a -> a = "--quick") Sys.argv
+let usage = "usage: main.exe [--quick] [--jobs N] [--json FILE]"
 
-let jobs =
-  let rec find i =
-    if i >= Array.length Sys.argv then Parallel.Pool.default_jobs ()
-    else if Sys.argv.(i) = "--jobs" && i + 1 < Array.length Sys.argv then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n when n >= 1 -> n
-      | _ -> Parallel.Pool.default_jobs ()
-    else find (i + 1)
+let quick, jobs, json_out =
+  let bad what =
+    Printf.eprintf "bench: %s; %s\n" what usage;
+    exit 2
   in
-  find 1
-
-let json_out =
-  let rec find i =
-    if i >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--json" && i + 1 < Array.length Sys.argv then
-      Some Sys.argv.(i + 1)
-    else find (i + 1)
+  let rec parse quick jobs json = function
+    | [] -> (quick, jobs, json)
+    | "--quick" :: rest -> parse true jobs json rest
+    | "--jobs" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some n when n >= 1 -> parse quick n json rest
+      | _ -> bad (Printf.sprintf "--jobs takes an integer >= 1, not %S" n))
+    | "--json" :: file :: rest when not (String.starts_with ~prefix:"-" file)
+      ->
+      parse quick jobs (Some file) rest
+    | (("--jobs" | "--json") as flag) :: _ -> bad (flag ^ " needs a value")
+    | arg :: _ -> bad (Printf.sprintf "unexpected argument %S" arg)
   in
-  find 1
+  parse false
+    (Parallel.Pool.default_jobs ())
+    None
+    (List.tl (Array.to_list Sys.argv))
 
 (* --json trajectory: per experiment, wall-clock plus the stable metric
    rows the run recorded into the root collector (reset per experiment,
@@ -1017,174 +1021,6 @@ let e19_model_checking () =
   Report.print t
 
 (* ================================================================== *)
-(* E23 — multicore: sequential vs parallel wall-clock on the hot paths *)
-(* ================================================================== *)
-
-let e23_parallel_speedup () =
-  let t =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "E23 / multicore: wall-clock, --jobs 1 vs --jobs %d (runtime \
-            recommends %d domain%s)"
-           jobs
-           (Parallel.Pool.default_jobs ())
-           (if Parallel.Pool.default_jobs () = 1 then "" else "s"))
-      ~columns:[ "workload"; "seq (s)"; "par (s)"; "speedup"; "agree" ]
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let row name ~seq ~par ~agree =
-    let r1, t1 = time seq in
-    let r2, t2 = time par in
-    Report.add_row t
-      [
-        name;
-        Printf.sprintf "%.3f" t1;
-        Printf.sprintf "%.3f" t2;
-        Printf.sprintf "%.2fx" (t1 /. t2);
-        Report.cell_bool (agree r1 r2);
-      ]
-  in
-  (* E19 workload: the domain-request model check explores the largest
-     state space of the suite (11 601 configurations). *)
-  let one_move = Instance.of_strings [ "Move(5,6)" ] in
-  let explore ?jobs () =
-    Network.Explore.check ~max_configs:60_000 ?jobs
-      ~variant:Network.Config.policy_aware
-      ~policy:(Network.Policy.hash_value Zoo.winmove.Query.input net2)
-      ~transducer:(Strategies.Domain_request.transducer Zoo.winmove)
-      ~query:Zoo.winmove ~input:one_move ()
-  in
-  row "E19: domain-request/win-move model check"
-    ~seq:(fun () -> explore ())
-    ~par:(fun () -> explore ~jobs ())
-    ~agree:(fun a b ->
-      Network.Explore.verdict_to_string a = Network.Explore.verdict_to_string b);
-  (* E21 workload: the bounded membership ladder of comp-TC. *)
-  let ladder ?jobs () =
-    Checker.ladder
-      ~bounds:{ Checker.dom_size = 3; fresh = 2; max_base = 4; max_ext = 1 }
-      ?jobs Classes.Distinct ~max_i:3 Zoo.comp_tc
-  in
-  row "E21: comp-TC Mdistinct ladder (i <= 3)"
-    ~seq:(fun () -> ladder ())
-    ~par:(fun () -> ladder ~jobs ())
-    ~agree:(fun a b ->
-      List.for_all2 (fun x y -> violated x = violated y) a b);
-  (* Sweep workload: the full policy x scheduler grid of E7's absence
-     strategy, cells fanned across the pool. *)
-  let sweep ?jobs () =
-    let input = Graph_gen.erdos_renyi ~seed:5 ~nodes:6 ~edges:9 in
-    Network.Netquery.check ~schedulers ?jobs
-      ~variant:Network.Config.policy_aware
-      ~transducer:(Strategies.Absence.transducer comp_edges)
-      ~query:comp_edges ~input net2
-  in
-  row "E7: absence/comp-edges policy x scheduler sweep"
-    ~seq:(fun () -> sweep ())
-    ~par:(fun () -> sweep ~jobs ())
-    ~agree:(fun a b ->
-      Network.Netquery.consistent a = Network.Netquery.consistent b
-      && List.map fst a.Network.Netquery.runs
-         = List.map fst b.Network.Netquery.runs);
-  Report.add_note t
-    "same verdicts by construction (first-in-enumeration-order selection); \
-     speedup needs physical cores — on a 1-core host expect ~1.0x";
-  Report.print t
-
-(* ================================================================== *)
-(* E24 — indexed joins + cross-probe cache vs the seed engine          *)
-(* ================================================================== *)
-
-let e24_engine_ablation () =
-  let t =
-    Report.create
-      ~title:
-        "E24 / ablation: indexed joins + cross-probe cache vs the seed \
-         engine (same verdicts, same certificates)"
-      ~columns:[ "workload"; "seed (s)"; "optimized (s)"; "speedup"; "agree" ]
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let row name ~seed ~opt ~agree =
-    let r1, t1 = time seed in
-    let r2, t2 = time opt in
-    Report.add_row t
-      [
-        name;
-        Printf.sprintf "%.3f" t1;
-        Printf.sprintf "%.3f" t2;
-        Printf.sprintf "%.2fx" (t1 /. t2);
-        Report.cell_bool (agree r1 r2);
-      ]
-  in
-  (* The seed route through a scan: no witness fast path, so every probe
-     materializes Q(base ∪ ext), and no cross-probe cache, so Q(base) is
-     recomputed per pair — the pre-optimization configuration. *)
-  let strip q = { q with Query.witness = None } in
-  let outcome_agree a b =
-    match (a, b) with
-    | Checker.No_violation { pairs = p }, Checker.No_violation { pairs = p' }
-      ->
-      p = p'
-    | Checker.Violated v, Checker.Violated v' ->
-      Instance.equal v.Classes.base v'.Classes.base
-      && Instance.equal v.Classes.extension v'.Classes.extension
-      && Fact.equal v.Classes.missing v'.Classes.missing
-    | _ -> false
-  in
-  (* E1 workload: the Figure-1 hierarchy scans at the E1 bounds. *)
-  let bounds =
-    {
-      Checker.dom_size = 3;
-      fresh = 3;
-      max_base = 3;
-      max_ext = (if quick then 2 else 3);
-    }
-  in
-  let scan_row name q kind =
-    row name
-      ~seed:(fun () ->
-        Checker.check_exhaustive ~bounds ~cache:false kind (strip q))
-      ~opt:(fun () -> Checker.check_exhaustive ~bounds ~cache:true kind q)
-      ~agree:outcome_agree
-  in
-  scan_row "E1: comp-TC Mdisjoint scan" Zoo.comp_tc Classes.Disjoint;
-  scan_row "E1: win-move Mdisjoint scan" Zoo.winmove Classes.Disjoint;
-  scan_row "E1: triangles-2-disjoint scan" Zoo.triangles_unless_two_disjoint
-    Classes.Disjoint;
-  (* E21 workload: the bounded-ladder matrix for comp-TC. *)
-  row "E21: comp-TC Mdistinct ladder (i <= 3)"
-    ~seed:(fun () ->
-      Checker.ladder ~bounds ~cache:false Classes.Distinct ~max_i:3
-        (strip Zoo.comp_tc))
-    ~opt:(fun () ->
-      Checker.ladder ~bounds ~cache:true Classes.Distinct ~max_i:3 Zoo.comp_tc)
-    ~agree:(List.for_all2 outcome_agree);
-  (* E15 workload: the Datalog fixpoint itself — the frozen seed
-     nested-loop evaluator against the indexed engine. *)
-  let tc_rules = Datalog.Parser.parse_program Zoo.tc_program in
-  let graph = Graph_gen.erdos_renyi ~seed:4 ~nodes:40 ~edges:90 in
-  row "E15: semi-naive TC (40v/90e)"
-    ~seed:(fun () -> Datalog.Refeval.seminaive tc_rules graph)
-    ~opt:(fun () -> Datalog.Eval.seminaive tc_rules graph)
-    ~agree:Instance.equal;
-  Report.add_note t
-    "seed = witness-free probes, Q(base) per pair, nested-loop joins; \
-     optimized = staged witnesses + per-base cache + indexed joins. \
-     Verdicts, pair tallies and certificates are equal by construction \
-     (the agree column re-checks it); eval.index_hits and \
-     monotone.cache_hits land in this experiment's stable metrics.";
-  Report.print t
-
-(* ================================================================== *)
 (* E25 — empirical coordination: heard-from-all cuts vs static claims  *)
 (* ================================================================== *)
 
@@ -1252,19 +1088,14 @@ let e26_fault_overhead () =
          runs (tc, broadcast strategy)"
       ~columns:
         [
-          "scheduler"; "nodes"; "base ms"; "faulty ms"; "overhead";
-          "messages"; "dup/drop/crash"; "correct";
+          "scheduler"; "nodes"; "base deliveries"; "faulty deliveries";
+          "overhead"; "messages"; "dup/drop/crash"; "correct";
         ]
   in
   let query = Zoo.tc in
   let transducer = Strategies.Broadcast.transducer query in
   let input = Graph_gen.erdos_renyi ~seed:26 ~nodes:8 ~edges:12 in
   let expected = Query.apply query input in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
   let counter name =
     match
       List.find_opt
@@ -1311,18 +1142,21 @@ let e26_fault_overhead () =
             Network.Run.run ?faults ~variant:Network.Config.oblivious ~policy
               ~transducer ~input base
           in
-          let _, base_ms = time go in
+          let rb = go () in
           let d0 = counter "network.dup_deliveries" in
           let l0 = counter "network.dropped" in
           let c0 = counter "network.crashes" in
-          let rf, faulty_ms = time (go ~faults:plan) in
+          let rf = go ~faults:plan () in
+          let base = rb.Network.Run.deliveries
+          and faulty = rf.Network.Run.deliveries in
           Report.add_row t
             [
               sname;
               string_of_int n;
-              Printf.sprintf "%.1f" base_ms;
-              Printf.sprintf "%.1f" faulty_ms;
-              Printf.sprintf "%.2fx" (faulty_ms /. Float.max base_ms 0.01);
+              string_of_int base;
+              string_of_int faulty;
+              Printf.sprintf "%.2fx"
+                (float_of_int faulty /. float_of_int (max base 1));
               string_of_int rf.Network.Run.messages_sent;
               Printf.sprintf "%d/%d/%d"
                 (counter "network.dup_deliveries" - d0)
@@ -1341,339 +1175,11 @@ let e26_fault_overhead () =
     sizes;
   Report.add_note t
     "every faulty run still quiesces with outputs = Q(I); the overhead \
-     column is wall-clock faulty/base (dominated by extra deliveries: \
-     duplicated copies, retransmissions, post-crash redelivery and \
-     partition backlogs); network.* counters land in this experiment's \
-     stable metrics for the report --diff gate";
+     column is faulty/base deliveries (the extra ones are duplicated \
+     copies, retransmissions, post-crash redelivery and partition \
+     backlogs); network.* counters land in this experiment's stable \
+     metrics for the report --diff gate";
   Report.print t
-
-(* ================================================================== *)
-(* E27 — scan-time attribution: where the E1-class scans spend it      *)
-(* ================================================================== *)
-
-let e27_scan_attribution () =
-  let t =
-    Report.create
-      ~title:
-        "E27 / attribution: top-5 spans by self time on E1-class scans \
-         (the calm profile machinery; scan → base → stage/probe → rule)"
-      ~columns:[ "workload"; "span"; "count"; "self ms"; "share"; "annotations" ]
-  in
-  let bounds =
-    {
-      Checker.dom_size = 3;
-      fresh = 3;
-      max_base = 3;
-      max_ext = (if quick then 2 else 3);
-    }
-  in
-  let workload name q kind =
-    (* One private collector per workload: the span paths are the same
-       for every scan, so sharing a collector would aggregate the
-       workloads into one indistinguishable tree. *)
-    let c = Observe.Metrics.create () in
-    Observe.Metrics.with_current c (fun () ->
-        Observe.Profile.enable ();
-        Fun.protect ~finally:Observe.Profile.disable (fun () ->
-            ignore (Checker.check_exhaustive ~bounds kind q)));
-    let roots = Observe.Profile.spans c in
-    let scan_total =
-      List.fold_left (fun acc n -> acc +. n.Observe.Profile.total_s) 0. roots
-    in
-    let top5 =
-      Observe.Profile.flatten roots
-      |> List.sort (fun a b ->
-             compare b.Observe.Profile.self_s a.Observe.Profile.self_s)
-      |> List.filteri (fun i _ -> i < 5)
-    in
-    List.iter
-      (fun (n : Observe.Profile.node) ->
-        Report.add_row t
-          [
-            name;
-            String.concat "/" n.Observe.Profile.path;
-            string_of_int n.Observe.Profile.count;
-            Printf.sprintf "%.2f" (n.Observe.Profile.self_s *. 1e3);
-            Printf.sprintf "%.1f%%"
-              (100. *. n.Observe.Profile.self_s /. Float.max scan_total 1e-9);
-            String.concat " "
-              (List.map
-                 (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                 n.Observe.Profile.annots);
-          ])
-      top5
-  in
-  workload "E1: comp-TC Mdisjoint scan" Zoo.comp_tc Classes.Disjoint;
-  workload "E1: win-move Mdisjoint scan" Zoo.winmove Classes.Disjoint;
-  workload "E1: TC M scan" Zoo.tc Classes.Plain;
-  workload "E28: comp-TC program Mdisjoint scan (ivm)"
-    (Datalog.Program.query ~name:"comp-tc-prog"
-       (Datalog.Program.parse Zoo.comp_tc_program))
-    Classes.Disjoint;
-  Report.add_note t
-    "share = span self time / total scan wall. The three zoo queries \
-     carry staged witnesses, so probe dispatch plus the kernel stages \
-     (intern, dfs, wins) dominate; the witness/cache_hit/empty_before \
-     annotations tally which probe fast path answered. The \
-     program-backed workload routes through incremental maintenance \
-     instead: its probes sit in ivm.apply spans (fallback recomputation \
-     under ivm.rederive), nested under scan/base/probe like every other \
-     route. Span counts and annotations are jobs-invariant; timings are \
-     schedule-dependent.";
-  Report.print t
-
-(* ================================================================== *)
-(* Bechamel timing benches (E14 wall-clock + E15 engine)               *)
-(* ================================================================== *)
-
-(* ================================================================== *)
-(* E28 — ablation: incremental maintenance vs cache vs from-scratch   *)
-(* ================================================================== *)
-
-let e28_ivm_ablation () =
-  let t =
-    Report.create
-      ~title:
-        "E28 / ablation: delta-driven incremental maintenance vs \
-         cross-probe cache vs from-scratch (engine-backed queries, no \
-         witnesses; same verdicts, same certificates)"
-      ~columns:
-        [
-          "workload";
-          "scratch (s)";
-          "cache (s)";
-          "ivm (s)";
-          "ivm speedup";
-          "agree";
-        ]
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let outcome_agree a b =
-    match (a, b) with
-    | Checker.No_violation { pairs = p }, Checker.No_violation { pairs = p' }
-      ->
-      p = p'
-    | Checker.Violated v, Checker.Violated v' ->
-      Instance.equal v.Classes.base v'.Classes.base
-      && Instance.equal v.Classes.extension v'.Classes.extension
-      && Fact.equal v.Classes.missing v'.Classes.missing
-    | _ -> false
-  in
-  let bounds =
-    {
-      Checker.dom_size = 3;
-      fresh = 3;
-      max_base = 3;
-      max_ext = (if quick then 2 else 3);
-    }
-  in
-  let row name q kind =
-    let scan ~cache ~ivm () =
-      Checker.check_exhaustive ~bounds ~cache ~ivm kind q
-    in
-    let r0, t0 = time (scan ~cache:false ~ivm:false) in
-    let r1, t1 = time (scan ~cache:true ~ivm:false) in
-    let r2, t2 = time (scan ~cache:true ~ivm:true) in
-    Report.add_row t
-      [
-        name;
-        Printf.sprintf "%.3f" t0;
-        Printf.sprintf "%.3f" t1;
-        Printf.sprintf "%.3f" t2;
-        Printf.sprintf "%.2fx" (t1 /. t2);
-        Report.cell_bool (outcome_agree r0 r1 && outcome_agree r1 r2);
-      ]
-  in
-  let prog name ?outputs src =
-    Datalog.Program.query ~name (Datalog.Program.parse ?outputs src)
-  in
-  row "TC program, M scan"
-    (prog "tc-prog" ~outputs:[ "T" ] Zoo.tc_program)
-    Classes.Plain;
-  row "comp-TC program, Mdisjoint scan"
-    (prog "comp-tc-prog" Zoo.comp_tc_program)
-    Classes.Disjoint;
-  row "P1 program, Mdisjoint scan"
-    (prog "p1-prog" Zoo.example_51_p1)
-    Classes.Disjoint;
-  Report.add_note t
-    "scratch = Q(base u ext) evaluated per pair (cache and ivm off); \
-     cache = Q(base) once per base, probes still evaluate; ivm = probes \
-     answered by delta-seeded maintenance against a per-base \
-     materialization (Datalog.Ivm). ivm speedup is cache/ivm: the gain \
-     attributable to incremental answering alone.";
-  Report.print t
-
-(* ================================================================== *)
-(* E29 — telemetry overhead: series recorder off vs on                 *)
-(* ================================================================== *)
-
-let e29_telemetry_overhead () =
-  let t =
-    Report.create
-      ~title:
-        "E29 / telemetry overhead: E1-class scans with the series \
-         recorder off (default: one atomic load per sample site) vs on \
-         (--series-out / --live)"
-      ~columns:
-        [ "workload"; "off ms"; "on ms"; "overhead"; "series"; "points" ]
-  in
-  let repeats = if quick then 3 else 5 in
-  let median_ms f =
-    let walls =
-      List.init repeats (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          ignore (f ());
-          (Unix.gettimeofday () -. t0) *. 1000.)
-    in
-    List.nth (List.sort compare walls) (repeats / 2)
-  in
-  let bounds =
-    {
-      Checker.dom_size = 3;
-      fresh = 2;
-      max_base = 3;
-      max_ext = (if quick then 2 else 3);
-    }
-  in
-  List.iter
-    (fun (name, q, kind) ->
-      let scan () = Checker.check_exhaustive ~bounds kind q in
-      let off_ms = median_ms scan in
-      Observe.Series.reset Observe.Series.root;
-      Observe.Series.enable ();
-      let on_ms = median_ms scan in
-      Observe.Series.disable ();
-      let rows = Observe.Series.rows Observe.Series.root in
-      let points =
-        List.fold_left
-          (fun acc (r : Observe.Series.row) ->
-            acc + List.length r.Observe.Series.points)
-          0 rows
-      in
-      Report.add_row t
-        [
-          name;
-          Printf.sprintf "%.1f" off_ms;
-          Printf.sprintf "%.1f" on_ms;
-          (if off_ms < 0.5 then "-"
-           else Printf.sprintf "%+.1f%%" ((on_ms /. off_ms -. 1.) *. 100.));
-          string_of_int (List.length rows);
-          string_of_int points;
-        ];
-      Observe.Series.reset Observe.Series.root)
-    [
-      ("tc, M scan (holds)", Zoo.tc, Classes.Plain);
-      ("comp-tc, M scan (witness)", Zoo.comp_tc, Classes.Plain);
-      ("q-star-2, Mdisjoint scan", Zoo.q_star 2, Classes.Disjoint);
-    ];
-  Report.add_note t
-    "off = shipped default: every sample site is gated on one atomic \
-     load, so the recorder costs nothing until --series-out or --live \
-     arms it. on = recorder armed, per-base trajectories buffered and \
-     merged (the last run's point totals are shown). Medians over \
-     repeated runs; sub-millisecond rows are below timer resolution, so \
-     their overhead is printed as '-'. The off column tracks the \
-     E1-class walls of the committed trajectory; no gate reads these \
-     walls (bench/perf is the perf gate).";
-  Report.print t
-
-let bechamel_section () =
-  let open Bechamel in
-  print_endline "== Timing benches (bechamel; time per run via OLS) ==";
-  let tc_rules = Datalog.Parser.parse_program Zoo.tc_program in
-  let graph25 = Graph_gen.erdos_renyi ~seed:4 ~nodes:25 ~edges:45 in
-  let graph12 = Graph_gen.erdos_renyi ~seed:4 ~nodes:12 ~edges:20 in
-  let game20 = Graph_gen.game ~seed:4 ~nodes:20 ~edges:35 in
-  let winmove_rules = Datalog.Parser.parse_program Zoo.winmove_program in
-  let edges6 = Graph_gen.erdos_renyi ~seed:9 ~nodes:6 ~edges:8 in
-  let game6 = Graph_gen.game ~seed:9 ~nodes:6 ~edges:8 in
-  let net4 = Distributed.network_of_ints [ 501; 502; 503; 504 ] in
-  let run_strategy strategy query input dg () =
-    let policy =
-      if dg then Network.Policy.hash_value query.Query.input net4
-      else Network.Policy.hash_fact query.Query.input net4
-    in
-    ignore
-      (Network.Run.run ~variant:Network.Config.policy_aware ~policy
-         ~transducer:strategy ~input Network.Run.Round_robin)
-  in
-  let tests =
-    [
-      Test.make ~name:"E15: naive TC (25v/45e)"
-        (Staged.stage (fun () -> ignore (Datalog.Eval.naive tc_rules graph25)));
-      Test.make ~name:"E15: semi-naive TC (25v/45e)"
-        (Staged.stage (fun () ->
-             ignore (Datalog.Eval.seminaive tc_rules graph25)));
-      Test.make ~name:"E15: semi-naive TC (12v/20e)"
-        (Staged.stage (fun () ->
-             ignore (Datalog.Eval.seminaive tc_rules graph12)));
-      Test.make ~name:"E13: well-founded win-move (20v/35e)"
-        (Staged.stage (fun () ->
-             ignore (Datalog.Wellfounded.eval winmove_rules game20)));
-      Test.make ~name:"E13: doubled-program win-move (20v/35e)"
-        (Staged.stage (fun () ->
-             ignore (Query.apply Zoo.winmove_doubled game20)));
-      Test.make ~name:"E11: components (25v/45e)"
-        (Staged.stage (fun () -> ignore (Component.components graph25)));
-      (let squares =
-         Datalog.Parser.parse_program
-           "O(x,y,z,w) :- E(x,y), E(z,w), E(y,z), E(w,x)."
-       in
-       Test.make ~name:"E18: 4-cycles, source order"
-         (Staged.stage (fun () -> ignore (Datalog.Eval.seminaive squares graph12))));
-      (let squares =
-         Datalog.Eval.optimize
-           (Datalog.Parser.parse_program
-              "O(x,y,z,w) :- E(x,y), E(z,w), E(y,z), E(w,x).")
-       in
-       Test.make ~name:"E18: 4-cycles, greedy join order"
-         (Staged.stage (fun () -> ignore (Datalog.Eval.seminaive squares graph12))));
-      Test.make ~name:"E14: broadcast/TC, 4 nodes"
-        (Staged.stage
-           (run_strategy (Strategies.Broadcast.transducer Zoo.tc) Zoo.tc
-              edges6 false));
-      Test.make ~name:"E14: absence/comp-edges, 4 nodes"
-        (Staged.stage
-           (run_strategy
-              (Strategies.Absence.transducer comp_edges)
-              comp_edges edges6 false));
-      Test.make ~name:"E14: domain-request/win-move, 4 nodes"
-        (Staged.stage
-           (run_strategy
-              (Strategies.Domain_request.transducer Zoo.winmove)
-              Zoo.winmove game6 true));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"calm" tests in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let quota = if quick then 0.25 else 0.5 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) () in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (x :: _) -> x | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, ns) ->
-      if ns >= 1e6 then
-        Printf.printf "  %-50s %10.3f ms/run\n" name (ns /. 1e6)
-      else Printf.printf "  %-50s %10.1f ns/run\n" name ns)
-    rows
 
 (* ================================================================== *)
 
@@ -1703,13 +1209,7 @@ let () =
   experiment "E14" e14_costs;
   experiment "E17" e17_delta_ablation;
   experiment "E19" e19_model_checking;
-  experiment "E23" e23_parallel_speedup;
-  experiment "E24" e24_engine_ablation;
   experiment "E25" e25_empirical_coordination;
   experiment "E26" e26_fault_overhead;
-  experiment "E27" e27_scan_attribution;
-  experiment "E28" e28_ivm_ablation;
-  experiment "E29" e29_telemetry_overhead;
-  experiment "bechamel" bechamel_section;
   (match json_out with Some file -> emit_json file | None -> ());
   print_endline "\nall experiment tables printed."

@@ -1324,7 +1324,7 @@ let report_cmd =
       & info [] ~docv:"FILE"
           ~doc:
             "calm-bench/v1 trajectory files in chronological order (e.g. \
-             BENCH_baseline.json BENCH_indexed.json BENCH_ivm.json).")
+             bench/baseline.json bench.json).")
   in
   let html_term =
     Arg.(
@@ -1371,11 +1371,11 @@ let report_cmd =
       value & flag
       & info [ "diff" ]
           ~doc:
-            "Regression gate: compare consecutive files' shared \
-             experiments (every guarded metric row of the older file must \
-             appear, byte-equal, in the newer one; wall clocks are not \
-             compared); print the per-metric regression table and exit 1 \
-             on any regression, or when no guarded row was compared.")
+            "Regression gate: compare consecutive files (every guarded \
+             metric row of the older file must appear, byte-equal, in the \
+             newer one; wall clocks are not compared); print the \
+             per-metric regression table and exit 1 on any regression, or \
+             when no guarded row was compared.")
   in
   let load_validated kind validate file =
     let contents = read_file file in
@@ -1449,10 +1449,10 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "aggregate the committed bench trajectory (plus optional metrics \
-          / series / profile artifacts) into an HTML dashboard and \
-          markdown summary, or gate regressions across the whole history \
-          with --diff")
+         "aggregate bench trajectories (plus optional metrics / series / \
+          profile artifacts) into an HTML dashboard and markdown summary, \
+          or gate a fresh trajectory against the committed baseline with \
+          --diff")
     Term.(
       const run $ files_term $ html_term $ md_term $ series_term
       $ metrics_term $ profile_term $ diff_term)

@@ -23,39 +23,6 @@ let m_rounds = Observe.Metrics.counter "eval.seminaive_rounds"
 let m_delta = Observe.Metrics.histogram "eval.delta_size"
 let m_fixpoint = Observe.Metrics.timing "eval.fixpoint"
 
-(* Greedy join ordering: repeatedly pick the atom sharing the most
-   variables with the already-bound set; prefer atoms with constants and
-   small variable counts as tie-breakers. *)
-let reorder_body (r : Ast.rule) =
-  let score bound (a : Ast.atom) =
-    let vars = Ast.vars_of_atom a in
-    let shared = List.length (List.filter (fun v -> List.mem v bound) vars) in
-    let constants =
-      List.length (List.filter (function Ast.Const _ -> true | _ -> false) a.terms)
-    in
-    (* Lexicographic: shared desc, constants desc, free vars asc. *)
-    (shared, constants, -List.length vars)
-  in
-  let rec go bound remaining acc =
-    match remaining with
-    | [] -> List.rev acc
-    | first :: _ ->
-      (* Select by position, not physical identity: two structurally
-         equal occurrences of one atom must survive as two atoms. *)
-      let _, best_i, best =
-        List.fold_left
-          (fun (i, best_i, best) a ->
-            if score bound a > score bound best then (i + 1, i, a)
-            else (i + 1, best_i, best))
-          (1, 0, first) (List.tl remaining)
-      in
-      let remaining = List.filteri (fun i _ -> i <> best_i) remaining in
-      go (Ast.vars_of_atom best @ bound) remaining (best :: acc)
-  in
-  { r with pos = go [] r.pos [] }
-
-let optimize p = List.map reorder_body p
-
 type stats = { mutable probes : int; mutable hits : int }
 
 (* Enumerate environments extending [env] satisfying the positive atoms;

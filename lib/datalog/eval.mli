@@ -31,16 +31,6 @@ val derive :
 (** Facts derived by all satisfying valuations on the given instance (the
     [A] in [T_P(J) = J ∪ A]); result may overlap the instance. *)
 
-val reorder_body : Ast.rule -> Ast.rule
-(** Join-order heuristic: greedily reorders the positive body atoms so
-    that each atom shares as many variables as possible with the atoms
-    before it (ties broken towards atoms with constants, then fewer
-    variables). Semantically a no-op — rule bodies are sets — but it
-    prunes the nested-loop search; see the E18 ablation bench. *)
-
-val optimize : Ast.program -> Ast.program
-(** {!reorder_body} applied to every rule. *)
-
 val immediate_consequence :
   ?neg:(Instance.t -> Fact.t -> bool) ->
   Ast.program -> Instance.t -> Instance.t

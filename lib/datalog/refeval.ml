@@ -2,11 +2,10 @@ open Relational
 
 (* The seed tree's nested-loop engine, preserved verbatim as a reference
    semantics. The production engine ({!Eval}) is tested against it on
-   the query zoo and on random programs; the E24 bench measures the
-   indexed engine's speedup relative to it. It keeps the
-   seed's per-round predicate index and per-candidate [match_atom] rescan
-   — the very pattern the indexed engine replaces — and records no
-   metrics, so reference runs leave the [eval.*] counters untouched. *)
+   the query zoo and on random programs. It keeps the seed's per-round
+   predicate index and per-candidate [match_atom] rescan — the very
+   pattern the indexed engine replaces — and records no metrics, so
+   reference runs leave the [eval.*] counters untouched. *)
 
 module Env = Joindb.Env
 module Smap = Map.Make (String)

@@ -3,8 +3,7 @@
     Tuple-at-a-time backtracking over per-predicate fact lists, rescanning
     every fact of a predicate at every atom — the pre-index engine kept as
     an executable specification. The equivalence test wall checks {!Eval}
-    against it on the query zoo and on random programs, and the E24
-    bench reports the indexed engine's speedup over it.
+    against it on the query zoo and on random programs.
 
     Records no metrics: reference runs leave [eval.*] counters
     untouched. *)

@@ -1,7 +1,8 @@
-(* Aggregate committed bench trajectories (BENCH_*.json) plus optional
-   metrics / series / profile artifacts into a self-contained HTML
-   dashboard, a markdown summary, and the guarded-row regression diff.
-   Built on {!Json} only: no external deps, sparklines are inline SVG. *)
+(* Aggregate bench trajectories (the committed bench/baseline.json and
+   fresh runs) plus optional metrics / series / profile artifacts into a
+   self-contained HTML dashboard, a markdown summary, and the guarded-row
+   regression diff. Built on {!Json} only: no external deps, sparklines
+   are inline SVG. *)
 
 (* The stable metric rows guarded against drift: deterministic by
    construction (jobs- and cache-invariant), so any change against a
@@ -111,11 +112,6 @@ let load_bench ~path contents =
 
 let find_experiment b id = List.find_opt (fun e -> e.id = id) b.experiments
 
-(* The bechamel section repeats its runs as often as its timer asks, so
-   its counter rows count iterations, not behaviour: never guarded. *)
-let guarded_experiments b =
-  List.filter (fun e -> e.id <> "bechamel") b.experiments
-
 (* Union of experiment ids across the history, in order of first
    appearance. *)
 let all_ids benches =
@@ -138,13 +134,14 @@ type regression = {
   after : string;
 }
 
-(* Scan consecutive pairs of the (chronologically ordered) history. A
+(* Scan consecutive pairs of the (chronologically ordered) files. A
    guarded row of the older file regresses when the newer file lacks it
    (its experiment included) or holds a different value; a row newly
-   appearing (instrumentation added by a later change) is not drift,
-   which is exactly how the committed trajectory reads. Wall clocks are
-   never compared: one sample per experiment cannot tell a slowdown
-   from a noisy machine, and calm-perf (bench/perf) is the perf gate. *)
+   appearing (instrumentation added by a later change) is not drift.
+   Experiment ids are unique per file (the loader refuses repeats), so
+   [find_experiment] sees the only match. Wall clocks are never
+   compared: one sample per experiment cannot tell a slowdown from a
+   noisy machine, and calm-perf (bench/perf) is the perf gate. *)
 let diff benches =
   let compared = ref 0 in
   let regressions = ref [] in
@@ -178,7 +175,7 @@ let diff benches =
                     }
                     :: !regressions))
             guard_metrics)
-        (guarded_experiments a);
+        a.experiments;
       pairs (b :: rest)
     | _ -> ()
   in
@@ -268,7 +265,7 @@ let markdown benches =
                 (Printf.sprintf "| %s | %s | %s |\n" e.id name
                    (Json.to_string v)))
           guard_metrics)
-      (guarded_experiments latest));
+      latest.experiments);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -440,7 +437,7 @@ let html ?series ?metrics ?profile benches =
             guard_metrics;
           add "</tr>\n"
         end)
-      (guarded_experiments latest);
+      latest.experiments;
     add "</table>\n");
   (match series with
   | None -> ()

@@ -1,7 +1,8 @@
-(** Trajectory reporting: aggregate the committed bench history
-    ([BENCH_*.json]) plus optional metrics / series / profile artifacts
-    into a self-contained HTML dashboard, a markdown summary, and a
-    whole-history regression diff over the guarded metric rows.
+(** Trajectory reporting: aggregate bench trajectories (the committed
+    [bench/baseline.json] and fresh [bench --json] runs) plus optional
+    metrics / series / profile artifacts into a self-contained HTML
+    dashboard, a markdown summary, and a regression diff over the
+    guarded metric rows.
 
     Everything is hand-rolled on {!Json}: no external dependencies, and
     the dashboard's sparklines are inline SVG, so the output is a single
@@ -25,9 +26,11 @@ type bench = {
 }
 
 val load_bench : path:string -> string -> (bench, string) result
-(** Parse and schema-validate one [calm-bench/v1] artifact. Rejects
-    non-finite [wall_s] values (e.g. a crafted ["1e999"], which parses
-    to infinity) with a clear error instead of reporting on them. *)
+(** Parse and schema-validate one [calm-bench/v1] artifact
+    ({!Schema_check.validate_bench}, which also refuses a repeated
+    experiment id). Rejects non-finite [wall_s] values (e.g. a crafted
+    ["1e999"], which parses to infinity) with a clear error instead of
+    reporting on them. *)
 
 (** {1 Regression diff} *)
 
@@ -41,14 +44,13 @@ type regression = {
 }
 
 val diff : bench list -> regression list * int
-(** Scan consecutive pairs of the chronologically ordered history. A
-    guard metric row of the older file regresses when the newer file
-    lacks it, its experiment included ([after] is ["<missing>"]), or
-    holds a different value; rows newly appearing are instrumentation
-    growth, not drift. Wall clocks are not compared, and neither is the
-    [bechamel] experiment, whose counters follow timer-chosen iteration
-    counts. Returns the regressions and the number of guarded rows of
-    older files compared. *)
+(** Scan consecutive pairs of the chronologically ordered files (in CI:
+    the committed baseline, then the fresh run). A guard metric row of
+    the older file regresses when the newer file lacks it, its
+    experiment included ([after] is ["<missing>"]), or holds a different
+    value; rows newly appearing are instrumentation growth, not drift.
+    Wall clocks are not compared. Returns the regressions and the number
+    of guarded rows of older files compared. *)
 
 val render_diff : regression list -> int -> string
 (** Human-readable (markdown-table) rendering of a {!diff} result. *)

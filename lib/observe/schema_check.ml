@@ -100,13 +100,18 @@ let validate_bench j =
   if jobs < 1 then error "jobs must be >= 1"
   else if experiments = [] then error "experiments array is empty"
   else
+    let seen = Hashtbl.create 32 in
     each
       (fun e ->
         let* id = string_field "id" e in
         let* wall = number_field "wall_s" e in
         let* _ = obj_field "metrics" e in
         if wall < 0. then error "experiment %S has negative wall_s" id
-        else Ok ())
+        else if Hashtbl.mem seen id then error "experiment id %S repeats" id
+        else begin
+          Hashtbl.add seen id ();
+          Ok ()
+        end)
       0 experiments
 
 let validate_causal j =

@@ -13,7 +13,8 @@ val validate_metrics : Json.t -> (unit, string) result
 val validate_bench : Json.t -> (unit, string) result
 (** The [bench --json] document: [schema = "calm-bench/v1"], [quick] and
     [jobs] fields, and a non-empty [experiments] array whose entries
-    carry [id], a non-negative [wall_s], and a [metrics] object. *)
+    carry a unique [id], a non-negative [wall_s], and a [metrics]
+    object. *)
 
 val validate_profile : Json.t -> (unit, string) result
 (** The [--profile-out] / [calm profile] document:

@@ -207,7 +207,7 @@ let test_report_rendering () =
 let test_figure2_wellformed () =
   let known_experiments =
     [ "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11";
-      "E12"; "E13"; "E14"; "E15"; "E16"; "E17"; "E18"; "E19"; "E20"; "E21" ]
+      "E12"; "E13"; "E14"; "E16"; "E17"; "E19"; "E21" ]
   in
   List.iter
     (fun c ->

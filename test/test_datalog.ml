@@ -292,45 +292,6 @@ let test_eval_multi_join () =
   let out = Instance.restrict_rels (Eval.seminaive p i) [ "O" ] in
   check_int "three rotations" 3 (Instance.cardinal out)
 
-let test_reorder_constants_first () =
-  let r = Parser.parse_rule "O(x) :- E(x,y), E(1,z), E(z,x)." in
-  let r' = Eval.reorder_body r in
-  (match (List.hd r'.Ast.pos).Ast.terms with
-  | Ast.Const _ :: _ -> ()
-  | _ -> Alcotest.fail "expected the constant-bearing atom first");
-  check_int "same atoms" (List.length r.Ast.pos) (List.length r'.Ast.pos)
-
-let test_reorder_duplicate_atom () =
-  (* Regression: selection used physical equality, so a body containing
-     two structurally equal copies of an atom dropped both occurrences
-     at once. Removal must be by position. *)
-  let r = Parser.parse_rule "O(x,y) :- E(x,y), E(x,y), E(y,z)." in
-  let r' = Eval.reorder_body r in
-  check_int "duplicate survives reorder" (List.length r.Ast.pos)
-    (List.length r'.Ast.pos);
-  let p = [ r ] and p' = [ r' ] in
-  let i = inst [ edge 1 2; edge 2 3 ] in
-  Alcotest.check instance_testable "same fixpoint with duplicate atom"
-    (Eval.seminaive p i) (Eval.seminaive p' i)
-
-let test_reorder_preserves_semantics () =
-  let p =
-    Parser.parse_program
-      "O(x,y,z) :- E(x,y), E(y,z), E(z,x), x != y, y != z, x != z.\n\
-       P(x) :- E(x,y), E(y,x), E(x,x)."
-  in
-  let p' = Eval.optimize p in
-  for seed = 0 to 9 do
-    let st = Random.State.make [| seed |] in
-    let i =
-      inst
-        (List.init 10 (fun _ ->
-             edge (Random.State.int st 5) (Random.State.int st 5)))
-    in
-    check_bool "same fixpoint" true
-      (Instance.equal (Eval.seminaive p i) (Eval.seminaive p' i))
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Goal-directed evaluation *)
 
@@ -1165,12 +1126,6 @@ let () =
           Alcotest.test_case "constants" `Quick test_eval_constants_in_rules;
           Alcotest.test_case "empty input" `Quick test_eval_empty_input;
           Alcotest.test_case "triangles" `Quick test_eval_multi_join;
-          Alcotest.test_case "reorder constants first" `Quick
-            test_reorder_constants_first;
-          Alcotest.test_case "reorder duplicate atom" `Quick
-            test_reorder_duplicate_atom;
-          Alcotest.test_case "reorder preserves semantics" `Quick
-            test_reorder_preserves_semantics;
         ] );
       ( "goal",
         [

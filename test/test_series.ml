@@ -14,10 +14,11 @@
       non-finite values cannot enter a report (printer emits null,
       loader rejects crafted infinities).
    4. The calm-series/v1 validator accepts the exporter's output and
-      rejects tampered documents; Report.diff flags the seeded
-      regression fixture, a dropped guarded row and a changed explorer
-      counter, passes the committed trajectory, and never flags
-      wall-clock growth or the bechamel section's counters. *)
+      rejects tampered documents; a bench trajectory that repeats an
+      experiment id is malformed; Report.diff flags a seeded regression,
+      a dropped guarded row and a changed explorer counter, each derived
+      in memory from the committed bench/baseline.json, and never flags
+      wall-clock growth. *)
 
 open Relational
 open Monotone
@@ -367,16 +368,16 @@ let test_series_jsonl_validate () =
     ]
 
 (* [dune runtest] runs from _build/default/test, [dune exec] from the
-   workspace root — locate fixtures relative to either. *)
+   workspace root — locate the baseline relative to either. *)
 let locate candidates =
   match List.find_opt Sys.file_exists candidates with
   | Some p -> p
   | None ->
-    Alcotest.failf "fixture not found at any of: %s"
+    Alcotest.failf "file not found at any of: %s"
       (String.concat ", " candidates)
 
-let bench_file name = locate [ "../" ^ name; name ]
-let fixture_file name = locate [ "fixtures/" ^ name; "test/fixtures/" ^ name ]
+let baseline_file () =
+  locate [ "../bench/baseline.json"; "bench/baseline.json" ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -390,24 +391,34 @@ let load_bench_exn path =
   | Ok b -> b
   | Error m -> Alcotest.fail m
 
+(* The committed baseline under another path, each experiment
+   rewritten. *)
+let rewritten path f =
+  let b = load_bench_exn (baseline_file ()) in
+  (b, { b with Observe.Report.path; experiments = List.map f b.experiments })
+
+(* One integer guarded row of one experiment raised by one. *)
+let bump id metric (e : Observe.Report.experiment) =
+  if e.id <> id then e
+  else
+    {
+      e with
+      metrics =
+        List.map
+          (fun (name, v) ->
+            match v with
+            | Observe.Json.Int n when name = metric ->
+              (name, Observe.Json.Int (n + 1))
+            | _ -> (name, v))
+          e.metrics;
+    }
+
+(* The seeded regression CI also checks: E12's monotone.probes raised by
+   one must be the one regression flagged. *)
 let test_report_diff_trajectory () =
-  (* The committed history must pass clean... *)
-  let history =
-    List.map
-      (fun n -> load_bench_exn (bench_file n))
-      [ "BENCH_baseline.json"; "BENCH_indexed.json"; "BENCH_ivm.json" ]
-  in
-  let regressions, compared = Observe.Report.diff history in
-  check_int "no regression on committed trajectory" 0
-    (List.length regressions);
-  check_bool "trajectory was actually compared" true (compared > 50);
-  (* ...and the seeded fixture (BENCH_ivm with monotone.probes inflated
-     on E12) must be flagged. *)
-  let fixture = load_bench_exn (fixture_file "bench_regressed.json") in
-  let regressions, _ =
-    Observe.Report.diff
-      [ load_bench_exn (bench_file "BENCH_ivm.json"); fixture ]
-  in
+  let older, newer = rewritten "regressed.json" (bump "E12" "monotone.probes") in
+  let regressions, compared = Observe.Report.diff [ older; newer ] in
+  check_bool "baseline was actually compared" true (compared > 50);
   match regressions with
   | [ r ] ->
     check_str "regressed experiment" "E12" r.Observe.Report.experiment;
@@ -418,11 +429,6 @@ let test_report_diff_trajectory () =
          "monotone.probes")
   | rs -> Alcotest.failf "expected exactly one regression, got %d"
             (List.length rs)
-
-(* BENCH_series.json under another path, each experiment rewritten. *)
-let rewritten path f =
-  let b = load_bench_exn (bench_file "BENCH_series.json") in
-  (b, { b with Observe.Report.path; experiments = List.map f b.experiments })
 
 (* The gate compares guarded rows only. A guarded row the older file
    has and the newer one lacks is a regression, not a skipped row. *)
@@ -455,22 +461,7 @@ let test_report_diff_ignores_walls () =
 (* The network and explorer counters are guarded: one more expanded
    configuration in E19 is a semantic change. *)
 let test_report_diff_flags_explore_row () =
-  let older, newer =
-    rewritten "explored.json" (fun (e : Observe.Report.experiment) ->
-        if e.id = "E19" then
-          {
-            e with
-            metrics =
-              List.map
-                (fun (name, v) ->
-                  match (name, v) with
-                  | "explore.expanded", Observe.Json.Int n ->
-                    (name, Observe.Json.Int (n + 1))
-                  | _ -> (name, v))
-                e.metrics;
-          }
-        else e)
-  in
+  let older, newer = rewritten "explored.json" (bump "E19" "explore.expanded") in
   match Observe.Report.diff [ older; newer ] with
   | [ r ], _ ->
     check_str "regressed experiment" "E19" r.Observe.Report.experiment;
@@ -478,40 +469,26 @@ let test_report_diff_flags_explore_row () =
   | rs, _ ->
     Alcotest.failf "expected exactly one regression, got %d" (List.length rs)
 
-(* The bechamel section's counters follow timer-chosen iteration
-   counts, so changing every one of them is not a regression. *)
-let test_report_diff_skips_bechamel () =
-  let older, newer =
-    rewritten "rebenched.json" (fun (e : Observe.Report.experiment) ->
-        if e.id = "bechamel" then
-          {
-            e with
-            metrics =
-              List.map
-                (fun (name, v) ->
-                  match v with
-                  | Observe.Json.Int n -> (name, Observe.Json.Int (n + 1))
-                  | Observe.Json.Float f -> (name, Observe.Json.Float (f +. 1.))
-                  | _ -> (name, v))
-                e.metrics;
-          }
-        else e)
+(* Experiment ids are unique per file: with a repeated E12 the gate
+   would compare only the first copy, so the validator, and with it
+   [validate --kind bench] and [report], refuses the document. *)
+let test_duplicate_ids_rejected () =
+  let doc =
+    {|{"schema":"calm-bench/v1","quick":true,"jobs":1,"experiments":[
+      {"id":"E12","wall_s":0.1,"metrics":{"monotone.probes":7}},
+      {"id":"E12","wall_s":0.1,"metrics":{"monotone.probes":8}}]}|}
   in
-  check_bool "bechamel holds net rows" true
-    (List.exists
-       (fun (e : Observe.Report.experiment) ->
-         e.id = "bechamel" && List.mem_assoc "net.transitions" e.metrics)
-       older.Observe.Report.experiments);
-  let regressions, compared = Observe.Report.diff [ older; newer ] in
-  check_int "no regression from bechamel rows" 0 (List.length regressions);
-  check_bool "guarded rows were compared" true (compared > 0)
+  (match Observe.Json.of_string doc with
+  | Error m -> Alcotest.failf "test document does not parse: %s" m
+  | Ok j -> (
+    match Observe.Schema_check.validate_bench j with
+    | Ok () -> Alcotest.fail "repeated experiment id accepted"
+    | Error m -> check_bool "error names the id" true (contains m "E12")));
+  check_bool "report refuses it" true
+    (Result.is_error (Observe.Report.load_bench ~path:"dup.json" doc))
 
 let test_report_renderers () =
-  let history =
-    List.map
-      (fun n -> load_bench_exn (bench_file n))
-      [ "BENCH_indexed.json"; "BENCH_ivm.json" ]
-  in
+  let history = [ load_bench_exn (baseline_file ()) ] in
   let md = Observe.Report.markdown history in
   check_bool "markdown lists E12" true (contains md "| E12 |");
   let series =
@@ -578,8 +555,8 @@ let () =
             test_report_diff_ignores_walls;
           Alcotest.test_case "diff flags an explore row" `Quick
             test_report_diff_flags_explore_row;
-          Alcotest.test_case "diff skips bechamel rows" `Quick
-            test_report_diff_skips_bechamel;
+          Alcotest.test_case "duplicate experiment ids rejected" `Quick
+            test_duplicate_ids_rejected;
           Alcotest.test_case "markdown + dashboard" `Quick
             test_report_renderers;
         ] );
