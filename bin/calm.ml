@@ -5,7 +5,7 @@
      calm classify  syntactic fragment + CALM level + empirical placement
      calm check     monotonicity-class membership with explicit bounds
      calm run       compile and run once on a simulated network: output
-                    vs Q(input), heartbeat witness, telemetry exports
+                    vs Q(input), heartbeat witness, telemetry record
      calm sweep     the policy × scheduler grid, optionally parallel;
                     every cell's output is checked against Q(input)
      calm explain   provenance of an output fact: its causal cone,
@@ -17,7 +17,6 @@
                     regression gate (--diff)
      calm plan      EXPLAIN ANALYZE of the compiled Joindb plans
      calm profile   span-tree attribution of the monotonicity scans
-                    (--out/--folded/--chrome exports)
      calm graph, figure2, lint, certify
 
    Programs use the conventional syntax (see lib/datalog/parser.mli);
@@ -29,12 +28,22 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Shared argument plumbing *)
 
+(* A file that cannot be read or written ends the command with one
+   "cannot read|write <path>: <reason>" line and exit 1. [Sys_error]
+   messages usually, not always, start with the path. *)
+let io_error verb path msg =
+  let prefix = path ^ ": " in
+  let msg = if String.starts_with ~prefix msg then msg else prefix ^ msg in
+  Printf.eprintf "cannot %s %s\n" verb msg;
+  exit 1
+
 let read_file f =
-  let ic = open_in f in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  try In_channel.with_open_text f In_channel.input_all
+  with Sys_error msg -> io_error "read" f msg
+
+let write_file f s =
+  try Out_channel.with_open_text f (fun oc -> Out_channel.output_string oc s)
+  with Sys_error msg -> io_error "write" f msg
 
 (* The program source, possibly absent (commands with a --fixture mode
    validate its presence themselves). *)
@@ -172,46 +181,58 @@ let load_program_any ~outputs src =
     exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Observability plumbing: --metrics-out / --trace-out / --profile.
+(* Observability plumbing: --record / --profile / --live.
 
-   The wrapper resets the root collector, enables the default event sink
-   when a trace is requested, runs the command body, and then writes the
-   requested artifacts. Stable metrics are jobs-independent (see
+   The wrapper resets the root collector, runs the command body, and
+   then prints or writes what was asked for. --record DIR arms every
+   recorder (event sink, span profiler, series) and writes the fixed
+   file set below into DIR; commands add their own files with
+   {!record_files}. Stable metrics are jobs-independent (see
    lib/observe/metrics.mli); --redact-timings makes --profile output
    reproducible too. *)
 
+let record_term =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "record" ] ~docv:"DIR"
+        ~doc:
+          "Arm every recorder and write the command's record into $(docv) \
+           (created if missing; files are overwritten): metrics.json \
+           (calm-metrics/v1), profile.json (calm-profile/v1), \
+           profile.folded (folded stacks, self-time in µs), series.jsonl \
+           (calm-series/v1) and trace.json (Chrome trace_event: the event \
+           sink plus the span tree on its profile track). Stable metrics, \
+           series and span counts are independent of $(b,--jobs).")
+
+(* The directory exists before the command runs, so a bad path fails
+   before any work. *)
+let make_record_dir dir =
+  match Sys.is_directory dir with
+  | true -> ()
+  | false -> io_error "write" dir "Not a directory"
+  | exception Sys_error _ -> (
+    try Sys.mkdir dir 0o755 with Sys_error msg -> io_error "write" dir msg)
+
 type obs = {
-  metrics_out : string option;
-  trace_out : string option;
+  record : string option;
   profile : bool;
-  profile_out : string option;
   redact_timings : bool;
-  series_out : string option;
   live : bool;
   heartbeat : float;
 }
 
+(* Write the [(name, contents)] files into the record directory, if
+   any; [files] is only called when recording. *)
+let record_files obs files =
+  Option.iter
+    (fun dir ->
+      List.iter
+        (fun (name, contents) -> write_file (Filename.concat dir name) contents)
+        (files ()))
+    obs.record
+
 let obs_term =
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a calm-metrics/v1 JSON snapshot of the run's metrics to \
-             $(docv). Stable metrics are independent of $(b,--jobs).")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Record structured events and write them to $(docv): Chrome \
-             trace_event JSON (open in Perfetto or chrome://tracing; pool \
-             workers appear as separate tracks), or JSONL when $(docv) \
-             ends in $(b,.jsonl).")
-  in
   let profile =
     Arg.(
       value & flag
@@ -219,17 +240,6 @@ let obs_term =
           ~doc:
             "Enable span profiling and print a human-readable metrics \
              profile plus the attribution span tree to stdout at exit.")
-  in
-  let profile_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile-out" ] ~docv:"FILE"
-          ~doc:
-            "Enable span profiling and write a calm-profile/v1 JSON \
-             document (span tree with counts, annotations, and timings) \
-             to $(docv). Counts and annotations are independent of \
-             $(b,--jobs).")
   in
   let redact_timings =
     Arg.(
@@ -239,17 +249,6 @@ let obs_term =
             "In $(b,--profile) output, replace schedule-dependent numbers \
              (durations, per-worker tallies) with '-' so the profile is \
              byte-reproducible.")
-  in
-  let series_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series-out" ] ~docv:"FILE"
-          ~doc:
-            "Enable the time-series recorder and write a calm-series/v1 \
-             JSONL document (per-round / per-depth / per-base \
-             trajectories) to $(docv). Stable series are independent of \
-             $(b,--jobs).")
   in
   let live =
     Arg.(
@@ -266,79 +265,55 @@ let obs_term =
       & opt float 5.
       & info [ "heartbeat" ] ~docv:"SECS"
           ~doc:
-            "Cadence (seconds) of progress output: plain \\[hb\\] lines \
-             during network stabilization, and \\[live\\] lines when \
+            "Cadence (seconds) of progress output: plain [hb] lines \
+             during network stabilization, and [live] lines when \
              $(b,--live) is set. 0 disables the plain heartbeat.")
   in
-  let mk metrics_out trace_out profile profile_out redact_timings series_out
-      live heartbeat =
-    {
-      metrics_out;
-      trace_out;
-      profile;
-      profile_out;
-      redact_timings;
-      series_out;
-      live;
-      heartbeat;
-    }
+  let mk record profile redact_timings live heartbeat =
+    { record; profile; redact_timings; live; heartbeat }
   in
   Term.(
-    const mk $ metrics_out $ trace_out $ profile $ profile_out
-    $ redact_timings $ series_out $ live $ heartbeat)
-
-let write_file f s =
-  let oc = open_out f in
-  output_string oc s;
-  close_out oc
+    const mk $ record_term $ profile $ redact_timings $ live $ heartbeat)
 
 let with_observability obs f =
+  Option.iter make_record_dir obs.record;
+  let recording = obs.record <> None in
+  let series = recording || obs.live in
   Observe.Metrics.reset Observe.Metrics.root;
-  if obs.trace_out <> None then Observe.Sink.enable Observe.Sink.default;
-  if obs.profile || obs.profile_out <> None then Observe.Profile.enable ();
-  if obs.series_out <> None || obs.live then begin
+  if recording then Observe.Sink.enable Observe.Sink.default;
+  if recording || obs.profile then Observe.Profile.enable ();
+  if series then begin
     Observe.Series.reset Observe.Series.root;
     Observe.Series.enable ();
     if obs.live then Observe.Series.set_live obs.heartbeat
   end;
   let finish () =
     Observe.Profile.disable ();
-    (if obs.series_out <> None || obs.live then begin
-       Observe.Series.disable ();
-       Observe.Series.set_live 0.;
-       match obs.series_out with
-       | None -> ()
-       | Some file -> write_file file (Observe.Series.to_jsonl Observe.Series.root)
-     end);
-    (match obs.metrics_out with
-    | None -> ()
-    | Some file ->
-      write_file file
-        (Observe.Json.to_string_pretty
-           (Observe.Metrics.to_json Observe.Metrics.root)
-        ^ "\n"));
-    (match obs.trace_out with
-    | None -> ()
-    | Some file ->
-      let events = Observe.Sink.events Observe.Sink.default in
-      Observe.Sink.disable Observe.Sink.default;
-      if Filename.check_suffix file ".jsonl" then
-        write_file file (Observe.Sink.to_jsonl events)
-      else write_file file (Observe.Sink.to_chrome events));
-    (match obs.profile_out with
-    | None -> ()
-    | Some file ->
-      write_file file
-        (Observe.Json.to_string_pretty
-           (Observe.Profile.to_json Observe.Metrics.root)
-        ^ "\n"));
+    if series then begin
+      Observe.Series.disable ();
+      Observe.Series.set_live 0.
+    end;
+    let root = Observe.Metrics.root in
+    let json j = Observe.Json.to_string_pretty j ^ "\n" in
+    record_files obs (fun () ->
+        [
+          ("metrics.json", json (Observe.Metrics.to_json root));
+          ("profile.json", json (Observe.Profile.to_json root));
+          ("profile.folded", Observe.Profile.to_folded root);
+          ("series.jsonl", Observe.Series.to_jsonl Observe.Series.root);
+          ( "trace.json",
+            Observe.Sink.to_chrome
+              (Observe.Sink.events Observe.Sink.default
+              @ Observe.Profile.to_chrome_events root) );
+        ]);
+    Observe.Sink.disable Observe.Sink.default;
     if obs.profile then begin
       Format.printf "%a@?"
         (Observe.Metrics.pp_profile ~redact_timings:obs.redact_timings)
-        Observe.Metrics.root;
+        root;
       Format.printf "%a@?"
         (Observe.Profile.pp ~redact_timings:obs.redact_timings)
-        Observe.Metrics.root
+        root
     end
   in
   Fun.protect ~finally:finish f
@@ -432,8 +407,7 @@ let check_cmd =
   in
   let run src outputs kind bounds jobs obs =
     (* Compute the exit code inside the wrapper and [exit] after it, so
-       a violated check still writes its telemetry artifacts
-       (--metrics-out/--series-out used to be skipped on exit 2). *)
+       a violated check still writes its record. *)
     let code =
       with_observability obs @@ fun () ->
       let program = load_program_any ~outputs src in
@@ -532,9 +506,9 @@ let faults_term =
     & info [ "faults" ] ~docv:"PLAN"
         ~doc:
           "Wrap the scheduler(s) in a fault plan: semicolon-separated \
-           clauses seed=S, dup=PxK, loss=P:D, horizon=H, crash=N\\@R, \
-           part=G1|G2\\@R+D (e.g. \
-           'seed=7;dup=0.4x3;loss=0.25:2;crash=2\\@4;part=1|2,3\\@2+3'), \
+           clauses seed=S, dup=PxK, loss=P:D, horizon=H, crash=N@R, \
+           part=G1|G2@R+D (e.g. \
+           'seed=7;dup=0.4x3;loss=0.25:2;crash=2@4;part=1|2,3@2+3'), \
            or 'default' for a representative all-faults plan. Runs \
            under a plan are deterministic from the seed; quiescence \
            additionally requires every fault to have struck and healed.")
@@ -568,38 +542,7 @@ let faults_of_flag ~network flag =
 (* calm run *)
 
 let run_cmd =
-  let causal_out_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "causal-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the run's causal trace — every transition with its \
-             Lamport clock, vector clock, and message origins — as a \
-             calm-causal/v1 JSON document to $(docv).")
-  in
-  let causal_dot_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "causal-dot" ] ~docv:"FILE"
-          ~doc:
-            "Write the run's happens-before DAG as Graphviz DOT to \
-             $(docv): one cluster per node, program order solid, message \
-             deliveries dashed.")
-  in
-  let causal_chrome_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "causal-chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write the run as a Chrome trace_event file to $(docv): one \
-             track per node on the Lamport time axis, message deliveries \
-             as flow arrows (open in Perfetto or chrome://tracing).")
-  in
-  let run src outputs facts facts_file nodes scheduler seed faults causal_out
-      causal_dot causal_chrome obs =
+  let run src outputs facts facts_file nodes scheduler seed faults obs =
     with_observability obs @@ fun () ->
     let { input; compiled; network } =
       setup ~outputs ~nodes src facts facts_file
@@ -613,9 +556,7 @@ let run_cmd =
     let policy = default_policy_for compiled network in
     let sched = scheduler_of nodes seed scheduler in
     let tracer =
-      if causal_out <> None || causal_dot <> None || causal_chrome <> None
-      then Some (Network.Trace.collector ())
-      else None
+      Option.map (fun _ -> Network.Trace.collector ()) obs.record
     in
     let t0 = Unix.gettimeofday () in
     let result =
@@ -663,54 +604,39 @@ let run_cmd =
           Printf.printf "witness search: %.3fs (%.0f heartbeats/s)\n" wall
             (float_of_int beats /. Float.max wall 1e-9)
         | None -> print_endline "no heartbeat witness found");
-    match tracer with
-    | None -> ()
-    | Some t ->
-      let events = Network.Trace.events t in
-      Option.iter
-        (fun f -> write_file f (Network.Trace.to_causal_json ~network events))
-        causal_out;
-      Option.iter
-        (fun f -> write_file f (Network.Trace.to_dot events))
-        causal_dot;
-      Option.iter
-        (fun f ->
-          write_file f (Network.Trace.to_chrome_causal ~network events))
-        causal_chrome
+    Option.iter
+      (fun t ->
+        let events = Network.Trace.events t in
+        record_files obs (fun () ->
+            [
+              ("causal.json", Network.Trace.to_causal_json ~network events);
+              ("hb.dot", Network.Trace.to_dot events);
+              ( "causal-chrome.json",
+                Network.Trace.to_chrome_causal ~network events );
+            ]))
+      tracer
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "compile a program and run it once on a simulated network; \
           report whether the output equals Q(input) and search for a \
-          heartbeat-only coordination-freeness witness (instrumented; see \
-          --metrics-out / --trace-out / --profile / --causal-out / \
-          --causal-dot / --causal-chrome / --faults)")
+          heartbeat-only coordination-freeness witness (instrumented; \
+          --record adds the causal trace as causal.json (calm-causal/v1), \
+          hb.dot (the happens-before DAG) and causal-chrome.json (one \
+          Chrome track per node))")
     Term.(
       const run $ program_src_term $ outputs_term $ facts_term
       $ facts_file_term $ nodes_term $ scheduler_term $ seed_term
-      $ faults_term $ causal_out_term $ causal_dot_term
-      $ causal_chrome_term $ obs_term)
+      $ faults_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm sweep *)
 
 let sweep_cmd =
-  let traces_out_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "traces-out" ] ~docv:"FILE"
-          ~doc:
-            "Write every cell's causal trace as JSONL to $(docv): cells \
-             sorted by label, each cell's events in the canonical \
-             (lamport, node, index) order — a linear extension of \
-             happens-before — so the bytes are identical under any \
-             $(b,--jobs).")
-  in
-  let run src outputs facts facts_file nodes jobs faults traces_out obs =
+  let run src outputs facts facts_file nodes jobs faults obs =
     (* The exit code leaves the wrapper first, so an inconsistent sweep
-       still writes its telemetry artifacts. *)
+       still writes its record. *)
     let code =
       with_observability obs @@ fun () ->
       let { input; compiled; network } =
@@ -741,12 +667,12 @@ let sweep_cmd =
             (Instance.cardinal r.Network.Run.outputs)
             (List.length events))
         results;
-      Option.iter
-        (fun file ->
-          write_file file
-            (Network.Trace.sweep_to_jsonl
-               (List.map (fun (label, _, events) -> (label, events)) results)))
-        traces_out;
+      record_files obs (fun () ->
+          [
+            ( "traces.jsonl",
+              Network.Trace.sweep_to_jsonl
+                (List.map (fun (label, _, events) -> (label, events)) results) );
+          ]);
       let expected =
         Observe.Metrics.silenced (fun () -> Query.apply query input)
       in
@@ -774,12 +700,12 @@ let sweep_cmd =
          "run the full policy × scheduler grid for a program, optionally \
           in parallel (and optionally under a --faults plan), and check \
           that every cell quiesces with output Q(input) (exit 2 \
-          otherwise); stable metrics and --traces-out bytes are identical \
-          under any --jobs")
+          otherwise); --record adds every cell's causal trace as \
+          traces.jsonl, and its bytes and the stable metrics are \
+          identical under any --jobs")
     Term.(
       const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ nodes_term $ jobs_term $ faults_term
-      $ traces_out_term $ obs_term)
+      $ facts_file_term $ nodes_term $ jobs_term $ faults_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm explain *)
@@ -950,6 +876,12 @@ let detect_cmd =
 (* ------------------------------------------------------------------ *)
 (* calm validate *)
 
+(* Parse a JSON artifact and check it against its schema. *)
+let parse_validated validate contents =
+  match Observe.Json.of_string contents with
+  | Error m -> Error ("not valid JSON: " ^ m)
+  | Ok j -> Result.map (fun () -> j) (validate j)
+
 let validate_cmd =
   let kind_term =
     Arg.(
@@ -961,12 +893,13 @@ let validate_cmd =
                   ("metrics", `Metrics); ("bench", `Bench);
                   ("trace", `Trace); ("causal", `Causal);
                   ("profile", `Profile); ("series", `Series);
+                  ("traces", `Traces);
                 ]))
           None
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
-            "Artifact kind: metrics, bench, trace, causal, profile, or \
-             series.")
+            "Artifact kind: metrics, bench, trace, causal, profile, \
+             series, or traces.")
   in
   let file_term =
     Arg.(
@@ -976,16 +909,11 @@ let validate_cmd =
   in
   let run kind file =
     let contents = read_file file in
-    let json validate =
-      match Observe.Json.of_string contents with
-      | Error m -> Error ("not valid JSON: " ^ m)
-      | Ok j -> validate j
-    in
+    let json validate = Result.map ignore (parse_validated validate contents) in
     let result =
       match kind with
-      | `Trace when Filename.check_suffix file ".jsonl" ->
-        Result.map (fun _ -> ()) (Observe.Sink.of_jsonl contents)
       | `Series -> Observe.Schema_check.validate_series_jsonl contents
+      | `Traces -> Observe.Schema_check.validate_traces_jsonl contents
       | `Metrics -> json Observe.Schema_check.validate_metrics
       | `Bench -> json Observe.Schema_check.validate_bench
       | `Trace -> json Observe.Schema_check.validate_trace
@@ -1001,7 +929,8 @@ let validate_cmd =
         | `Trace -> "trace"
         | `Causal -> "calm-causal/v1"
         | `Profile -> "calm-profile/v1"
-        | `Series -> "calm-series/v1")
+        | `Series -> "calm-series/v1"
+        | `Traces -> "traces")
     | Error m ->
       Printf.eprintf "%s: INVALID: %s\n" file m;
       exit 1
@@ -1009,9 +938,8 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:
-         "validate a telemetry artifact (--metrics-out snapshot, bench \
-          --json trajectory, --trace-out trace, --causal-out causal \
-          trace, or --profile-out profile) against its schema")
+         "validate a telemetry artifact (a file of a --record directory, \
+          or a bench --json trajectory) against its schema")
     Term.(const run $ kind_term $ file_term)
 
 (* ------------------------------------------------------------------ *)
@@ -1050,31 +978,6 @@ let plan_cmd =
 (* calm profile *)
 
 let profile_cmd =
-  let out_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the calm-profile/v1 JSON export to $(docv).")
-  in
-  let folded_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "folded" ] ~docv:"FILE"
-          ~doc:
-            "Write folded stacks ('frame;frame value' lines, self-time in \
-             µs) to $(docv) — feed to flamegraph.pl or speedscope.")
-  in
-  let chrome_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace_event rendering of the span tree to \
-             $(docv) (open in Perfetto or chrome://tracing).")
-  in
   let redact_term =
     Arg.(
       value & flag
@@ -1083,8 +986,11 @@ let profile_cmd =
             "Replace schedule-dependent numbers with '-' so stdout is \
              byte-reproducible (counts and annotations only).")
   in
-  let run src outputs bounds jobs out folded chrome redact =
-    Observe.Metrics.reset Observe.Metrics.root;
+  let run src outputs bounds jobs record redact =
+    with_observability
+      { record; profile = false; redact_timings = false; live = false;
+        heartbeat = 0. }
+    @@ fun () ->
     Observe.Profile.enable ();
     let program = load_program_any ~outputs src in
     let q = Datalog.Program.query ~name:"program" program in
@@ -1098,29 +1004,18 @@ let profile_cmd =
       bounds.Monotone.Checker.max_base bounds.Monotone.Checker.max_ext;
     let root = Observe.Metrics.root in
     Format.printf "%a@?" (Observe.Profile.pp ~redact_timings:redact) root;
-    (if not redact then
-       let nodes = Observe.Profile.spans root in
-       match
-         List.find_opt (fun n -> n.Observe.Profile.path = [ "scan" ]) nodes
-       with
-       | Some scan ->
-         Printf.printf
-           "attribution: %.1f%% of the %.3fs scan wall time is attributed \
-            to named (base, stage, rule) spans (%.3fs total placement wall)\n"
-           (100. *. Observe.Profile.coverage scan)
-           scan.Observe.Profile.total_s wall
-       | None -> ());
-    Option.iter
-      (fun f ->
-        write_file f
-          (Observe.Json.to_string_pretty (Observe.Profile.to_json root) ^ "\n"))
-      out;
-    Option.iter (fun f -> write_file f (Observe.Profile.to_folded root)) folded;
-    Option.iter
-      (fun f ->
-        write_file f
-          (Observe.Sink.to_chrome (Observe.Profile.to_chrome_events root)))
-      chrome
+    if not redact then
+      let nodes = Observe.Profile.spans root in
+      match
+        List.find_opt (fun n -> n.Observe.Profile.path = [ "scan" ]) nodes
+      with
+      | Some scan ->
+        Printf.printf
+          "attribution: %.1f%% of the %.3fs scan wall time is attributed \
+           to named (base, stage, rule) spans (%.3fs total placement wall)\n"
+          (100. *. Observe.Profile.coverage scan)
+          scan.Observe.Profile.total_s wall
+      | None -> ()
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1129,10 +1024,11 @@ let profile_cmd =
           plain/distinct/disjoint scans with span profiling enabled and \
           print the attribution tree (scan → base → stage/probe → rule, \
           with cache-hit / witness-route / empty-before annotations); \
-          export with --out / --folded / --chrome")
+          --record writes the span tree as profile.json, profile.folded \
+          and the profile track of trace.json")
     Term.(
       const run $ program_src_term $ outputs_term $ bounds_term $ jobs_term
-      $ out_term $ folded_term $ chrome_term $ redact_term)
+      $ record_term $ redact_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm graph *)
@@ -1267,10 +1163,7 @@ let lint_cmd =
       in
       (match output with
       | None -> print_string rendered
-      | Some f ->
-        let oc = open_out f in
-        output_string oc rendered;
-        close_out oc);
+      | Some f -> write_file f rendered);
       if Analysis.Driver.total Analysis.Diagnostic.Error reports > 0 then
         exit 1
   in
@@ -1343,28 +1236,15 @@ let report_cmd =
           ~doc:
             "Write the markdown summary to $(docv) instead of stdout.")
   in
-  let series_term =
+  let record_term =
     Arg.(
       value
-      & opt (some file) None
-      & info [ "series" ] ~docv:"FILE"
+      & opt (some string) None
+      & info [ "record" ] ~docv:"DIR"
           ~doc:
-            "Include a calm-series/v1 JSONL artifact (from --series-out): \
-             each series becomes a sparkline row in the dashboard.")
-  in
-  let metrics_term =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Include a calm-metrics/v1 snapshot in the dashboard.")
-  in
-  let profile_term =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "profile" ] ~docv:"FILE"
-          ~doc:"Include a calm-profile/v1 document in the dashboard.")
+            "Include a $(b,--record) directory in the dashboard: each \
+             series of its series.jsonl becomes a sparkline row, next to \
+             its metrics.json and profile.json.")
   in
   let diff_term =
     Arg.(
@@ -1377,20 +1257,16 @@ let report_cmd =
              per-metric regression table and exit 1 on any regression, or \
              when no guarded row was compared.")
   in
-  let load_validated kind validate file =
-    let contents = read_file file in
-    match Observe.Json.of_string contents with
+  (* One file of a --record directory, read and schema-checked. *)
+  let load dir name kind validate =
+    let path = Filename.concat dir name in
+    match validate (read_file path) with
+    | Ok v -> v
     | Error m ->
-      Printf.eprintf "%s: not valid JSON: %s\n" file m;
+      Printf.eprintf "%s: INVALID %s artifact: %s\n" path kind m;
       exit 1
-    | Ok j -> (
-      match validate j with
-      | Error m ->
-        Printf.eprintf "%s: INVALID %s artifact: %s\n" file kind m;
-        exit 1
-      | Ok () -> j)
   in
-  let run files html md series metrics profile diff =
+  let run files html md record diff =
     let benches =
       List.map
         (fun path ->
@@ -1407,36 +1283,31 @@ let report_cmd =
       if regressions <> [] || compared = 0 then exit 1
     end
     else begin
-      let series_contents =
-        Option.map
-          (fun file ->
-            let contents = read_file file in
-            match Observe.Schema_check.validate_series_jsonl contents with
-            | Ok () -> contents
-            | Error m ->
-              Printf.eprintf "%s: INVALID calm-series/v1 artifact: %s\n"
-                file m;
-              exit 1)
-          series
-      in
-      let metrics_json =
-        Option.map
-          (load_validated "calm-metrics/v1"
-             Observe.Schema_check.validate_metrics)
-          metrics
-      in
-      let profile_json =
-        Option.map
-          (load_validated "calm-profile/v1"
-             Observe.Schema_check.validate_profile)
-          profile
+      let series, metrics, profile =
+        match record with
+        | None -> (None, None, None)
+        | Some dir ->
+          let series =
+            load dir "series.jsonl" "calm-series/v1" (fun c ->
+                Result.map
+                  (fun () -> c)
+                  (Observe.Schema_check.validate_series_jsonl c))
+          in
+          let metrics =
+            load dir "metrics.json" "calm-metrics/v1"
+              (parse_validated Observe.Schema_check.validate_metrics)
+          in
+          let profile =
+            load dir "profile.json" "calm-profile/v1"
+              (parse_validated Observe.Schema_check.validate_profile)
+          in
+          (Some series, Some metrics, Some profile)
       in
       (match html with
       | None -> ()
       | Some file ->
         write_file file
-          (Observe.Report.html ?series:series_contents ?metrics:metrics_json
-             ?profile:profile_json benches);
+          (Observe.Report.html ?series ?metrics ?profile benches);
         Printf.printf "report: wrote %s\n" file);
       let summary = Observe.Report.markdown benches in
       match md with
@@ -1449,13 +1320,10 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "aggregate bench trajectories (plus optional metrics / series / \
-          profile artifacts) into an HTML dashboard and markdown summary, \
-          or gate a fresh trajectory against the committed baseline with \
-          --diff")
-    Term.(
-      const run $ files_term $ html_term $ md_term $ series_term
-      $ metrics_term $ profile_term $ diff_term)
+         "aggregate bench trajectories (plus an optional --record \
+          directory) into an HTML dashboard and markdown summary, or gate \
+          a fresh trajectory against the committed baseline with --diff")
+    Term.(const run $ files_term $ html_term $ md_term $ record_term $ diff_term)
 
 (* ------------------------------------------------------------------ *)
 

@@ -28,7 +28,7 @@ let collector () = ref []
 
 (* Every trace event is also forwarded to the ambient structured-event
    sink (a no-op while the sink is disabled), so enabling the sink turns
-   run traces into exportable JSONL / Chrome tracks for free. *)
+   run traces into Chrome trace events for free. *)
 let sink_args e =
   let facts fs = Observe.Json.List (List.map (fun f -> Observe.Json.String (Fact.to_string f)) fs) in
   [
@@ -336,37 +336,20 @@ let to_dot evs =
   pr "}\n";
   Buffer.contents buf
 
-(* Chrome trace_event rendering of the happens-before DAG: one thread per
-   network node, the Lamport clock as the (synthetic) time axis — 1 ms
-   per tick — and flow events ("s"/"f" pairs sharing an id) drawing every
-   message delivery as an arrow between tracks. *)
+(* Chrome trace_event rendering of the happens-before DAG, through the
+   sink's envelope: one thread per network node, the Lamport clock as the
+   (synthetic) time axis — 1 ms per tick — and flow events ("s"/"f" pairs
+   sharing an id) drawing every message delivery as an arrow between
+   tracks. *)
 let to_chrome_causal ~network evs =
   let open Observe.Json in
   let evs = List.sort (fun a b -> compare a.index b.index) evs in
-  let tid n =
-    let rec idx i = function
-      | [] -> 0
-      | m :: _ when Value.equal m n -> i
-      | _ :: rest -> idx (i + 1) rest
-    in
-    1 + idx 0 network
-  in
+  let track n = "node " ^ Value.to_string n in
+  let tracks = List.map track network in
+  let tid n = Observe.Sink.chrome_tid ~tracks (track n) in
   let by_index = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace by_index e.index e) evs;
   let ts e = float_of_int (e.lamport * 1000) in
-  let meta =
-    List.map
-      (fun n ->
-        Obj
-          [
-            ("name", String "thread_name");
-            ("ph", String "M");
-            ("pid", Int 1);
-            ("tid", Int (tid n));
-            ("args", Obj [ ("name", String ("node " ^ Value.to_string n)) ]);
-          ])
-      network
-  in
   let spans =
     List.map
       (fun e ->
@@ -428,12 +411,7 @@ let to_chrome_causal ~network evs =
           e.origins)
       evs
   in
-  to_string
-    (Obj
-       [
-         ("traceEvents", List (meta @ spans @ flows));
-         ("displayTimeUnit", String "ms");
-       ])
+  Observe.Sink.chrome_document ~tracks (spans @ flows)
 
 (* ------------------------------------------------------------------ *)
 

@@ -40,8 +40,8 @@ val collector : unit -> collector
 val record : collector -> event -> unit
 (** Also forwards the event to {!Observe.Sink.default} (as a
     ["net.transition"] instant in category ["trace"], causal stamp in
-    the args) when that sink is enabled, so run traces show up in
-    JSONL / Chrome exports. *)
+    the args) when that sink is enabled, so run traces show up in its
+    Chrome export. *)
 
 val events : collector -> event list
 (** In transition order. *)
@@ -85,9 +85,10 @@ val to_dot : event list -> string
     with the delivered facts. *)
 
 val to_chrome_causal : network:Distributed.network -> event list -> string
-(** Chrome trace_event rendering: one track (tid) per network node, the
-    Lamport clock as the synthetic time axis, message deliveries as flow
-    events ("s"/"f" arrows between tracks). *)
+(** Chrome trace_event rendering through {!Observe.Sink.chrome_document}:
+    one track (tid) per network node, the Lamport clock as the synthetic
+    time axis, message deliveries as flow events ("s"/"f" arrows between
+    tracks). *)
 
 val pp_event : Format.formatter -> event -> unit
 

@@ -69,7 +69,8 @@ val now : unit -> float
 
 val root : t
 (** The process-wide default collector. Every domain's ambient collector
-    starts as [root]; the CLI snapshots it for [--metrics-out]. *)
+    starts as [root]; the CLI snapshots it as a [--record] directory's
+    [metrics.json]. *)
 
 val create : unit -> t
 

@@ -114,6 +114,62 @@ let validate_bench j =
         end)
       0 experiments
 
+let fact_list name e =
+  let* l = list_field name e in
+  each
+    (function
+      | Json.String _ -> Ok ()
+      | _ -> error "%s entry is not a string" name)
+    0 l
+
+let causal_event e =
+  let* index = int_field "index" e in
+  let* _node = string_field "node" e in
+  let* lamport = int_field "lamport" e in
+  let* vector = obj_field "vector" e in
+  let* origins = list_field "origins" e in
+  let* () = fact_list "delivered" e in
+  let* () = fact_list "sent" e in
+  let* () = fact_list "output_delta" e in
+  if index < 1 then error "event index %d is not positive" index
+  else if lamport < 1 then error "event #%d has lamport %d < 1" index lamport
+  else
+    let* () =
+      each
+        (function
+          | _, Json.Int k when k >= 1 -> Ok ()
+          | k, _ -> error "vector component %S is not a positive int" k)
+        0 vector
+    in
+    let* () =
+      each
+        (function
+          | Json.List [ Json.String _; Json.Int o ] when o >= 1 -> Ok ()
+          | _ -> error "origin is not a [fact, send index] pair")
+        0 origins
+    in
+    (* Fault annotations are optional (present only when non-default, so
+       failure-free documents stay unchanged). *)
+    let* () =
+      match Json.member "dup" e with
+      | None -> Ok ()
+      | Some (Json.Int d) when d >= 1 -> Ok ()
+      | Some _ -> error "event #%d: dup is not an int >= 1" index
+    in
+    let* () =
+      match Json.member "restart" e with
+      | None | Some (Json.Bool _) -> Ok ()
+      | Some _ -> error "event #%d: restart is not a bool" index
+    in
+    let* () =
+      match Json.member "injected" e with
+      | None -> Ok ()
+      | Some (Json.List _) -> fact_list "injected" e
+      | Some _ -> error "event #%d: injected is not an array" index
+    in
+    if vector = [] then error "event #%d has an empty vector" index
+    else Ok ()
+
 let validate_causal j =
   let* () = expect_schema "calm-causal/v1" j in
   let* network = list_field "network" j in
@@ -127,64 +183,7 @@ let validate_causal j =
   if network = [] then error "network array is empty"
   else
     let* events = list_field "events" j in
-    let fact_list name e =
-      let* l = list_field name e in
-      each
-        (function
-          | Json.String _ -> Ok ()
-          | _ -> error "%s entry is not a string" name)
-        0 l
-    in
-    each
-      (fun e ->
-        let* index = int_field "index" e in
-        let* _node = string_field "node" e in
-        let* lamport = int_field "lamport" e in
-        let* vector = obj_field "vector" e in
-        let* origins = list_field "origins" e in
-        let* () = fact_list "delivered" e in
-        let* () = fact_list "sent" e in
-        let* () = fact_list "output_delta" e in
-        if index < 1 then error "event index %d is not positive" index
-        else if lamport < 1 then
-          error "event #%d has lamport %d < 1" index lamport
-        else
-          let* () =
-            each
-              (function
-                | _, Json.Int k when k >= 1 -> Ok ()
-                | k, _ -> error "vector component %S is not a positive int" k)
-              0 vector
-          in
-          let* () =
-            each
-              (function
-                | Json.List [ Json.String _; Json.Int o ] when o >= 1 -> Ok ()
-                | _ -> error "origin is not a [fact, send index] pair")
-              0 origins
-          in
-          (* Fault annotations are optional (present only when
-             non-default, so failure-free documents stay unchanged). *)
-          let* () =
-            match Json.member "dup" e with
-            | None -> Ok ()
-            | Some (Json.Int d) when d >= 1 -> Ok ()
-            | Some _ -> error "event #%d: dup is not an int >= 1" index
-          in
-          let* () =
-            match Json.member "restart" e with
-            | None | Some (Json.Bool _) -> Ok ()
-            | Some _ -> error "event #%d: restart is not a bool" index
-          in
-          let* () =
-            match Json.member "injected" e with
-            | None -> Ok ()
-            | Some (Json.List _) -> fact_list "injected" e
-            | Some _ -> error "event #%d: injected is not an array" index
-          in
-          if vector = [] then error "event #%d has an empty vector" index
-          else Ok ())
-      0 events
+    each causal_event 0 events
 
 let validate_profile j =
   let* () = expect_schema "calm-profile/v1" j in
@@ -252,27 +251,34 @@ let validate_series_row j =
   else if stride < 1 then error "series %S has stride %d < 1" name stride
   else pair_list ~what:"point" ~second_int:false name points
 
-let validate_series_jsonl s =
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+let nonempty_lines s =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* One JSON value per line, numbered from [first], so an error names the
+   offending line. *)
+let each_line ~first validate lines =
+  let rec go lineno = function
+    | [] -> Ok ()
+    | line :: rest -> (
+      match Result.bind (Json.of_string line) validate with
+      | Ok () -> go (lineno + 1) rest
+      | Error e -> error "line %d: %s" lineno e)
   in
-  match lines with
+  go first lines
+
+let validate_series_jsonl s =
+  match nonempty_lines s with
   | [] -> error "empty series document"
   | header :: rows ->
     let* h =
-      match Json.of_string header with
-      | Ok j -> Ok j
-      | Error e -> error "header line: %s" e
+      Result.map_error (( ^ ) "header line: ") (Json.of_string header)
     in
     let* () = expect_schema "calm-series/v1" h in
-    let rec go lineno = function
-      | [] -> Ok ()
-      | line :: rest -> (
-        match Json.of_string line with
-        | Error e -> error "line %d: %s" lineno e
-        | Ok j -> (
-          match validate_series_row j with
-          | Ok () -> go (lineno + 1) rest
-          | Error e -> error "line %d: %s" lineno e))
-    in
-    go 2 rows
+    each_line ~first:2 validate_series_row rows
+
+let validate_traces_jsonl s =
+  each_line ~first:1
+    (fun e ->
+      let* _cell = string_field "cell" e in
+      causal_event e)
+    (nonempty_lines s)

@@ -39,8 +39,8 @@ val default_capacity : int
 val create : ?capacity:int -> unit -> t
 
 val root : t
-(** The process-wide default recorder; the CLI exports it for
-    [--series-out]. *)
+(** The process-wide default recorder; the CLI exports it as a
+    [--record] directory's [series.jsonl]. *)
 
 val current : unit -> t
 val with_current : t -> (unit -> 'a) -> 'a

@@ -80,88 +80,20 @@ let events t =
   es
 
 (* ------------------------------------------------------------------ *)
-(* Exporters *)
+(* Chrome trace_event export *)
 
-let event_to_json e =
-  Json.Obj
-    (("ts", Json.Float e.ts)
-     ::
-     (match e.dur with
-     | Some d -> [ ("dur", Json.Float d) ]
-     | None -> [])
-    @ [
-        ("track", Json.String e.track);
-        ("cat", Json.String e.cat);
-        ("name", Json.String e.name);
-        ("args", Json.Obj e.args);
-      ])
+(* https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
+   Tracks become tids with thread_name metadata, so Perfetto shows each
+   one (a pool worker, a network node) as its own row. *)
+let chrome_tid ~tracks tr =
+  let rec idx i = function
+    | [] -> 0
+    | t :: _ when t = tr -> i
+    | _ :: rest -> idx (i + 1) rest
+  in
+  1 + idx 0 tracks
 
-let to_jsonl es =
-  String.concat ""
-    (List.map (fun e -> Json.to_string (event_to_json e) ^ "\n") es)
-
-let event_of_json j =
-  let str k =
-    match Json.member k j with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" k)
-  in
-  let numf = function
-    | Json.Float f -> Some f
-    | Json.Int i -> Some (float_of_int i)
-    | _ -> None
-  in
-  match (Json.member "ts" j, str "track", str "cat", str "name") with
-  | Some tsj, Ok track, Ok cat, Ok name -> (
-    match numf tsj with
-    | None -> Error "ts is not a number"
-    | Some ts ->
-      let dur = Option.bind (Json.member "dur" j) numf in
-      let args =
-        match Json.member "args" j with Some (Json.Obj a) -> a | _ -> []
-      in
-      Ok { ts; dur; track; cat; name; args })
-  | None, _, _, _ -> Error "missing field ts"
-  | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e -> Error e
-
-let of_jsonl s =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-      match Json.of_string l with
-      | Error e -> Error e
-      | Ok j -> (
-        match event_of_json j with
-        | Error e -> Error e
-        | Ok ev -> go (ev :: acc) rest))
-  in
-  go [] lines
-
-(* Chrome trace_event format: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
-   Spans are "X" complete events; instants are "i"; tracks become tids
-   with thread_name metadata so Perfetto shows the pool's workers as
-   separate rows. Timestamps are microseconds. *)
-let to_chrome es =
-  let tracks =
-    List.sort_uniq String.compare (List.map (fun e -> e.track) es)
-  in
-  (* "main" first, then workers in name order. *)
-  let tracks =
-    List.filter (( = ) "main") tracks
-    @ List.filter (( <> ) "main") tracks
-  in
-  let tid tr =
-    let rec idx i = function
-      | [] -> 0
-      | t :: _ when t = tr -> i
-      | _ :: rest -> idx (i + 1) rest
-    in
-    1 + idx 0 tracks
-  in
-  let us s = Json.Float (s *. 1e6) in
+let chrome_document ~tracks body =
   let meta =
     List.map
       (fun tr ->
@@ -170,31 +102,10 @@ let to_chrome es =
             ("name", Json.String "thread_name");
             ("ph", Json.String "M");
             ("pid", Json.Int 1);
-            ("tid", Json.Int (tid tr));
+            ("tid", Json.Int (chrome_tid ~tracks tr));
             ("args", Json.Obj [ ("name", Json.String tr) ]);
           ])
       tracks
-  in
-  let body =
-    List.map
-      (fun e ->
-        let common =
-          [
-            ("name", Json.String e.name);
-            ("cat", Json.String e.cat);
-            ("ts", us e.ts);
-            ("pid", Json.Int 1);
-            ("tid", Json.Int (tid e.track));
-            ("args", Json.Obj e.args);
-          ]
-        in
-        match e.dur with
-        | Some d ->
-          Json.Obj (("ph", Json.String "X") :: ("dur", us d) :: common)
-        | None ->
-          Json.Obj
-            (("ph", Json.String "i") :: ("s", Json.String "t") :: common))
-      es
   in
   Json.to_string
     (Json.Obj
@@ -203,22 +114,33 @@ let to_chrome es =
          ("displayTimeUnit", Json.String "ms");
        ])
 
-let pp_human ?(limit = 40) ppf es =
-  let shown = List.filteri (fun i _ -> i < limit) es in
-  List.iter
-    (fun e ->
-      let dur =
-        match e.dur with
-        | Some d -> Printf.sprintf " (%.3f ms)" (d *. 1e3)
-        | None -> ""
-      in
-      let args =
-        match e.args with
-        | [] -> ""
-        | a -> " " ^ Json.to_string (Json.Obj a)
-      in
-      Format.fprintf ppf "[%8.3f ms] %-9s %s/%s%s%s@." (e.ts *. 1e3) e.track
-        e.cat e.name dur args)
-    shown;
-  let rest = List.length es - List.length shown in
-  if rest > 0 then Format.fprintf ppf "... and %d more events@." rest
+(* Spans are "X" complete events; instants are "i"; timestamps are
+   microseconds. *)
+let to_chrome es =
+  (* "main" first, then workers in name order. *)
+  let tracks =
+    List.sort_uniq
+      (fun a b -> compare (a <> "main", a) (b <> "main", b))
+      (List.map (fun e -> e.track) es)
+  in
+  let us s = Json.Float (s *. 1e6) in
+  chrome_document ~tracks
+    (List.map
+       (fun e ->
+         let common =
+           [
+             ("name", Json.String e.name);
+             ("cat", Json.String e.cat);
+             ("ts", us e.ts);
+             ("pid", Json.Int 1);
+             ("tid", Json.Int (chrome_tid ~tracks e.track));
+             ("args", Json.Obj e.args);
+           ]
+         in
+         match e.dur with
+         | Some d ->
+           Json.Obj (("ph", Json.String "X") :: ("dur", us d) :: common)
+         | None ->
+           Json.Obj
+             (("ph", Json.String "i") :: ("s", Json.String "t") :: common))
+       es)

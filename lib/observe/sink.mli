@@ -1,4 +1,4 @@
-(** Structured event sink with pluggable exporters.
+(** Structured event sink with a Chrome [trace_event] exporter.
 
     A sink collects timestamped events — instants and spans — from any
     domain; each domain tags its events with an ambient {e track} name
@@ -7,8 +7,8 @@
     Perfetto / [chrome://tracing].
 
     The process-wide {!default} sink starts {e disabled} and costs one
-    branch per event while disabled; the CLI enables it when the user
-    passes [--trace-out]. *)
+    branch per event while disabled; the CLI enables it under
+    [--record], which writes the events to the record's [trace.json]. *)
 
 type t
 
@@ -54,22 +54,21 @@ val span :
 val events : t -> event list
 (** In chronological (recording) order. *)
 
-(** {1 Exporters} *)
+(** {1 Chrome export} *)
 
-val to_jsonl : event list -> string
-(** One JSON object per line:
-    [{"ts":..,"dur":..,"track":..,"cat":..,"name":..,"args":{..}}]. *)
+val chrome_tid : tracks:string list -> string -> int
+(** The [tid] of a track in a document over [tracks]: track [i] of
+    [tracks] is [tid] [i+1] (an unknown track gets [1]). *)
 
-val event_of_json : Json.t -> (event, string) result
-(** Inverse of one {!to_jsonl} line — the round-trip half the test wall
-    checks. *)
-
-val of_jsonl : string -> (event list, string) result
+val chrome_document : tracks:string list -> Json.t list -> string
+(** The one Chrome [trace_event] envelope: each track of [tracks] gets
+    its {!chrome_tid}, named by [thread_name] metadata, and the body
+    events follow the metadata in a [traceEvents] array with
+    ["displayTimeUnit":"ms"]. Body events stamp their own [tid] with
+    {!chrome_tid}. {!to_chrome} and [Network.Trace.to_chrome_causal] both
+    render through it. *)
 
 val to_chrome : event list -> string
 (** A Chrome [trace_event] JSON document: spans as ["ph":"X"] complete
     events and instants as ["ph":"i"], microsecond timestamps, one [tid]
-    per track (with [thread_name] metadata), loadable in Perfetto. *)
-
-val pp_human : ?limit:int -> Format.formatter -> event list -> unit
-(** The first [limit] (default 40) events, one per line. *)
+    per track (["main"] first), loadable in Perfetto. *)

@@ -416,6 +416,24 @@ let test_absence_all_free () =
   in
   check_bool "consistent without All" true (Netquery.consistent verdict)
 
+(* Theorem 4.3 claims the absence strategy for Mdistinct queries only,
+   and comp-TC is not in Mdistinct (E1, E6, E21). This input and
+   schedule pin the F1 separation on comp-TC: the run quiesces with
+   O(0,0) although 0->4->0 puts (0,0) in TC. *)
+let test_absence_wrong_on_comp_tc () =
+  let input = Instance.of_list [ e 0 4; e 1 0; e 1 4; e 4 0 ] in
+  let r =
+    Run.run ~variant:Config.policy_aware ~policy:(Policy.hash_fact graph net12)
+      ~transducer:(Strategies.Absence.transducer Zoo.comp_tc)
+      ~input
+      (Run.Stingy { seed = 6; steps = 60 })
+  in
+  let o00 = Fact.make "O" [ v 0; v 0 ] in
+  check_bool "quiesced" true r.Run.quiesced;
+  check_bool "O(0,0) output" true (Instance.mem o00 r.Run.outputs);
+  check_bool "O(0,0) not in comp-TC(I)" false
+    (Instance.mem o00 (Query.apply Zoo.comp_tc input))
+
 let winmove_input =
   Instance.of_list
     [
@@ -1122,11 +1140,13 @@ let prop_domain_guided_assign_is_union_of_alpha =
             via_alpha = Policy.assign p f)
           i)
 
+(* On comp-edges, an Mdistinct query as Theorem 4.3 requires (comp-TC is
+   not: see [test_absence_wrong_on_comp_tc]). *)
 let prop_absence_confluent_on_random_inputs =
-  QCheck2.Test.make ~name:"absence/comp-tc correct on random inputs & seeds"
+  QCheck2.Test.make ~name:"absence/comp-edges correct on random inputs & seeds"
     ~count:12 gen_graph (fun input ->
-      let t = Strategies.Absence.transducer Zoo.comp_tc in
-      let expected = Query.apply Zoo.comp_tc input in
+      let t = Strategies.Absence.transducer comp_edges_query in
+      let expected = Query.apply comp_edges_query input in
       let policy = Policy.hash_fact graph net12 in
       List.for_all
         (fun sched ->
@@ -1627,6 +1647,8 @@ let () =
             test_absence_needs_policy_relations;
           Alcotest.test_case "absence works All-free" `Slow
             test_absence_all_free;
+          Alcotest.test_case "absence wrong on comp-TC (F1 separation)" `Quick
+            test_absence_wrong_on_comp_tc;
           Alcotest.test_case "domain-request computes win-move" `Slow
             test_domain_request_computes_winmove;
           Alcotest.test_case "domain-request computes comp-TC" `Slow

@@ -4,8 +4,8 @@
    1. Stable metric snapshots are byte-identical across jobs 1/2/4 — on
       the policy × scheduler sweep grid, on the zoo membership checks
       (including cancelled searches), and on the model checker.
-   2. The exporters round-trip: sink events through JSONL, run traces
-      through JSONL, and the Chrome export parses and validates.
+   2. The exporters round-trip: run traces through JSONL, and the Chrome
+      export parses and validates.
    3. The schema validators accept what the exporters emit and reject
       tampered documents.
    Plus regressions for the two bugs fixed alongside the telemetry
@@ -193,39 +193,13 @@ let test_explore_metrics_jobs_invariant () =
 (* ------------------------------------------------------------------ *)
 (* Exporters round-trip *)
 
-let events_equal (a : Observe.Sink.event) (b : Observe.Sink.event) =
-  a.Observe.Sink.ts = b.Observe.Sink.ts
-  && a.Observe.Sink.dur = b.Observe.Sink.dur
-  && a.Observe.Sink.track = b.Observe.Sink.track
-  && a.Observe.Sink.cat = b.Observe.Sink.cat
-  && a.Observe.Sink.name = b.Observe.Sink.name
-  && List.length a.Observe.Sink.args = List.length b.Observe.Sink.args
-  && List.for_all2
-       (fun (k1, v1) (k2, v2) -> k1 = k2 && Observe.Json.equal v1 v2)
-       a.Observe.Sink.args b.Observe.Sink.args
-
-let test_sink_jsonl_roundtrip () =
-  let sink = Observe.Sink.create () in
-  Observe.Sink.record ~sink ~cat:"test"
-    ~args:[ ("k", Observe.Json.Int 3) ]
-    "instant";
-  Observe.Sink.span ~sink ~cat:"test" "outer" (fun () ->
-      Observe.Sink.record ~sink "inner");
-  let events = Observe.Sink.events sink in
-  check_bool "recorded 3 events" true (List.length events = 3);
-  match Observe.Sink.of_jsonl (Observe.Sink.to_jsonl events) with
-  | Error m -> Alcotest.fail m
-  | Ok events' ->
-    check_bool "same count" true (List.length events = List.length events');
-    List.iter2
-      (fun a b -> check_bool ("event " ^ a.Observe.Sink.name) true (events_equal a b))
-      events events'
-
 let test_chrome_export_valid () =
   let sink = Observe.Sink.create () in
   Observe.Sink.span ~sink ~cat:"net" "net.run" (fun () ->
       Observe.Sink.record ~sink ~cat:"trace" "net.transition");
-  let doc = Observe.Sink.to_chrome (Observe.Sink.events sink) in
+  let events = Observe.Sink.events sink in
+  check_bool "recorded 2 events" true (List.length events = 2);
+  let doc = Observe.Sink.to_chrome events in
   match Observe.Json.of_string doc with
   | Error m -> Alcotest.failf "chrome export is not JSON: %s" m
   | Ok j -> (
@@ -233,7 +207,8 @@ let test_chrome_export_valid () =
     | Ok () -> ()
     | Error m -> Alcotest.failf "chrome export fails validation: %s" m)
 
-let test_trace_jsonl_roundtrip () =
+(* The causal trace of one round-robin TC run on two nodes. *)
+let tc_trace () =
   let input = Graph_gen.of_edges [ (1, 2); (2, 3) ] in
   let policy = Network.Policy.hash_fact Graph_gen.schema net2 in
   let tracer = Network.Trace.collector () in
@@ -241,7 +216,10 @@ let test_trace_jsonl_roundtrip () =
     (Network.Run.run ~tracer ~variant:Network.Config.policy_aware ~policy
        ~transducer:(Strategies.Broadcast.transducer Zoo.tc)
        ~input Network.Run.Round_robin);
-  let events = Network.Trace.events tracer in
+  Network.Trace.events tracer
+
+let test_trace_jsonl_roundtrip () =
+  let events = tc_trace () in
   check_bool "trace has events" true (events <> []);
   (* Every event carries a causal stamp. *)
   List.iter
@@ -347,16 +325,7 @@ let test_validate_bench () =
 let test_validate_causal () =
   let open Observe.Json in
   (* The real exporter's document validates. *)
-  let input = Graph_gen.of_edges [ (1, 2); (2, 3) ] in
-  let policy = Network.Policy.hash_fact Graph_gen.schema net2 in
-  let tracer = Network.Trace.collector () in
-  ignore
-    (Network.Run.run ~tracer ~variant:Network.Config.policy_aware ~policy
-       ~transducer:(Strategies.Broadcast.transducer Zoo.tc)
-       ~input Network.Run.Round_robin);
-  let doc =
-    Network.Trace.to_causal_json ~network:net2 (Network.Trace.events tracer)
-  in
+  let doc = Network.Trace.to_causal_json ~network:net2 (tc_trace ()) in
   let j =
     match of_string doc with
     | Ok j -> j
@@ -399,6 +368,17 @@ let test_validate_causal () =
   match Observe.Schema_check.validate_causal (swap "events" (List [ event () ]) j) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "well-formed synthetic event rejected: %s" m
+
+let test_validate_traces () =
+  let events = tc_trace () in
+  let validate = Observe.Schema_check.validate_traces_jsonl in
+  (match validate (Network.Trace.sweep_to_jsonl [ ("a", events); ("b", events) ]) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "real sweep traces rejected: %s" m);
+  check_bool "line without a cell rejected" true
+    (Result.is_error (validate (Network.Trace.to_jsonl events)));
+  check_bool "truncated line rejected" true
+    (Result.is_error (validate "{\"cell\":\"a\",\"index\":1"))
 
 (* ------------------------------------------------------------------ *)
 (* Regression: parallel sweeps carry traces *)
@@ -477,8 +457,6 @@ let () =
         ] );
       ( "exporters",
         [
-          Alcotest.test_case "sink jsonl roundtrip" `Quick
-            test_sink_jsonl_roundtrip;
           Alcotest.test_case "chrome export validates" `Quick
             test_chrome_export_valid;
           Alcotest.test_case "run-trace jsonl roundtrip" `Quick
@@ -491,6 +469,8 @@ let () =
           Alcotest.test_case "bench accept/reject" `Quick test_validate_bench;
           Alcotest.test_case "causal accept/reject" `Quick
             test_validate_causal;
+          Alcotest.test_case "traces accept/reject" `Quick
+            test_validate_traces;
         ] );
       ( "regressions",
         [
