@@ -82,28 +82,27 @@ let outputs_term =
     & opt (list string) [ "O" ]
     & info [ "outputs"; "o" ] ~docv:"RELS" ~doc:"Output relations.")
 
-let semantics_term =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("stratified", Datalog.Program.Stratified);
-             ("well-founded", Datalog.Program.Well_founded);
-           ])
-        Datalog.Program.Stratified
-    & info [ "semantics" ] ~docv:"SEM" ~doc:"stratified or well-founded.")
-
+(* Checked when the term is evaluated, so a bad value fails before the
+   command does any work. *)
 let jobs_term =
-  Arg.(
-    value
-    & opt int (Parallel.Pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel search paths (membership \
-           checking, model checking). Defaults to the number of cores; 1 \
-           forces the sequential paths. Verdicts and certificates are \
-           independent of $(docv).")
+  let check jobs =
+    if jobs < 1 then begin
+      Printf.eprintf "invalid --jobs %d: a pool has at least one worker\n" jobs;
+      exit 1
+    end;
+    jobs
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt int (Parallel.Pool.default_jobs ())
+        & info [ "jobs"; "j" ] ~docv:"N"
+            ~doc:
+              "Worker domains for the parallel search paths (membership \
+               checking, model checking), at least 1. Defaults to the \
+               number of cores; 1 forces the sequential paths. Verdicts and \
+               certificates are independent of $(docv)."))
 
 let facts_term =
   Arg.(
@@ -159,8 +158,10 @@ let resolve_input schema facts facts_file =
     input;
   input
 
-let load_program ~outputs ~semantics src =
-  try Datalog.Program.parse ~outputs ~semantics src with
+(* A syntax error or an invalid program ends the command with one line
+   and exit 1. *)
+let or_program_error f =
+  try f () with
   | Datalog.Parser.Syntax_error { line; col; message } ->
     Printf.eprintf "syntax error (line %d, column %d): %s\n" line col message;
     exit 1
@@ -168,17 +169,20 @@ let load_program ~outputs ~semantics src =
     Printf.eprintf "invalid program: %s\n" msg;
     exit 1
 
-(* Like {!load_program} but falls back to the well-founded semantics for
-   unstratifiable programs (win-move!). *)
-let load_program_any ~outputs src =
-  match Datalog.Program.parse ~outputs ~semantics:Datalog.Program.Stratified src with
-  | p -> p
-  | exception Invalid_argument _ ->
-    Printf.eprintf "(not stratifiable; using well-founded semantics)\n";
-    load_program ~outputs ~semantics:Datalog.Program.Well_founded src
-  | exception Datalog.Parser.Syntax_error { line; col; message } ->
-    Printf.eprintf "syntax error (line %d, column %d): %s\n" line col message;
-    exit 1
+(* The Adom-augmented rules pick the semantics: stratified when they
+   stratify, well-founded otherwise (win-move!). For a stratifiable
+   program the two agree. *)
+let load_program ~outputs src =
+  or_program_error @@ fun () ->
+  let rules = Datalog.Adom.augment (Datalog.Parser.parse_program src) in
+  let semantics =
+    if Datalog.Stratify.is_stratifiable rules then Datalog.Program.Stratified
+    else begin
+      Printf.eprintf "(not stratifiable; using well-founded semantics)\n";
+      Datalog.Program.Well_founded
+    end
+  in
+  Datalog.Program.make ~outputs ~semantics rules
 
 (* ------------------------------------------------------------------ *)
 (* Observability plumbing: --record / --profile / --live.
@@ -322,8 +326,8 @@ let with_observability obs f =
 (* calm eval *)
 
 let eval_cmd =
-  let run src outputs semantics facts facts_file =
-    let program = load_program ~outputs ~semantics src in
+  let run src outputs facts facts_file =
+    let program = load_program ~outputs src in
     let input = resolve_input (Datalog.Program.input_schema program) facts facts_file in
     let out = Datalog.Program.run program input in
     Printf.printf "input  (%d facts): %s\n" (Instance.cardinal input)
@@ -334,8 +338,8 @@ let eval_cmd =
   Cmd.v
     (Cmd.info "eval" ~doc:"evaluate a Datalog¬ program on an input instance")
     Term.(
-      const run $ program_src_term $ outputs_term $ semantics_term
-      $ facts_term $ facts_file_term)
+      const run $ program_src_term $ outputs_term $ facts_term
+      $ facts_file_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm classify *)
@@ -358,7 +362,7 @@ let bounds_term =
 
 let classify_cmd =
   let run src outputs bounds jobs =
-    let program = load_program_any ~outputs src in
+    let program = load_program ~outputs src in
     let fragment = Datalog.Program.fragment program in
     Printf.printf "fragment:        %s\n" (Datalog.Fragment.to_string fragment);
     Printf.printf "connectivity:    %s\n"
@@ -410,7 +414,7 @@ let check_cmd =
        a violated check still writes its record. *)
     let code =
       with_observability obs @@ fun () ->
-      let program = load_program_any ~outputs src in
+      let program = load_program ~outputs src in
       let q = Datalog.Program.query ~name:"program" program in
       let t0 = Unix.gettimeofday () in
       let outcome = Monotone.Checker.check_exhaustive ~bounds ~jobs kind q in
@@ -455,7 +459,7 @@ let setup ~outputs ~nodes src facts facts_file =
       nodes;
     exit 1
   end;
-  let program = load_program_any ~outputs src in
+  let program = load_program ~outputs src in
   let input =
     resolve_input (Datalog.Program.input_schema program) facts facts_file
   in
@@ -947,7 +951,7 @@ let validate_cmd =
 
 let plan_cmd =
   let run src outputs facts facts_file =
-    let program = load_program_any ~outputs src in
+    let program = load_program ~outputs src in
     let input =
       resolve_input (Datalog.Program.input_schema program) facts facts_file
     in
@@ -992,7 +996,7 @@ let profile_cmd =
         heartbeat = 0. }
     @@ fun () ->
     Observe.Profile.enable ();
-    let program = load_program_any ~outputs src in
+    let program = load_program ~outputs src in
     let q = Datalog.Program.query ~name:"program" program in
     let t0 = Unix.gettimeofday () in
     let placement = Monotone.Checker.place ~bounds ~jobs q in
@@ -1035,7 +1039,7 @@ let profile_cmd =
 
 let graph_cmd =
   let run src outputs =
-    let program = load_program_any ~outputs src in
+    let program = load_program ~outputs src in
     print_endline (Datalog.Depgraph.to_dot program.Datalog.Program.rules)
   in
   Cmd.v
@@ -1182,14 +1186,8 @@ let lint_cmd =
 let certify_cmd =
   let run src =
     let rules =
-      try Datalog.Adom.augment (Datalog.Parser.parse_program src) with
-      | Datalog.Parser.Syntax_error { line; col; message } ->
-        Printf.eprintf "syntax error (line %d, column %d): %s\n" line col
-          message;
-        exit 1
-      | Invalid_argument msg ->
-        Printf.eprintf "invalid program: %s\n" msg;
-        exit 1
+      or_program_error (fun () ->
+          Datalog.Adom.augment (Datalog.Parser.parse_program src))
     in
     let cert = Analysis.certify rules in
     print_string (Analysis.Certificate.to_string cert);

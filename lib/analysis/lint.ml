@@ -275,37 +275,20 @@ let lint_program ?(options = default_options) (lp : Ast.located_program) =
   done;
 
   (* -- CALM011: arity conflicts ------------------------------------- *)
-  let arity_conflicts = ref false in
-  let seen_arity : (string, int * Span.t) Hashtbl.t = Hashtbl.create 16 in
-  let visit_atom (a : Ast.atom Ast.located) =
-    let ar = Ast.atom_arity a.value in
-    match Hashtbl.find_opt seen_arity a.value.Ast.pred with
-    | None -> Hashtbl.replace seen_arity a.value.Ast.pred (ar, a.span)
-    | Some (ar0, span0) ->
-      if ar <> ar0 then begin
-        arity_conflicts := true;
-        emit ~code:"CALM011" ~severity:Diagnostic.Error ~span:a.span
-          ~notes:
-            [
-              Diagnostic.note ~span:span0
-                (Printf.sprintf "first used with arity %d here" ar0);
-            ]
-          (Printf.sprintf "predicate %s used with arity %d, previously %d"
-             a.value.Ast.pred ar ar0)
-      end
-  in
+  let arity_conflicts = Ast.arity_conflicts lp in
   List.iter
-    (fun (lr : Ast.located_rule) ->
-      visit_atom lr.lhead;
-      List.iter
-        (function
-          | Ast.Lpos a | Ast.Lneg a -> visit_atom a
-          | Ast.Lineq _ -> ())
-        lr.lbody)
-    lp;
+    (fun (span, message, (ar0, span0)) ->
+      emit ~code:"CALM011" ~severity:Diagnostic.Error ~span
+        ~notes:
+          [
+            Diagnostic.note ~span:span0
+              (Printf.sprintf "first used with arity %d here" ar0);
+          ]
+        message)
+    arity_conflicts;
 
   (* The semantic passes need a consistent schema. *)
-  if not !arity_conflicts then begin
+  if arity_conflicts = [] then begin
     let edb = Ast.edb p in
     let stratifiable = Stratify.is_stratifiable p in
     let semicon = Connectivity.is_semi_connected p in

@@ -49,9 +49,6 @@ let relation_to_string = function
   | Strictly_included -> "c" (* proper subset *)
   | Included -> "<="
 
-let experiments_cited () =
-  List.concat_map (fun c -> c.evidence) claims |> List.sort_uniq String.compare
-
 let render () =
   let t =
     Report.create ~title:"Figure 2 (paper summary), with experiment evidence"

@@ -22,8 +22,5 @@ type claim = {
 val claims : claim list
 val relation_to_string : relation -> string
 
-val experiments_cited : unit -> string list
-(** Sorted, deduplicated experiment ids across all claims. *)
-
 val render : unit -> string
 (** The figure as an aligned table. *)

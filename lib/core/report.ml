@@ -47,19 +47,6 @@ let render t =
     (List.rev t.notes);
   Buffer.contents buf
 
-let to_markdown t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf ("## " ^ t.title ^ "\n\n");
-  let line row = "| " ^ String.concat " | " row ^ " |\n" in
-  Buffer.add_string buf (line t.columns);
-  Buffer.add_string buf
-    (line (List.map (fun _ -> "---") t.columns));
-  List.iter (fun row -> Buffer.add_string buf (line row)) (List.rev t.rows);
-  List.iter
-    (fun note -> Buffer.add_string buf ("\n*" ^ note ^ "*\n"))
-    (List.rev t.notes);
-  Buffer.contents buf
-
 let print t = print_string (render t)
 let cell_bool b = if b then "yes" else "no"
 let cell_member b = if b then "in" else "NOT in"

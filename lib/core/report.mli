@@ -11,10 +11,6 @@ val add_note : t -> string -> unit
 val render : t -> string
 (** Column-aligned ASCII table with title, rows, and trailing notes. *)
 
-val to_markdown : t -> string
-(** The same table as GitHub-flavoured markdown (used to refresh
-    EXPERIMENTS.md). *)
-
 val print : t -> unit
 
 val cell_bool : bool -> string

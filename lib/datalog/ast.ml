@@ -87,7 +87,6 @@ let nth_span filter lr i =
 
 let pos_span = nth_span (function Lpos a -> Some a.span | _ -> None)
 let neg_span = nth_span (function Lneg a -> Some a.span | _ -> None)
-let ineq_span = nth_span (function Lineq i -> Some i.span | _ -> None)
 
 let atom pred terms = { pred; invents = false; terms }
 let invention_atom pred terms = { pred; invents = true; terms }
@@ -138,7 +137,6 @@ let rule ?(neg = []) ?(ineq = []) head pos =
 
 let rule_is_positive r = r.neg = []
 let rule_has_ineq r = r.ineq <> []
-let rule_invents r = r.head.invents
 
 let schema_of p =
   let add_atom sg a =
@@ -154,6 +152,31 @@ let schema_of p =
   List.fold_left
     (fun sg r -> List.fold_left add_atom sg ((r.head :: r.pos) @ r.neg))
     Schema.empty p
+
+let arity_conflicts lp =
+  let first = Hashtbl.create 16 in
+  let visit acc (a : atom located) =
+    let ar = atom_arity a.value in
+    match Hashtbl.find_opt first a.value.pred with
+    | None ->
+      Hashtbl.replace first a.value.pred (ar, a.span);
+      acc
+    | Some (ar0, span0) ->
+      if ar = ar0 then acc
+      else
+        let message =
+          Printf.sprintf "predicate %s used with arity %d, previously %d"
+            a.value.pred ar ar0
+        in
+        (a.span, message, (ar0, span0)) :: acc
+  in
+  List.fold_left
+    (fun acc lr ->
+      List.fold_left
+        (fun acc -> function Lpos a | Lneg a -> visit acc a | Lineq _ -> acc)
+        (visit acc lr.lhead) lr.lbody)
+    [] lp
+  |> List.rev
 
 let idb p =
   let sg = schema_of p in

@@ -81,8 +81,7 @@ val strip : located_program -> program
 
 val pos_span : located_rule -> int -> Span.t
 val neg_span : located_rule -> int -> Span.t
-val ineq_span : located_rule -> int -> Span.t
-(** Span of the [i]-th positive / negative / inequality literal (0-based,
+(** Span of the [i]-th positive / negative literal (0-based,
     matching the lists of {!rule_of_located}); {!Span.dummy} out of
     range. *)
 
@@ -110,11 +109,16 @@ val rule_is_positive : rule -> bool
 (** No negated atoms (inequalities allowed). *)
 
 val rule_has_ineq : rule -> bool
-val rule_invents : rule -> bool
 
 val schema_of : program -> Schema.t
 (** [sch(P)]: minimal schema the program is over (invention slots counted).
     @raise Invalid_argument if a predicate is used with two arities. *)
+
+val arity_conflicts :
+  located_program -> (Span.t * string * (int * Span.t)) list
+(** The span of each atom whose predicate was first used with another
+    arity, in source order (a rule's head, then its body literals), with
+    a message saying so and that first use's arity and span. *)
 
 val idb : program -> Schema.t
 (** Predicates occurring in rule heads. *)

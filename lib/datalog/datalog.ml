@@ -14,7 +14,6 @@ module Fragment = Fragment
 module Points_of_order = Points_of_order
 module Depgraph = Depgraph
 module Ivm = Ivm
-module Goal = Goal
 module Ilog = Ilog
 module Adom = Adom
 module Program = Program

@@ -2,8 +2,6 @@ open Relational
 
 exception Diverged
 
-let skolem_functor = Joindb.skolem_functor
-
 module Env = Joindb.Env
 module Smap = Joindb.Smap
 

@@ -21,10 +21,6 @@ exception Diverged
     value invention, whose output the paper leaves undefined when infinite
     (Section 5.2). *)
 
-val skolem_functor : string -> string
-(** Name of the Skolem functor associated with an invention relation
-    ([f_R] in the paper). *)
-
 val derive :
   ?neg:(Instance.t -> Fact.t -> bool) ->
   Ast.program -> Instance.t -> Instance.t

@@ -233,13 +233,6 @@ let pp_atom_plan ppf ap =
       (String.concat ", "
          (List.map (fun s -> Format.asprintf "%a" pp_slot s) slots))
 
-let pp_plan ppf p =
-  Format.fprintf ppf "@[<v>%a@," Ast.pp_rule p.rule;
-  Array.iteri
-    (fun i ap -> Format.fprintf ppf "  atom %d: %a@," (i + 1) pp_atom_plan ap)
-    p.atoms;
-  Format.fprintf ppf "@]"
-
 let extend env slots f =
   let rec go env = function
     | [] -> Some env

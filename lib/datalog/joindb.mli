@@ -98,7 +98,3 @@ val extend : Value.t Env.t -> slot list -> Fact.t -> Value.t Env.t option
 val pp_atom_plan : Format.formatter -> atom_plan -> unit
 (** One line: index choice (hashed positions + key terms, or full scan)
     and the bind/check slots the probe loop applies per candidate. *)
-
-val pp_plan : Format.formatter -> plan -> unit
-(** The rule followed by one [pp_atom_plan] line per body atom, in
-    probe order. *)

@@ -265,10 +265,9 @@ let parse_program src =
         | Error msg -> fail lr.lspan msg)
       lp
   in
-  (* Trigger arity consistency checking. *)
-  (try ignore (Ast.schema_of p)
-   with Invalid_argument msg ->
-     raise (Syntax_error { line = 0; col = 0; message = msg }));
+  (match Ast.arity_conflicts lp with
+  | [] -> ()
+  | (span, message, _) :: _ -> fail span message);
   p
 
 let parse_rule src =

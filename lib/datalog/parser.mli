@@ -18,8 +18,9 @@
 
 exception Syntax_error of { line : int; col : int; message : string }
 (** Lexical and grammatical errors carry the 1-based line and column of
-    the offending token, and the message names the token found
-    ([line = 0] for whole-program errors such as arity conflicts). *)
+    the offending token, and the message names the token found. An
+    arity conflict points at the atom that disagrees with the
+    predicate's first use. *)
 
 val parse_program : string -> Ast.program
 (** @raise Syntax_error on lexical or grammatical errors, on rules that

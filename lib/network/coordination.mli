@@ -5,8 +5,8 @@
     with only heartbeat transitions (no communication). The proofs always
     use the "ideal" policy making one node responsible for everything —
     which is domain-guided, so the same witness serves the domain-guided
-    notion. Both halves of Definition 3 over a finite sample — this
-    witness and {!Netquery} consistency — are [Calm_core.Verify.check]. *)
+    notion. The other half of Definition 3, that every run computes
+    [Q(I)], is checked over a finite battery by {!Netquery.check}. *)
 
 open Relational
 

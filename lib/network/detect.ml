@@ -61,21 +61,3 @@ let analyze ~network events =
     facts;
     coordinated = List.exists (fun r -> r.heard_from_all) facts;
   }
-
-let pp_nodes ppf ns =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-    Value.pp ppf ns
-
-let pp_report ppf r =
-  Format.fprintf ppf "@[<v>network %a — %s@ " pp_nodes r.network
-    (if r.coordinated then "COORDINATED (heard-from-all cut observed)"
-     else "coordination-free (no heard-from-all cut)");
-  List.iter
-    (fun f ->
-      Format.fprintf ppf "%a: anchor #%d @@ %a, cone %d events, heard %a%s@ "
-        Fact.pp f.fact f.anchor_index Value.pp f.anchor_node f.cone_events
-        pp_nodes f.cone_nodes
-        (if f.heard_from_all then " [ALL]" else ""))
-    r.facts;
-  Format.fprintf ppf "@]"

@@ -33,5 +33,3 @@ type report = {
 }
 
 val analyze : network:Distributed.network -> Trace.event list -> report
-
-val pp_report : Format.formatter -> report -> unit

@@ -86,8 +86,6 @@ let to_string p =
   List.iter (fun part -> clause (part_clause part)) p.partitions;
   Buffer.contents buf
 
-let pp ppf p = Format.pp_print_string ppf (to_string p)
-
 let of_string s =
   let ( let* ) = Result.bind in
   let error fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -193,25 +191,42 @@ let of_string s =
     (Ok none)
     (String.split_on_char ';' s)
 
+(* The first node of a group that a later group of the same partition
+   lists again. *)
+let rec overlap = function
+  | [] -> None
+  | g :: rest -> (
+    match
+      List.find_opt (fun n -> List.exists (List.exists (Value.equal n)) rest) g
+    with
+    | Some _ as n -> n
+    | None -> overlap rest)
+
 let check p ~network =
-  let named =
-    List.map (fun ((n, _) as c) -> (crash_clause c, [ n ])) p.crashes
-    @ List.map (fun part -> (part_clause part, List.concat part.groups))
-        p.partitions
-  in
-  let outside nodes =
+  let outside clause nodes =
     List.find_opt (fun n -> not (List.exists (Value.equal n) network)) nodes
+    |> Option.map (fun n ->
+           Printf.sprintf "%s names node %s, outside the %d-node network"
+             clause (Value.to_string n) (List.length network))
+  in
+  let partition part =
+    let clause = part_clause part in
+    match outside clause (List.concat part.groups) with
+    | Some _ as e -> e
+    | None ->
+      Option.map
+        (fun n ->
+          Printf.sprintf "%s puts node %s in two groups" clause
+            (Value.to_string n))
+        (overlap part.groups)
   in
   match
-    List.find_map
-      (fun (clause, nodes) -> Option.map (fun n -> (clause, n)) (outside nodes))
-      named
+    List.find_map Fun.id
+      (List.map (fun c -> outside (crash_clause c) [ fst c ]) p.crashes
+      @ List.map partition p.partitions)
   with
   | None -> Ok ()
-  | Some (clause, n) ->
-    Error
-      (Printf.sprintf "%s names node %s, outside the %d-node network" clause
-         (Value.to_string n) (List.length network))
+  | Some msg -> Error msg
 
 (* -- telemetry ------------------------------------------------------- *)
 

@@ -90,11 +90,11 @@ val of_string : string -> (plan, string) result
 
 val check : plan -> network:Value.t list -> (unit, string) result
 (** [Ok ()] when every crashed node and every partition member is in the
-    network; otherwise an error naming the first clause (in {!to_string}
-    order) that names an outside node. A crash outside the network would
-    never fire, so a run under it could never quiesce. *)
-
-val pp : Format.formatter -> plan -> unit
+    network and no partition lists a node in two of its groups;
+    otherwise an error naming the first such clause (in {!to_string}
+    order) and the node. A crash outside the network would never fire,
+    so a run under it could never quiesce; a node listed in two groups
+    would silently stay in the first. *)
 
 (** {1 Per-run fault state}
 

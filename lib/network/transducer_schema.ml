@@ -41,9 +41,3 @@ let make ~input ~output ?(message = Schema.empty) ?(memory = Schema.empty) ()
   in
   check components;
   { input; output; message; memory; system }
-
-let combined t =
-  List.fold_left Schema.union Schema.empty
-    [ t.input; t.output; t.message; t.memory; t.system ]
-
-let visible_state t = Schema.union t.output t.memory

@@ -34,10 +34,3 @@ val make :
   ?memory:Schema.t -> unit -> t
 (** @raise Invalid_argument when any two component schemas (including the
     induced system schema) share a relation name. *)
-
-val combined : t -> Schema.t
-(** Union of all five schemas: the input schema of the transducer
-    queries. *)
-
-val visible_state : t -> Schema.t
-(** [Υout ∪ Υmem]: what a node stores across transitions. *)

@@ -285,11 +285,6 @@ let of_string s =
     else Error (Printf.sprintf "trailing garbage at offset %d" c.pos)
   | exception Fail msg -> Error msg
 
-let of_string_exn s =
-  match of_string s with
-  | Ok v -> v
-  | Error msg -> invalid_arg ("Json.of_string_exn: " ^ msg)
-
 let member k = function
   | Obj fields -> List.assoc_opt k fields
   | _ -> None

@@ -34,9 +34,6 @@ val of_string : string -> (t, string) result
     byte-oriented escaping, so print/parse is the identity on arbitrary
     byte strings; higher BMP code points decode as UTF-8. *)
 
-val of_string_exn : string -> t
-(** @raise Invalid_argument on a parse error. *)
-
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] on other constructors. *)
 

@@ -47,8 +47,6 @@ let with_current t f =
   Domain.DLS.set ambient t;
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient saved) f
 
-let silenced f = with_current (create ()) f
-
 (* Task buffers never downsample: they hold every raw point of one
    bounded work unit so that replaying them into the caller's recorder
    (in input order) reconstructs exactly the sequential arrival

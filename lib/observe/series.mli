@@ -44,7 +44,6 @@ val root : t
 
 val current : unit -> t
 val with_current : t -> (unit -> 'a) -> 'a
-val silenced : (unit -> 'a) -> 'a
 
 val task_buffer : unit -> t
 (** An unbounded recorder for one pool task: it never downsamples, so

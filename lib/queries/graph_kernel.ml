@@ -84,29 +84,6 @@ let extend_facts g rel facts =
          else None)
        facts)
 
-(* Transitive closure (paths of length >= 1), row-major [n * n] matrix:
-   Floyd–Warshall on at most a dozen vertices. *)
-let reach g =
-  Observe.Profile.span "kernel.reach" @@ fun () ->
-  let n = g.n in
-  let r = Array.make (n * n) false in
-  Array.iteri
-    (fun x succs -> List.iter (fun y -> r.((x * n) + y) <- true) succs)
-    g.adj;
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      if r.((i * n) + k) then
-        for j = 0 to n - 1 do
-          if r.((k * n) + j) then r.((i * n) + j) <- true
-        done
-    done
-  done;
-  r
-
-let reaches g r a b =
-  let va = vertex g a and vb = vertex g b in
-  va >= 0 && vb >= 0 && r.((va * g.n) + vb)
-
 (* Reachability probe with per-source memoized DFS: the scan's probes ask
    about few distinct sources (the expected facts' first components), so
    computing only their rows beats the full closure. *)

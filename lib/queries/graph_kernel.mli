@@ -33,19 +33,11 @@ val extend_facts : t -> string -> Fact.t list -> t
 val vertex : t -> Value.t -> int
 (** Vertex number of a value, [-1] when it does not occur. *)
 
-val reach : t -> bool array
-(** Row-major [n * n] transitive-closure matrix (paths of length at
-    least 1, so a self-loop is needed for [reach x x] on a lone
-    vertex). *)
-
-val reaches : t -> bool array -> Value.t -> Value.t -> bool
-(** [reaches g (reach g) a b]: is there a nonempty path [a ->* b]?
-    [false] when either value is not a vertex. *)
-
 val reacher : t -> int -> int -> bool
-(** [reacher g a b]: same relation as {!reach}, computed by per-source
-    DFS memoized across calls — cheaper when only a few sources are
-    queried. Partially apply to share the memo. *)
+(** [reacher g a b]: is there a nonempty path from vertex [a] to vertex
+    [b]? Computed by per-source DFS memoized across calls, so only the
+    queried sources' rows are built. Partially apply to share the
+    memo. *)
 
 val wins : t -> bool array
 (** Won positions of the move graph under the alternating fixpoint

@@ -45,12 +45,3 @@ let of_assignment net assignment =
     t assignment
 
 let nodes t = t.net
-let fold f t acc = Value.Map.fold f t.locals acc
-let equal a b =
-  List.equal Value.equal a.net b.net
-  && Value.Map.equal Instance.equal a.locals b.locals
-
-let pp ppf t =
-  Value.Map.iter
-    (fun x i -> Format.fprintf ppf "%a -> %a@." Value.pp x Instance.pp i)
-    t.locals

@@ -30,6 +30,3 @@ val global : t -> Instance.t
 
 val of_assignment : network -> (Value.t * Instance.t) list -> t
 val nodes : t -> Value.t list
-val fold : (Value.t -> Instance.t -> 'a -> 'a) -> t -> 'a -> 'a
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

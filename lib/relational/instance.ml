@@ -6,7 +6,6 @@ let cardinal = Fact.Set.cardinal
 let of_list l = Fact.Set.of_list l
 let of_set s = s
 let to_list = Fact.Set.elements
-let to_set t = t
 let of_strings l = of_list (List.map Fact.of_string l)
 let add = Fact.Set.add
 let remove = Fact.Set.remove
@@ -39,10 +38,6 @@ let restrict_rels t names =
   | _ ->
     let names = Sset.of_list names in
     Fact.Set.filter (fun f -> Sset.mem (Fact.rel f) names) t
-
-let rels t =
-  Fact.Set.fold (fun f acc -> Sset.add (Fact.rel f) acc) t Sset.empty
-  |> Sset.elements
 
 (* Facts sort by relation name first ({!Fact.compare}), so the facts of
    one relation, and those of every relation whose name starts with a
@@ -78,9 +73,6 @@ let hash t =
    keep certificates byte-identical with the seed checker. *)
 let first_missing a b =
   Fact.Set.to_seq a |> Seq.find (fun f -> not (Fact.Set.mem f b))
-
-let tuples t name =
-  List.map (fun f -> Array.of_list (Fact.args f)) (by_rel t name)
 
 let schema t =
   Fact.Set.fold (fun f acc -> Schema.add (Fact.rel f) (Fact.arity f) acc) t

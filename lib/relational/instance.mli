@@ -14,7 +14,6 @@ val cardinal : t -> int
 val of_list : Fact.t list -> t
 val of_set : Fact.Set.t -> t
 val to_list : t -> Fact.t list
-val to_set : t -> Fact.Set.t
 
 val of_strings : string list -> t
 (** Each string parsed with {!Fact.of_string}. *)
@@ -45,9 +44,6 @@ val restrict : t -> Schema.t -> t
 val restrict_rels : t -> string list -> t
 (** Facts whose relation name is in the list (arities not checked). *)
 
-val rels : t -> string list
-(** Relation names occurring in the instance, sorted, without duplicates. *)
-
 val by_rel : t -> string -> Fact.t list
 (** All facts with the given relation name, in descending {!Fact.compare}
     order. Facts sort by relation name first, so they form one
@@ -70,9 +66,6 @@ val first_missing : t -> t -> Fact.t option
 (** [first_missing a b] is the least fact of [a] absent from [b] — equal
     to the head of [to_list (diff a b)] when the diff is non-empty —
     computed without materializing the difference. *)
-
-val tuples : t -> string -> Value.t array list
-(** Argument tuples of the facts with the given relation name. *)
 
 val schema : t -> Schema.t
 (** Minimal schema the instance is over.

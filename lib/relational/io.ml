@@ -12,43 +12,3 @@ let parse_facts s =
 
 let print_facts i =
   Instance.to_list i |> List.map Fact.to_string |> String.concat "\n"
-
-let load_facts path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  parse_facts s
-
-let save_facts path i =
-  let oc = open_out path in
-  output_string oc (print_facts i);
-  output_char oc '\n';
-  close_out oc
-
-let parse_csv ~rel s =
-  s
-  |> String.split_on_char '\n'
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None
-         else
-           let fields =
-             String.split_on_char ',' line
-             |> List.map (fun f -> Value.of_string (String.trim f))
-           in
-           Some (Fact.make rel fields))
-  |> Instance.of_list
-
-let print_csv ~rel i =
-  Instance.by_rel i rel
-  |> List.sort Fact.compare
-  |> List.map (fun f ->
-         Fact.args f
-         |> List.map (fun v ->
-                let s = Value.to_string v in
-                if String.contains s ',' then
-                  invalid_arg "Io.print_csv: value contains a comma"
-                else s)
-         |> String.concat ",")
-  |> String.concat "\n"

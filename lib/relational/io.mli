@@ -1,10 +1,5 @@
-(** Plain-text instance I/O.
-
-    Two formats:
-    - {e fact files}: one fact per line in [R(a,b)] syntax, blank lines
-      and [%]-comments ignored (also accepts '.'-terminated facts);
-    - {e CSV}: one relation per file, each line a comma-separated tuple.
-*)
+(** Plain-text instance I/O: one fact per line in [R(a,b)] syntax, blank
+    lines and [%]-comments ignored (also accepts '.'-terminated facts). *)
 
 val parse_facts : string -> Instance.t
 (** Parses fact-file content. @raise Invalid_argument on malformed
@@ -12,16 +7,3 @@ val parse_facts : string -> Instance.t
 
 val print_facts : Instance.t -> string
 (** One fact per line, sorted; inverse of {!parse_facts}. *)
-
-val load_facts : string -> Instance.t
-(** {!parse_facts} on a file's contents. *)
-
-val save_facts : string -> Instance.t -> unit
-
-val parse_csv : rel:string -> string -> Instance.t
-(** Each non-empty line is a tuple of relation [rel]; fields are trimmed
-    and parsed as values (integers or symbols). *)
-
-val print_csv : rel:string -> Instance.t -> string
-(** The tuples of relation [rel], one CSV line each, sorted. Values
-    containing commas are not supported (raises). *)

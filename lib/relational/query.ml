@@ -3,7 +3,6 @@ type delta = { facts : Fact.t list; instance : Instance.t Lazy.t }
 let delta_of_instance i = { facts = Instance.to_list i; instance = lazy i }
 let delta_of_facts facts = { facts; instance = lazy (Instance.of_list facts) }
 let delta_instance d = Lazy.force d.instance
-let empty_delta = { facts = []; instance = lazy Instance.empty }
 
 type t = {
   name : string;
@@ -62,44 +61,6 @@ let route ?(ivm = true) q =
   | Some _, _ -> Witness
   | None, Some _ when ivm -> Ivm
   | None, _ -> Eval
-
-let first_missing q ~expected i = stage q ~base:i ~expected empty_delta
-
-let compose ~name q2 q1 =
-  if not (Schema.subset q2.input q1.output) then
-    invalid_arg
-      (Printf.sprintf "Query.compose: input of %s not covered by output of %s"
-         q2.name q1.name);
-  {
-    name;
-    input = q1.input;
-    output = q2.output;
-    eval = (fun i -> apply q2 (apply q1 i));
-    witness = None;
-    maintain = None;
-  }
-
-let union ~name a b =
-  if not (Schema.equal a.input b.input && Schema.equal a.output b.output) then
-    invalid_arg "Query.union: schema mismatch";
-  {
-    name;
-    input = a.input;
-    output = a.output;
-    eval = (fun i -> Instance.union (apply a i) (apply b i));
-    witness = None;
-    maintain = None;
-  }
-
-let constant_filter q p =
-  {
-    q with
-    name = q.name ^ "/filtered";
-    eval =
-      (fun i -> if p (Instance.restrict i q.input) then q.eval i else Instance.empty);
-    witness = None;
-    maintain = None;
-  }
 
 let check_generic ?(trials = 8) ?(seed = 42) q i =
   let dom = Instance.adom i in

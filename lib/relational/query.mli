@@ -16,7 +16,6 @@ type delta = { facts : Fact.t list; instance : Instance.t Lazy.t }
 val delta_of_instance : Instance.t -> delta
 val delta_of_facts : Fact.t list -> delta
 val delta_instance : delta -> Instance.t
-val empty_delta : delta
 
 type t = {
   name : string;
@@ -73,23 +72,6 @@ type route = Witness | Ivm | Eval
 val route : ?ivm:bool -> t -> route
 (** Which implementation {!stage} will dispatch to under the given [ivm]
     knob — the scan records it per probe group. *)
-
-val first_missing : t -> expected:Instance.t -> Instance.t -> Fact.t option
-(** [first_missing q ~expected i] is the least fact of [expected] not in
-    [apply q i], or [None] when [expected ⊆ apply q i]:
-    [stage q ~base:i ~expected] probed with the empty delta. *)
-
-val compose : name:string -> t -> t -> t
-(** [compose q2 q1] feeds the output of [q1] (unioned with nothing else) to
-    [q2]. Requires the output schema of [q1] to cover the input of [q2]. *)
-
-val union : name:string -> t -> t -> t
-(** Pointwise union of two queries with identical schemas. *)
-
-val constant_filter : t -> (Instance.t -> bool) -> t
-(** [constant_filter q p] returns [q]'s output when [p] holds of the input
-    and the empty instance otherwise. Used to build the paper's separating
-    queries ("output the edge relation unless ... exists"). *)
 
 val check_generic : ?trials:int -> ?seed:int -> t -> Instance.t -> bool
 (** [check_generic q i] verifies [Q(π I) = π (Q I)] for randomly chosen

@@ -26,7 +26,6 @@ let arity_exn t name =
 let mem t name = M.mem name t
 let relations t = M.bindings t
 let names t = List.map fst (M.bindings t)
-let is_empty = M.is_empty
 let union a b = M.fold (fun name ar t -> add name ar t) b a
 
 let disjoint_union a b =

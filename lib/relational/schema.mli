@@ -20,7 +20,6 @@ val arity_exn : t -> string -> int
 val mem : t -> string -> bool
 val relations : t -> (string * int) list
 val names : t -> string list
-val is_empty : t -> bool
 
 val union : t -> t -> t
 (** @raise Invalid_argument if a shared name has conflicting arities. *)

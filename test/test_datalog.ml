@@ -104,6 +104,17 @@ let test_parse_errors () =
   (* nullary *)
   expect_syntax_error "T() :- E(x,y)."
 
+(* An arity conflict points at the atom that disagrees with the
+   predicate's first use, in lint CALM011's wording. *)
+let test_parse_arity_conflict_located () =
+  match Parser.parse_program "O(x,y) :- E(x,y).\nO(x) :- E(x,x)." with
+  | _ -> Alcotest.fail "expected a syntax error"
+  | exception Parser.Syntax_error { line; col; message } ->
+    check_int "line" 2 line;
+    check_int "column" 1 col;
+    Alcotest.(check string)
+      "message" "predicate O used with arity 1, previously 2" message
+
 let test_pretty_roundtrip () =
   let p = Parser.parse_program p2_src in
   let p' = Parser.parse_program (Ast.to_string p) in
@@ -291,53 +302,6 @@ let test_eval_multi_join () =
   let i = inst [ edge 1 2; edge 2 3; edge 3 1; edge 3 4 ] in
   let out = Instance.restrict_rels (Eval.seminaive p i) [ "O" ] in
   check_int "three rotations" 3 (Instance.cardinal out)
-
-(* ------------------------------------------------------------------ *)
-(* Goal-directed evaluation *)
-
-let two_part_program =
-  Parser.parse_program
-    "T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\n\
-     S(x,y) :- F(x,y). S(x,z) :- S(x,y), F(y,z)."
-
-let test_goal_slice () =
-  let sliced = Goal.slice two_part_program "T" in
-  check_int "only T rules" 2 (List.length sliced);
-  check_bool "T relevant" true
-    (List.mem "T" (Goal.relevant_predicates two_part_program "T"));
-  check_bool "E relevant" true
-    (List.mem "E" (Goal.relevant_predicates two_part_program "T"));
-  check_bool "S not relevant" false
-    (List.mem "S" (Goal.relevant_predicates two_part_program "T"))
-
-let test_goal_matches () =
-  let goal = Parser.parse_rule "G(x) :- T(1, x)." in
-  let pattern = List.hd goal.Ast.pos in
-  check_bool "matches" true (Goal.matches pattern (fact "T" [ 1; 5 ]));
-  check_bool "constant mismatch" false (Goal.matches pattern (fact "T" [ 2; 5 ]));
-  let rep = Ast.atom "T" [ Ast.Var "x"; Ast.Var "x" ] in
-  check_bool "repeated var match" true (Goal.matches rep (fact "T" [ 3; 3 ]));
-  check_bool "repeated var mismatch" false (Goal.matches rep (fact "T" [ 3; 4 ]))
-
-let test_goal_query () =
-  let i = inst [ edge 1 2; edge 2 3; Fact.make "F" [ Value.int 7; Value.int 8 ] ] in
-  let goal = Ast.atom "T" [ Ast.Const (Value.Int 1); Ast.Var "y" ] in
-  match Goal.query two_part_program i ~goal with
-  | Error e -> Alcotest.fail e
-  | Ok out ->
-    Alcotest.check instance_testable "paths from 1"
-      (inst [ fact "T" [ 1; 2 ]; fact "T" [ 1; 3 ] ])
-      out
-
-let test_goal_agrees_with_full () =
-  let i = inst [ edge 1 2; edge 2 3; edge 3 1 ] in
-  let goal = Ast.atom "T" [ Ast.Var "x"; Ast.Var "y" ] in
-  match Goal.query two_part_program i ~goal with
-  | Error e -> Alcotest.fail e
-  | Ok out ->
-    Alcotest.check instance_testable "full T extent"
-      (Instance.restrict_rels (Eval.stratified_exn two_part_program i) [ "T" ])
-      out
 
 (* ------------------------------------------------------------------ *)
 (* Hash-indexed joins: Eval probes Joindb's hash indexes; directed cases
@@ -1095,6 +1059,8 @@ let () =
           Alcotest.test_case "negative int" `Quick test_parse_negative_int;
           Alcotest.test_case "comments" `Quick test_parse_comments_and_newlines;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "arity conflict located" `Quick
+            test_parse_arity_conflict_located;
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
           Alcotest.test_case "pretty roundtrip invention" `Quick
             test_pretty_roundtrip_invention;
@@ -1126,13 +1092,6 @@ let () =
           Alcotest.test_case "constants" `Quick test_eval_constants_in_rules;
           Alcotest.test_case "empty input" `Quick test_eval_empty_input;
           Alcotest.test_case "triangles" `Quick test_eval_multi_join;
-        ] );
-      ( "goal",
-        [
-          Alcotest.test_case "slice" `Quick test_goal_slice;
-          Alcotest.test_case "matches" `Quick test_goal_matches;
-          Alcotest.test_case "query" `Quick test_goal_query;
-          Alcotest.test_case "agrees with full" `Quick test_goal_agrees_with_full;
         ] );
       ( "hashjoin",
         [

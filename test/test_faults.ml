@@ -78,8 +78,9 @@ let test_plan_roundtrip () =
       | Error _ -> ())
     [ "dup=1.5"; "loss=0.2:0"; "crash=2"; "part=1|2"; "bogus=1"; "seed" ]
 
-(* A plan naming a node outside the network is rejected with its first
-   such clause; the ones that fit, the default plan included, pass. *)
+(* A plan naming a node outside the network, or listing a node in two
+   groups of one partition, is rejected with its first such clause; the
+   ones that fit, the default plan included, pass. *)
 let test_plan_network_check () =
   let network = Distributed.network_of_ints [ 1; 2; 3 ] in
   let checked s =
@@ -102,7 +103,12 @@ let test_plan_network_check () =
         "part=1|9@1+2 names node 9, outside the 3-node network" );
       ( "crash=2@1;part=0,1|2@1+2;crash=7@2",
         "crash=7@2 names node 7, outside the 3-node network" );
+      ("part=1|1@1+1", "part=1|1@1+1 puts node 1 in two groups");
+      ( "part=1|2,3@1+1;part=1,3|3,2@2+1",
+        "part=1,3|3,2@2+1 puts node 3 in two groups" );
     ];
+  check_bool "a repeat inside one group fits" true
+    (checked "part=1,1|2@1+1" = Ok ());
   check_bool "default on two nodes" false
     (Fault.check Fault.default ~network:(Distributed.network_of_ints [ 1; 2 ])
     = Ok ())

@@ -321,21 +321,6 @@ let test_io_comments_and_dots () =
   in
   check_int "three facts" 3 (Instance.cardinal i)
 
-let test_io_csv () =
-  let i = Io.parse_csv ~rel:"E" "1, 2\n2,3\n# comment\n" in
-  check_bool "parsed" true (Instance.equal i (inst [ edge 1 2; edge 2 3 ]));
-  let s = Io.print_csv ~rel:"E" i in
-  check_bool "csv roundtrip" true
-    (Instance.equal i (Io.parse_csv ~rel:"E" s))
-
-let test_io_files () =
-  let path = Filename.temp_file "calm" ".facts" in
-  let i = inst [ edge 1 2; edge 5 6 ] in
-  Io.save_facts path i;
-  let j = Io.load_facts path in
-  Sys.remove path;
-  check_bool "file roundtrip" true (Instance.equal i j)
-
 let test_dot_golden () =
   (* Exact output for a small digraph: edges sorted, nodes quoted. *)
   let i = inst [ edge 2 3; edge 1 2; edge 1 3 ] in
@@ -449,11 +434,6 @@ let prop_io_roundtrip =
   QCheck2.Test.make ~name:"Io print/parse roundtrip" ~count:200 gen_io_instance
     (fun i -> Instance.equal i (Io.parse_facts (Io.print_facts i)))
 
-let prop_io_csv_roundtrip =
-  QCheck2.Test.make ~name:"Io CSV print/parse roundtrip" ~count:200
-    gen_small_graph (fun i ->
-      Instance.equal i (Io.parse_csv ~rel:"E" (Io.print_csv ~rel:"E" i)))
-
 let prop_fact_compare_total_order =
   QCheck2.Test.make ~name:"fact compare antisymmetric" ~count:200
     (QCheck2.Gen.pair
@@ -545,7 +525,6 @@ let qcheck_cases =
       prop_multiset_union_size;
       prop_multiset_diff_union;
       prop_io_roundtrip;
-      prop_io_csv_roundtrip;
       prop_fact_compare_total_order;
     ]
 
@@ -618,8 +597,6 @@ let () =
         [
           Alcotest.test_case "fact roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "comments and dots" `Quick test_io_comments_and_dots;
-          Alcotest.test_case "csv" `Quick test_io_csv;
-          Alcotest.test_case "files" `Quick test_io_files;
           Alcotest.test_case "dot golden" `Quick test_dot_golden;
           Alcotest.test_case "dot export" `Quick test_dot;
         ] );
