@@ -6,13 +6,19 @@ open Relational
    plus enough support state to maintain it under change: per-fact
    derivation counts for non-recursive strata (the counting algorithm),
    DRed over-delete/re-derive for recursive strata where counting is
-   unsound. The scan's hot path — insertion-only deltas probed against a
-   base — runs semi-naive rounds seeded only with Δ against the handle's
-   Joindb indexes (built once, shared across thousands of applies);
-   retractions take the counting-decrement or DRed route; strata whose
-   negated predicates are touched by the change fall back to a per-
-   stratum recomputation (counted in [eval.ivm_rederived]), never a
-   whole-program one. *)
+   unsound. Insertion-only deltas run semi-naive rounds seeded only with
+   Δ against the handle's Joindb indexes (built once, shared across
+   thousands of probes); retractions take the counting-decrement or DRed
+   route; strata whose negated predicates are touched by the change fall
+   back to a per-stratum recomputation (counted in [eval.ivm_rederived]),
+   never a whole-program one.
+
+   The scan's hot path is [lost]: which facts of the model does an
+   insertion remove? Under inserts a fact can only go through a negated
+   literal whose predicate grew, so [lost] propagates Δ only through the
+   rules that feed a negation and looks for an old firing that a grown
+   fact now blocks; only when it finds one does it build the model of
+   [given ∪ Δ]. *)
 
 module Sset = Set.Make (String)
 
@@ -34,6 +40,14 @@ type stratum = {
   body_preds : Sset.t;  (* positive and negated body predicates *)
   neg_preds : Sset.t;
   recursive : bool;  (* some body mentions a stratum head *)
+  feeds : Joindb.plan list;
+      (* Plans of the rules whose head feeds a negation: the only rules
+         [lost] propagates an insert through. *)
+  seeds : (string * Joindb.plan) list;
+      (* One plan per (rule, negated atom), keyed by the negated
+         predicate: the rule with that atom moved to the front of its
+         positive body, so [lost]'s seed check probes the grown facts
+         first. *)
   mutable derived : Instance.t;
       (* Head-predicate facts of the stratum's model. Invariant: contains
          every derivable head fact; may over-approximate with given idb
@@ -49,6 +63,7 @@ type t = {
   max_facts : int option;
   strata : stratum array;
   all_heads : Sset.t;
+  last_neg : int;  (* last stratum with a negated literal; -1 if none *)
   mutable given : Instance.t;
   mutable model : Instance.t;  (* given ∪ ⋃ derived *)
   mutable size : int;  (* cardinal of model, cached for the guard *)
@@ -74,34 +89,67 @@ let probe_db_filtered db skip (ap : Joindb.atom_plan) key emit =
 (* ------------------------------------------------------------------ *)
 (* Stratum compilation *)
 
-let make_stratum rules =
+let preds_of atoms s =
+  List.fold_left (fun s (a : Ast.atom) -> Sset.add a.pred s) s atoms
+
+(* A rule feeds a negation when its head predicate is negated somewhere,
+   or is, transitively, a body predicate of such a rule. Every other
+   derived fact is positive-only downstream, so an insert that grows it
+   blocks no firing. *)
+let feeding program =
+  let rec close f =
+    let f' =
+      List.fold_left
+        (fun f (r : Ast.rule) ->
+          if Sset.mem r.head.pred f then preds_of r.neg (preds_of r.pos f)
+          else f)
+        f program
+    in
+    if Sset.equal f f' then f else close f'
+  in
+  close
+    (List.fold_left (fun s (r : Ast.rule) -> preds_of r.neg s) Sset.empty
+       program)
+
+let seed_plans (r : Ast.rule) =
+  List.mapi
+    (fun j (a : Ast.atom) ->
+      ( a.pred,
+        Joindb.plan_rule
+          {
+            r with
+            pos = a :: r.pos;
+            neg = List.filteri (fun k _ -> k <> j) r.neg;
+          } ))
+    r.neg
+
+let make_stratum ~feeding rules =
   let heads =
     List.fold_left (fun s (r : Ast.rule) -> Sset.add r.head.pred s) Sset.empty
       rules
   in
   let body_preds =
     List.fold_left
-      (fun s (r : Ast.rule) ->
-        let s =
-          List.fold_left (fun s (a : Ast.atom) -> Sset.add a.pred s) s r.pos
-        in
-        List.fold_left (fun s (a : Ast.atom) -> Sset.add a.pred s) s r.neg)
+      (fun s (r : Ast.rule) -> preds_of r.neg (preds_of r.pos s))
       Sset.empty rules
   in
   let neg_preds =
-    List.fold_left
-      (fun s (r : Ast.rule) ->
-        List.fold_left (fun s (a : Ast.atom) -> Sset.add a.pred s) s r.neg)
-      Sset.empty rules
+    List.fold_left (fun s (r : Ast.rule) -> preds_of r.neg s) Sset.empty rules
   in
+  let plans = Joindb.plan_program rules in
   {
     rules;
-    plans = Joindb.plan_program rules;
+    plans;
     heads;
     heads_list = Sset.elements heads;
     body_preds;
     neg_preds;
     recursive = not (Sset.disjoint heads body_preds);
+    feeds =
+      List.filter
+        (fun (pl : Joindb.plan) -> Sset.mem pl.rule.head.pred feeding)
+        plans;
+    seeds = List.concat_map seed_plans rules;
     derived = Instance.empty;
     counts = None;
   }
@@ -110,7 +158,10 @@ let materialize ?max_facts program given =
   match Stratify.stratify program with
   | Error e -> invalid_arg ("Ivm.materialize: " ^ e)
   | Ok { strata = rule_strata; _ } ->
-    let strata = Array.of_list (List.map make_stratum rule_strata) in
+    let feeding = feeding program in
+    let strata =
+      Array.of_list (List.map (make_stratum ~feeding) rule_strata)
+    in
     let acc = ref given in
     Array.iter
       (fun s ->
@@ -121,10 +172,15 @@ let materialize ?max_facts program given =
     let all_heads =
       Array.fold_left (fun s st -> Sset.union s st.heads) Sset.empty strata
     in
+    let last_neg = ref (-1) in
+    Array.iteri
+      (fun si st -> if not (Sset.is_empty st.neg_preds) then last_neg := si)
+      strata;
     {
       max_facts;
       strata;
       all_heads;
+      last_neg = !last_neg;
       given;
       model = !acc;
       size = Instance.cardinal !acc;
@@ -213,12 +269,13 @@ let probe_full rs ap key emit =
 let relevant_to s f = Sset.mem (Fact.rel f) s.body_preds
 
 (* ------------------------------------------------------------------ *)
-(* Insertion-only semi-naive over one stratum: the scan's hot path.
+(* Insertion-only semi-naive over the given plans of one stratum.
    Requires no removals among the stratum's body or head predicates and
-   untouched negated predicates; presence additions committed so far
-   (including any new given head facts, already committed by the caller)
-   seed the delta. Returns the freshly derived head facts. *)
-let sem_add rs s =
+   no old firing blocked by a grown negated predicate; presence additions
+   committed so far (including any new given head facts, already
+   committed by the caller) seed the delta. Returns the freshly derived
+   head facts. *)
+let sem_add rs s plans =
   let seen = ref Instance.empty in
   let all_fresh = ref [] in
   let local = ref [] in
@@ -255,7 +312,7 @@ let sem_add rs s =
                   end
                 end)
           done)
-        s.plans;
+        plans;
       let fresh = !fresh in
       all_fresh := List.rev_append fresh !all_fresh;
       rs.size <- rs.size + List.length fresh;
@@ -555,6 +612,21 @@ let counting_maintain rs s ~ghr =
 (* Driver: route each stratum to the cheapest sound maintenance path,
    threading presence changes downward. *)
 
+let new_run h ~destructive =
+  {
+    h;
+    destructive;
+    m_new = h.model;
+    adds = [];
+    rem_inst = Instance.empty;
+    overlays = [];
+    ap = Sset.empty;
+    rp = Sset.empty;
+    size = h.size;
+    new_derived = Array.make (Array.length h.strata) None;
+    counts_patch = Array.make (Array.length h.strata) Keep;
+  }
+
 let run_update h ~destructive ~add_list ~remove =
   Observe.Metrics.incr m_applies;
   (* Trajectory of delta sizes, tick auto-assigned per apply: shows how
@@ -562,21 +634,7 @@ let run_update h ~destructive ~add_list ~remove =
   if Observe.Series.is_enabled () then
     Observe.Series.sample_auto "eval.ivm_delta"
       (float_of_int (List.length add_list + Instance.cardinal remove));
-  let rs =
-    {
-      h;
-      destructive;
-      m_new = h.model;
-      adds = [];
-      rem_inst = Instance.empty;
-      overlays = [];
-      ap = Sset.empty;
-      rp = Sset.empty;
-      size = h.size;
-      new_derived = Array.make (Array.length h.strata) None;
-      counts_patch = Array.make (Array.length h.strata) Keep;
-    }
-  in
+  let rs = new_run h ~destructive in
   let given' =
     lazy
       (List.fold_left
@@ -676,7 +734,7 @@ let run_update h ~destructive ~add_list ~remove =
             end
             else begin
               commit_added rs gha_new;
-              let fresh = sem_add rs s in
+              let fresh = sem_add rs s s.plans in
               commit_added rs fresh;
               rs.new_derived.(si) <-
                 Some
@@ -719,7 +777,7 @@ let run_update h ~destructive ~add_list ~remove =
         end
         else begin
           commit_added rs gha_new;
-          commit_added rs (sem_add rs s)
+          commit_added rs (sem_add rs s s.plans)
         end
       end)
     h.strata;
@@ -742,29 +800,90 @@ let run_update h ~destructive ~add_list ~remove =
   rs.m_new
 
 (* ------------------------------------------------------------------ *)
+(* Losses under insertion *)
+
+exception Seed
+
+(* A seed of stratum [s]: a firing valid in the old model — positive
+   atoms probed on the handle's indexes, inequalities and the other
+   negations checked against [h.model] — whose negated atom is one of
+   the grown facts. Without one every old firing still holds, so no
+   fact of [s] is lost and [sem_add] stays exact for it. *)
+let seeded rs s =
+  List.exists
+    (fun (pred, (pl : Joindb.plan)) ->
+      Sset.mem pred rs.ap
+      &&
+      try
+        Eval.iter_firings
+          ~probe:(fun i ap key emit ->
+            if i = 0 then
+              List.iter (fun db -> probe_db db ap key emit) rs.overlays
+            else probe_db rs.h.db ap key emit)
+          pl
+          (fun env ->
+            if Joindb.checks_pass rs.h.model Joindb.default_neg env pl.rule
+            then raise_notrace Seed);
+        false
+      with Seed -> true)
+    s.seeds
+
+(* One full-model run, inside an [ivm.apply] span under profiling. *)
+let full_run h ~destructive ~add_list ~remove =
+  let run () = run_update h ~destructive ~add_list ~remove in
+  if Observe.Profile.is_enabled () then Observe.Profile.span "ivm.apply" run
+  else run ()
+
+(* The full-model what-if: the model of [given ∪ adds], [adds] fresh. *)
+let what_if h adds =
+  full_run h ~destructive:false ~add_list:adds ~remove:Instance.empty
+
+let lost h facts =
+  if h.last_neg < 0 then Instance.empty
+  else
+    match List.filter (fun f -> not (Instance.mem f h.model)) facts with
+    | [] -> Instance.empty
+    | adds ->
+      let rs = new_run h ~destructive:false in
+      commit_added rs
+        (List.filter (fun f -> not (Sset.mem (Fact.rel f) h.all_heads)) adds);
+      (* Stratum by stratum up to the last negation: look for a seed
+         against the growth of the strata below, then grow this one
+         through its negation-feeding rules only. *)
+      let rec any_seed si =
+        si <= h.last_neg
+        &&
+        let s = h.strata.(si) in
+        (seeded rs s
+        ||
+        match s.feeds with
+        | [] -> any_seed (si + 1)
+        | feeds ->
+          commit_added rs
+            (List.filter (fun f -> Sset.mem (Fact.rel f) s.heads) adds);
+          if not (Sset.disjoint s.body_preds rs.ap) then
+            commit_added rs (sem_add rs s feeds);
+          any_seed (si + 1))
+      in
+      if any_seed 0 then Instance.diff h.model (what_if h adds)
+      else Instance.empty
+
+(* ------------------------------------------------------------------ *)
 (* Public entry points *)
 
-let apply_facts h facts =
-  let adds = List.filter (fun f -> not (Instance.mem f h.model)) facts in
-  match adds with
+let apply h ~delta =
+  match
+    List.filter
+      (fun f -> not (Instance.mem f h.model))
+      (Instance.to_list delta)
+  with
   | [] ->
     Observe.Metrics.incr m_applies;
     h.model
-  | _ ->
-    let profiling = Observe.Profile.is_enabled () in
-    let run () =
-      run_update h ~destructive:false ~add_list:adds ~remove:Instance.empty
-    in
-    if profiling then Observe.Profile.span "ivm.apply" run else run ()
-
-let apply h ~delta = apply_facts h (Instance.to_list delta)
+  | adds -> what_if h adds
 
 let update h ~add ~remove =
-  let profiling = Observe.Profile.is_enabled () in
-  let run () =
-    run_update h ~destructive:true ~add_list:(Instance.to_list add) ~remove
-  in
-  if profiling then Observe.Profile.span "ivm.apply" run else run ()
+  full_run h ~destructive:true ~add_list:(Instance.to_list add) ~remove
 
 let insert h delta = update h ~add:delta ~remove:Instance.empty
 let retract h delta = update h ~add:Instance.empty ~remove:delta

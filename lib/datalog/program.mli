@@ -37,6 +37,7 @@ val run : t -> Instance.t -> Instance.t
 val query : name:string -> t -> Query.t
 (** Package as an abstract query. [Stratified] programs install a
     maintenance route ({!Relational.Query.t.maintain}): staging
-    materializes an {!Ivm} handle for the base once, and each probe is
-    answered by a Δ-seeded incremental apply instead of re-running the
-    engine on [base ∪ Δ]. [Well_founded] programs evaluate per probe. *)
+    materializes an {!Ivm} handle for the base once, and each probe
+    returns the facts of [Q(base)] that survive Δ, found by {!Ivm.lost}
+    instead of re-running the engine on [base ∪ Δ]. [Well_founded]
+    programs evaluate per probe. *)

@@ -45,22 +45,64 @@ let to_string f =
 
 let pp ppf f = Format.pp_print_string ppf (to_string f)
 
+(* The fact syntax of a program: an argument is an integer, a bare
+   symbol, or one double-quoted string without a '"' inside, which reads
+   as that symbol. A parenthesis belongs to no argument, and only white
+   space may follow the closing one. *)
 let of_string s =
   let s = String.trim s in
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Fact.of_string: " ^ m)) fmt
+  in
+  let n = String.length s in
+  (* Index of the closing parenthesis; a quoted string is skipped whole,
+     so its commas and parentheses are its own. *)
+  let rec close j quoted =
+    if j = n then
+      if quoted then fail "unbalanced quote in %s" s
+      else fail "missing ')' in %s" s
+    else
+      match s.[j] with
+      | '"' -> close (j + 1) (not quoted)
+      | _ when quoted -> close (j + 1) quoted
+      | '(' -> fail "parenthesis inside an argument in %s" s
+      | ')' -> j
+      | _ -> close (j + 1) quoted
+  in
+  (* Comma-separated arguments of [s.[i..j)], commas inside quotes kept. *)
+  let rec split i j start quoted acc =
+    if i = j then List.rev (String.sub s start (j - start) :: acc)
+    else
+      match s.[i] with
+      | '"' -> split (i + 1) j start (not quoted) acc
+      | ',' when not quoted ->
+        split (i + 1) j (i + 1) quoted (String.sub s start (i - start) :: acc)
+      | _ -> split (i + 1) j start quoted acc
+  in
+  let value arg =
+    let arg = String.trim arg in
+    let k = String.length arg in
+    if arg = "" then fail "bad fact %s" s
+    else if not (String.contains arg '"') then Value.of_string arg
+    else if
+      k >= 2
+      && arg.[0] = '"'
+      && arg.[k - 1] = '"'
+      && not (String.contains (String.sub arg 1 (k - 2)) '"')
+    then Value.Sym (String.sub arg 1 (k - 2))
+    else fail "unbalanced quote in %s" s
+  in
   match String.index_opt s '(' with
-  | None -> invalid_arg ("Fact.of_string: missing '(' in " ^ s)
+  | None -> fail "missing '(' in %s" s
   | Some i ->
-    if String.length s = 0 || s.[String.length s - 1] <> ')' then
-      invalid_arg ("Fact.of_string: missing ')' in " ^ s);
+    let j = close (i + 1) false in
+    let rest = String.trim (String.sub s (j + 1) (n - j - 1)) in
+    if rest <> "" then
+      if rest.[0] = ')' then fail "parenthesis inside an argument in %s" s
+      else fail "missing '.' after %s" (String.sub s 0 (j + 1));
     let rel = String.trim (String.sub s 0 i) in
-    let inner = String.sub s (i + 1) (String.length s - i - 2) in
-    if String.exists (fun c -> c = '(' || c = ')') inner then
-      invalid_arg ("Fact.of_string: parenthesis inside an argument in " ^ s);
-    let parts = String.split_on_char ',' inner in
-    let vals = List.map (fun p -> Value.of_string (String.trim p)) parts in
-    if rel = "" || List.exists (fun v -> Value.to_string v = "") vals then
-      invalid_arg ("Fact.of_string: bad fact " ^ s);
-    make rel vals
+    if rel = "" then fail "bad fact %s" s;
+    make rel (List.map value (split (i + 1) j (i + 1) false []))
 
 module Ord = struct
   type nonrec t = t

@@ -32,8 +32,12 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t
-(** Parses ["R(a, 1, b)"]. @raise Invalid_argument on syntax errors,
-    among them a parenthesis inside an argument (["E(1,2)))"]). *)
+(** Parses ["R(a, 1, b)"] with a program's constant syntax: an argument
+    that is one double-quoted string (["\"a b\""], no ['"'] inside)
+    reads as that symbol. @raise Invalid_argument on syntax errors,
+    among them a parenthesis inside an argument (["E(1,2)))"]), an
+    unbalanced quote (["E(1,\"a)"]) and text after the closing
+    parenthesis (["E(1,2) E(2,3)"], a missing ['.']). *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -32,8 +32,9 @@ let apply q i =
    base's graph, resolving [expected]) and answers each probe from the
    delta's few facts, never materializing [Q]; the [maintain] route
    saturates [Q(base)] once into an incremental handle and answers each
-   probe with a Δ-seeded semi-naive pass; the fallback unions, evaluates
-   from scratch, and scans [expected] in fact order. All routes return
+   probe with the facts of [Q(base)] that survive Δ — enough, since
+   [expected ⊆ Q(base)] there; the fallback unions, evaluates from
+   scratch, and scans [expected] in fact order. All routes return
    the head of [diff expected after] whenever that diff is non-empty.
    The non-witness routes skip [apply]'s output validation — the scan
    probes millions of instances and the validation is a development

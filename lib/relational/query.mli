@@ -34,14 +34,15 @@ type t = {
           base and probes every admissible extension through it.
           Correctness is pinned by the engine-equivalence test wall. *)
   maintain : (Instance.t -> delta -> Instance.t) option;
-      (** Optional incremental evaluator: [m base] materializes [Q(base)]
-          once (saturated IDB plus support state) and the returned probe
-          answers [apply _ (union base d)] for each delta by semi-naive
-          rules seeded only with [d] — never re-saturating from scratch.
-          Supplied by [Datalog.Program.query] via [Datalog.Ivm]; used by
-          {!stage} when no witness is registered and the [ivm] knob is
-          on. Must agree extensionally with [eval] on every
-          [base ∪ d]. *)
+      (** Optional incremental route: [m base] materializes [Q(base)]
+          once (saturated IDB plus support state), and the returned
+          probe answers, for each delta, the facts of [Q(base)] that
+          survive it — [inter (apply _ base) (apply _ (union base d))]
+          — without re-saturating from scratch. Computing only what
+          [d] removes is enough for {!stage}, whose [expected] is a
+          subset of [Q(base)] on this route. Supplied by
+          [Datalog.Program.query] via [Datalog.Ivm]; used by {!stage}
+          when no witness is registered and the [ivm] knob is on. *)
 }
 
 val make :
@@ -65,7 +66,12 @@ val stage :
     [~ivm:false]), otherwise unioning and evaluating per probe (the
     non-witness routes skip [apply]'s output-schema assertion). Apply it
     partially and reuse the result: per-base work (witness staging, IVM
-    materialization) happens at staging time. *)
+    materialization) happens at staging time.
+
+    The {!field-maintain} route requires [expected ⊆ apply q base], as
+    the monotonicity scan's [expected = Q(base)] is: it sees only the
+    facts of [Q(base)] a delta removes. The witness and evaluating
+    routes answer for any [expected]. *)
 
 type route = Witness | Ivm | Eval
 

@@ -80,38 +80,7 @@ let test_wall_every_fragment () =
    recursion are allowed, so stratifiable, unstratifiable, connected and
    unconnected shapes all occur. *)
 let gen_program =
-  let open QCheck2.Gen in
-  let vars = [ "x"; "y"; "z" ] in
-  let gen_rule =
-    let* npos = int_range 1 3 in
-    let* pos =
-      list_size (return npos)
-        (let* p = oneofl [ "A"; "B"; "P"; "Q" ] in
-         let* t1 = oneofl vars in
-         let* t2 = oneofl vars in
-         return (Ast.atom p [ Ast.Var t1; Ast.Var t2 ]))
-    in
-    let pos_vars = List.concat_map Ast.vars_of_atom pos in
-    let pvar = oneofl pos_vars in
-    let* h1 = pvar in
-    let* h2 = pvar in
-    let* hp = oneofl [ "P"; "Q" ] in
-    let* neg =
-      list_size (int_range 0 2)
-        (let* p = oneofl [ "A"; "B"; "P"; "Q" ] in
-         let* t1 = pvar in
-         let* t2 = pvar in
-         return (Ast.atom p [ Ast.Var t1; Ast.Var t2 ]))
-    in
-    let* ineq =
-      list_size (int_range 0 1)
-        (let* t1 = pvar in
-         let* t2 = pvar in
-         return (Ast.Var t1, Ast.Var t2))
-    in
-    return { Ast.head = Ast.atom hp [ Ast.Var h1; Ast.Var h2 ]; pos; neg; ineq }
-  in
-  list_size (int_range 1 5) gen_rule
+  Random_program.program ~negatable:[ "A"; "B"; "P"; "Q" ] ~rules:(1, 5)
 
 let prop_wall_random =
   QCheck2.Test.make ~name:"classify = certify (random programs)" ~count:300

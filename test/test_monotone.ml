@@ -620,7 +620,11 @@ let root_count name =
   | Some r -> r.Observe.Metrics.count
   | None -> 0
 
-let check_ivm_scan_invariant name kind q =
+(* [full_model] says whether the probes need {!Datalog.Ivm.lost}'s
+   full-model fallback: a positive program must answer every probe
+   without one (no [eval.ivm_applies] at all), a violation needs at
+   least one. *)
+let check_ivm_scan_invariant ~full_model name kind q =
   check_bool (name ^ ": route is ivm") true (Query.route q = Query.Ivm);
   check_bool (name ^ ": knob off routes to eval") true
     (Query.route ~ivm:false q = Query.Eval);
@@ -631,21 +635,26 @@ let check_ivm_scan_invariant name kind q =
       Observe.Metrics.render_stable Observe.Metrics.root,
       monotone_core_rows Observe.Metrics.root,
       root_count "monotone.ivm_hits",
-      root_count "monotone.cache_hits" )
+      root_count "monotone.cache_hits",
+      root_count "eval.ivm_applies" )
   in
   let knob_refs =
     List.map
       (fun (cache, ivm) -> ((cache, ivm), run ~jobs:1 ~cache ~ivm))
       [ (true, true); (false, true); (true, false) ]
   in
-  let ref_o, _, ref_core, ref_hits, ref_cache_hits =
+  let ref_o, _, ref_core, ref_hits, ref_cache_hits, ref_applies =
     List.assoc (true, true) knob_refs
   in
   check_bool (name ^ ": incremental route fired") true (ref_hits > 0);
+  check_bool
+    (Printf.sprintf "%s: full-model runs (%d) %s" name ref_applies
+       (if full_model then "> 0" else "= 0"))
+    full_model (ref_applies > 0);
   List.iter
     (fun (jobs, cache, ivm) ->
-      let o, rows, core, hits, cache_hits = run ~jobs ~cache ~ivm in
-      let _, knob_rows, _, _, _ = List.assoc (cache, ivm) knob_refs in
+      let o, rows, core, hits, cache_hits, _ = run ~jobs ~cache ~ivm in
+      let _, knob_rows, _, _, _, _ = List.assoc (cache, ivm) knob_refs in
       check_bool
         (Printf.sprintf "%s: verdict jobs=%d cache=%b ivm=%b" name jobs cache
            ivm)
@@ -673,12 +682,13 @@ let check_ivm_scan_invariant name kind q =
     scan_configs
 
 let test_ivm_scan_violating () =
-  check_ivm_scan_invariant "comp-tc-prog distinct" Classes.Distinct
+  check_ivm_scan_invariant ~full_model:true "comp-tc-prog distinct"
+    Classes.Distinct
     (Datalog.Program.query ~name:"comp-tc-prog"
        (Datalog.Program.parse Zoo.comp_tc_program))
 
 let test_ivm_scan_clean () =
-  check_ivm_scan_invariant "tc-prog plain" Classes.Plain
+  check_ivm_scan_invariant ~full_model:false "tc-prog plain" Classes.Plain
     (Datalog.Program.query ~name:"tc-prog"
        (Datalog.Program.parse ~outputs:[ "T" ] Zoo.tc_program))
 
@@ -851,52 +861,12 @@ let prop_witness_contract =
           agree (Query.apply q base) && agree (Query.apply q (conv x)))
         cases)
 
-(* Random programs over binary predicates: edb {A, B}, idb {P, Q}, all
-   arity 2, range-restricted by construction. [with_neg] adds negated
-   edb atoms (semi-positive). *)
+(* Random programs ({!Random_program}), at most four rules. [with_neg]
+   adds negated edb atoms (semi-positive). *)
 let gen_program ~with_neg =
-  let open QCheck2.Gen in
-  let vars = [ "x"; "y"; "z" ] in
-  let gen_rule =
-    let* npos = int_range 1 3 in
-    let* pos =
-      list_size (return npos)
-        (let* p = oneofl [ "A"; "B"; "P"; "Q" ] in
-         let* t1 = oneofl vars in
-         let* t2 = oneofl vars in
-         return (Datalog.Ast.atom p [ Datalog.Ast.Var t1; Datalog.Ast.Var t2 ]))
-    in
-    let pos_vars = List.concat_map Datalog.Ast.vars_of_atom pos in
-    let pvar = oneofl pos_vars in
-    let* h1 = pvar in
-    let* h2 = pvar in
-    let* hp = oneofl [ "P"; "Q" ] in
-    let* neg =
-      if not with_neg then return []
-      else
-        list_size (int_range 0 2)
-          (let* p = oneofl [ "A"; "B" ] in
-           let* t1 = pvar in
-           let* t2 = pvar in
-           return
-             (Datalog.Ast.atom p [ Datalog.Ast.Var t1; Datalog.Ast.Var t2 ]))
-    in
-    let* ineq =
-      list_size (int_range 0 1)
-        (let* t1 = pvar in
-         let* t2 = pvar in
-         return (Datalog.Ast.Var t1, Datalog.Ast.Var t2))
-    in
-    return
-      {
-        Datalog.Ast.head =
-          Datalog.Ast.atom hp [ Datalog.Ast.Var h1; Datalog.Ast.Var h2 ];
-        pos;
-        neg;
-        ineq;
-      }
-  in
-  list_size (int_range 1 4) gen_rule
+  Random_program.program
+    ~negatable:(if with_neg then [ "A"; "B" ] else [])
+    ~rules:(1, 4)
 
 let program_query rules =
   let heads =

@@ -85,6 +85,30 @@ let test_fact_of_string_rejects_parens () =
     (Invalid_argument "Fact.of_string: missing ')' in E(1,2") (fun () ->
       ignore (Fact.of_string "E(1,2"))
 
+(* A quoted argument reads as the symbol a program's lexer makes of it
+   (once the quotes stayed in the value); any other quote is an error,
+   and so is a second fact without the '.' before it. *)
+let test_fact_of_string_quotes () =
+  let sym r args = Fact.make r args in
+  List.iter
+    (fun (src, expected) ->
+      check_bool src true (Fact.equal (Fact.of_string src) expected))
+    [
+      ("E(1,\"a\")", sym "E" [ Value.int 1; Value.sym "a" ]);
+      ("E(1, \"a\" )", Fact.of_string "E(1,a)");
+      ("E(\"12\")", sym "E" [ Value.sym "12" ]);
+      ("E(\"a, b)\")", sym "E" [ Value.sym "a, b)" ]);
+    ];
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises bad
+        (Invalid_argument ("Fact.of_string: unbalanced quote in " ^ bad))
+        (fun () -> ignore (Fact.of_string bad)))
+    [ "E(1,\"a)"; "E(1,a\"b)"; "E(1,\"a\"b)"; "E(\"a\"\"b\")" ];
+  Alcotest.check_raises "two facts"
+    (Invalid_argument "Fact.of_string: missing '.' after E(1,2)") (fun () ->
+      ignore (Fact.of_string "E(1,2) E(2,3)"))
+
 let test_fact_order_total () =
   let f1 = edge 1 2 and f2 = edge 1 3 and f3 = fact "F" [ 1; 2 ] in
   check_bool "E(1,2) < E(1,3)" true (Fact.compare f1 f2 < 0);
@@ -319,7 +343,15 @@ let test_io_comments_and_dots () =
   let i =
     Io.parse_facts "% a comment with. dots\nE(1,2). E(2,3).\n\n  E(3,4)\n"
   in
-  check_int "three facts" 3 (Instance.cardinal i)
+  check_int "three facts" 3 (Instance.cardinal i);
+  check_bool "a '.' inside quotes is part of the constant" true
+    (Instance.equal
+       (Io.parse_facts "E(1,\"a.b\"). E(2,a)")
+       (inst
+          [
+            Fact.make "E" [ Value.int 1; Value.sym "a.b" ];
+            Fact.make "E" [ Value.int 2; Value.sym "a" ];
+          ]))
 
 let test_dot_golden () =
   (* Exact output for a small digraph: edges sorted, nodes quoted. *)
@@ -545,6 +577,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_fact_roundtrip;
           Alcotest.test_case "of_string rejects parentheses in arguments"
             `Quick test_fact_of_string_rejects_parens;
+          Alcotest.test_case "of_string reads quoted constants" `Quick
+            test_fact_of_string_quotes;
           Alcotest.test_case "total order" `Quick test_fact_order_total;
         ] );
       ( "schema",
