@@ -29,13 +29,14 @@ open Cmdliner
 (* Shared argument plumbing *)
 
 (* A file that cannot be read or written ends the command with one
-   "cannot read|write <path>: <reason>" line and exit 1. [Sys_error]
-   messages usually, not always, start with the path. *)
-let io_error verb path msg =
+   "cannot read|write <path>: <reason>" line and exit 1 ([lint] keeps its
+   exit 2). [Sys_error] messages usually, not always, start with the
+   path. *)
+let io_error ?(code = 1) verb path msg =
   let prefix = path ^ ": " in
   let msg = if String.starts_with ~prefix msg then msg else prefix ^ msg in
   Printf.eprintf "cannot %s %s\n" verb msg;
-  exit 1
+  exit code
 
 let read_file f =
   try In_channel.with_open_text f In_channel.input_all
@@ -547,85 +548,101 @@ let faults_of_flag ~network flag =
 
 let run_cmd =
   let run src outputs facts facts_file nodes scheduler seed faults obs =
-    with_observability obs @@ fun () ->
-    let { input; compiled; network } =
-      setup ~outputs ~nodes src facts facts_file
+    (* The exit code leaves the wrapper first, so a run whose output
+       differs from Q(input) still writes its record. *)
+    let code =
+      with_observability obs @@ fun () ->
+      let { input; compiled; network } =
+        setup ~outputs ~nodes src facts facts_file
+      in
+      let faults = faults_of_flag ~network faults in
+      let level = compiled.Calm_core.Compile.level in
+      Printf.printf "compiled at level %s (%s strategy)\n"
+        (Calm_core.Hierarchy.to_string level)
+        (if level = Calm_core.Hierarchy.Beyond then "coordinated barrier"
+         else Calm_core.Hierarchy.transducer_model level);
+      let policy = default_policy_for compiled network in
+      let sched = scheduler_of nodes seed scheduler in
+      let tracer =
+        Option.map (fun _ -> Network.Trace.collector ()) obs.record
+      in
+      let t0 = Unix.gettimeofday () in
+      let result =
+        Network.Run.run ?tracer ?faults ~heartbeat:obs.heartbeat
+          ~variant:compiled.Calm_core.Compile.variant ~policy
+          ~transducer:compiled.Calm_core.Compile.transducer ~input sched
+      in
+      let wall = Unix.gettimeofday () -. t0 in
+      Printf.printf
+        "policy=%s scheduler=%s quiesced=%b rounds=%d transitions=%d \
+         messages=%d deliveries=%d\n"
+        (Network.Policy.name policy)
+        (Network.Run.scheduler_label ?faults sched)
+        result.Network.Run.quiesced result.Network.Run.rounds
+        result.Network.Run.transitions result.Network.Run.messages_sent
+        result.Network.Run.deliveries;
+      Printf.printf "wall=%.3fs rate=%.0f deliveries/s (%.0f transitions/s)\n"
+        wall
+        (float_of_int result.Network.Run.deliveries /. Float.max wall 1e-9)
+        (float_of_int result.Network.Run.transitions /. Float.max wall 1e-9);
+      Printf.printf "output (%d facts): %s\n"
+        (Instance.cardinal result.Network.Run.outputs)
+        (Instance.to_string result.Network.Run.outputs);
+      (* Q(input) and the witness search record into a throwaway
+         collector, so the telemetry artifacts describe the run alone. *)
+      let correct =
+        Observe.Metrics.silenced (fun () ->
+            let query = compiled.Calm_core.Compile.query in
+            let correct =
+              Instance.equal result.Network.Run.outputs
+                (Query.apply query input)
+            in
+            Printf.printf "distributed output matches centralized: %b\n"
+              correct;
+            let t0 = Unix.gettimeofday () in
+            (match
+               Network.Coordination.heartbeat_witness
+                 ~variant:compiled.Calm_core.Compile.variant
+                 ~transducer:compiled.Calm_core.Compile.transducer ~query
+                 ~input network
+             with
+            | Some w ->
+              let wall = Unix.gettimeofday () -. t0 in
+              let beats =
+                w.Network.Coordination.result.Network.Run.transitions
+              in
+              Printf.printf
+                "coordination-freeness witness: node %s, %d heartbeats, 0 \
+                 messages read\n"
+                (Value.to_string w.Network.Coordination.node)
+                beats;
+              Printf.printf "witness search: %.3fs (%.0f heartbeats/s)\n" wall
+                (float_of_int beats /. Float.max wall 1e-9)
+            | None -> print_endline "no heartbeat witness found");
+            correct)
+      in
+      Option.iter
+        (fun t ->
+          let events = Network.Trace.events t in
+          record_files obs (fun () ->
+              [
+                ("causal.json", Network.Trace.to_causal_json ~network events);
+                ("hb.dot", Network.Trace.to_dot events);
+                ( "causal-chrome.json",
+                  Network.Trace.to_chrome_causal ~network events );
+              ]))
+        tracer;
+      if correct then 0 else 2
     in
-    let faults = faults_of_flag ~network faults in
-    let level = compiled.Calm_core.Compile.level in
-    Printf.printf "compiled at level %s (%s strategy)\n"
-      (Calm_core.Hierarchy.to_string level)
-      (if level = Calm_core.Hierarchy.Beyond then "coordinated barrier"
-       else Calm_core.Hierarchy.transducer_model level);
-    let policy = default_policy_for compiled network in
-    let sched = scheduler_of nodes seed scheduler in
-    let tracer =
-      Option.map (fun _ -> Network.Trace.collector ()) obs.record
-    in
-    let t0 = Unix.gettimeofday () in
-    let result =
-      Network.Run.run ?tracer ?faults ~heartbeat:obs.heartbeat
-        ~variant:compiled.Calm_core.Compile.variant ~policy
-        ~transducer:compiled.Calm_core.Compile.transducer ~input sched
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.printf
-      "policy=%s scheduler=%s quiesced=%b rounds=%d transitions=%d \
-       messages=%d deliveries=%d\n"
-      (Network.Policy.name policy)
-      (Network.Run.scheduler_label ?faults sched)
-      result.Network.Run.quiesced result.Network.Run.rounds
-      result.Network.Run.transitions result.Network.Run.messages_sent
-      result.Network.Run.deliveries;
-    Printf.printf "wall=%.3fs rate=%.0f deliveries/s (%.0f transitions/s)\n"
-      wall
-      (float_of_int result.Network.Run.deliveries /. Float.max wall 1e-9)
-      (float_of_int result.Network.Run.transitions /. Float.max wall 1e-9);
-    Printf.printf "output (%d facts): %s\n"
-      (Instance.cardinal result.Network.Run.outputs)
-      (Instance.to_string result.Network.Run.outputs);
-    (* Q(input) and the witness search record into a throwaway
-       collector, so the telemetry artifacts describe the run alone. *)
-    Observe.Metrics.silenced (fun () ->
-        let query = compiled.Calm_core.Compile.query in
-        Printf.printf "distributed output matches centralized: %b\n"
-          (Instance.equal result.Network.Run.outputs (Query.apply query input));
-        let t0 = Unix.gettimeofday () in
-        match
-          Network.Coordination.heartbeat_witness
-            ~variant:compiled.Calm_core.Compile.variant
-            ~transducer:compiled.Calm_core.Compile.transducer ~query ~input
-            network
-        with
-        | Some w ->
-          let wall = Unix.gettimeofday () -. t0 in
-          let beats = w.Network.Coordination.result.Network.Run.transitions in
-          Printf.printf
-            "coordination-freeness witness: node %s, %d heartbeats, 0 \
-             messages read\n"
-            (Value.to_string w.Network.Coordination.node)
-            beats;
-          Printf.printf "witness search: %.3fs (%.0f heartbeats/s)\n" wall
-            (float_of_int beats /. Float.max wall 1e-9)
-        | None -> print_endline "no heartbeat witness found");
-    Option.iter
-      (fun t ->
-        let events = Network.Trace.events t in
-        record_files obs (fun () ->
-            [
-              ("causal.json", Network.Trace.to_causal_json ~network events);
-              ("hb.dot", Network.Trace.to_dot events);
-              ( "causal-chrome.json",
-                Network.Trace.to_chrome_causal ~network events );
-            ]))
-      tracer
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "compile a program and run it once on a simulated network; \
-          report whether the output equals Q(input) and search for a \
-          heartbeat-only coordination-freeness witness (instrumented; \
+          report whether the output equals Q(input) (exit 2 when it does \
+          not) and search for a heartbeat-only coordination-freeness \
+          witness (instrumented; \
           --record adds the causal trace as causal.json (calm-causal/v1), \
           hb.dot (the happens-before DAG) and causal-chrome.json (one \
           Chrome track per node))")
@@ -871,7 +888,8 @@ let detect_cmd =
           battery with causal tracing and check whether some correct \
           quiescent run avoids a heard-from-all-nodes cut, then compare \
           against the static CALM placement (exit 0 on agreement, 2 on \
-          disagreement; see --faults and --fixture)")
+          disagreement, which includes a wrong output under a \
+          coordination-free level; see --faults and --fixture)")
     Term.(
       const run $ program_src_opt_term $ outputs_term $ facts_term
       $ facts_file_term $ nodes_term $ jobs_term $ scatter_term
@@ -1151,9 +1169,7 @@ let lint_cmd =
     in
     let options = { Analysis.Lint.claim; edb; outputs } in
     match Analysis.Driver.collect paths with
-    | Error msg ->
-      Printf.eprintf "calm lint: %s\n" msg;
-      exit 2
+    | Error (path, msg) -> io_error ~code:2 "read" path msg
     | Ok [] ->
       Printf.eprintf "calm lint: no .dlog files found\n";
       exit 2

@@ -15,23 +15,46 @@ let has_suffix suffix s =
   let ls = String.length suffix and l = String.length s in
   l >= ls && String.sub s (l - ls) ls = suffix
 
+exception Unreadable of string * string
+
 (* Directories expand to their [.dlog] files, recursively, sorted so the
-   report order is stable; explicit file arguments are taken as-is. *)
+   report order is stable; explicit file arguments are taken as-is. Each
+   real directory is walked once, so a symlink cycle ends the walk
+   instead of nesting it until the path is too long to resolve. An entry
+   of a walked directory that does not resolve (a dangling link) is
+   skipped unless its name ends in [.dlog]; then its report says why it
+   cannot be read. *)
 let collect paths =
-  let rec expand acc path =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.filter_map (fun entry ->
-             let child = Filename.concat path entry in
-             if Sys.is_directory child || has_suffix ".dlog" child then
-               Some child
-             else None)
-      |> List.fold_left expand acc
-    else path :: acc
+  let walked = Hashtbl.create 16 in
+  let read path f =
+    try f path with
+    | Sys_error msg -> raise (Unreadable (path, msg))
+    | Unix.Unix_error (e, _, _) ->
+      raise (Unreadable (path, Unix.error_message e))
   in
-  match List.fold_left expand [] paths with
+  let rec expand ~explicit acc path =
+    let dlog = has_suffix ".dlog" path in
+    match Sys.is_directory path with
+    | exception Sys_error msg ->
+      if explicit then raise (Unreadable (path, msg))
+      else if dlog then path :: acc
+      else acc
+    | false -> if explicit || dlog then path :: acc else acc
+    | true ->
+      let real = read path Unix.realpath in
+      if Hashtbl.mem walked real then acc
+      else begin
+        Hashtbl.add walked real ();
+        read path Sys.readdir |> Array.to_list |> List.sort String.compare
+        |> List.fold_left
+             (fun acc entry ->
+               expand ~explicit:false acc (Filename.concat path entry))
+             acc
+      end
+  in
+  match List.fold_left (expand ~explicit:true) [] paths with
   | files -> Ok (List.rev files)
-  | exception Sys_error msg -> Error msg
+  | exception Unreadable (path, msg) -> Error (path, msg)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -55,13 +55,17 @@ let detect_compiled ?network ?policies ?schedulers ?faults ?jobs ~name
     List.exists (fun v -> v.correct && v.quiesced && not v.coordinated) runs
   in
   let static_free = compiled.Compile.level <> Hierarchy.Beyond in
+  (* A coordination-free level promises Q(input) on every fair run under
+     every policy of its model (Theorems 4.3/4.4), so one wrong run
+     refutes the placement. *)
+  let refuted = static_free && List.exists (fun v -> not v.correct) runs in
   {
     name;
     level = compiled.Compile.level;
     static_free;
     runs;
     observed_free;
-    agree = observed_free = static_free;
+    agree = observed_free = static_free && not refuted;
   }
 
 let exit_code e = if e.agree then 0 else 2
@@ -172,11 +176,17 @@ let forced_disagree ?jobs ?faults () =
     ()
 
 let pp_entry ppf e =
+  let wrong = List.length (List.filter (fun v -> not v.correct) e.runs) in
   Format.fprintf ppf "@[<v 2>%s: static %s (%s), observed %s — %s@ " e.name
     (if e.static_free then "coordination-free" else "coordinated")
     (Hierarchy.to_string e.level)
     (if e.observed_free then "coordination-free" else "coordinated")
-    (if e.agree then "AGREE" else "DISAGREE");
+    (if e.agree then "AGREE"
+     else if e.static_free && wrong > 0 then
+       Printf.sprintf "DISAGREE (%d of %d runs of the coordination-free \
+                       strategy output a wrong result)"
+         wrong (List.length e.runs)
+     else "DISAGREE");
   List.iter
     (fun v ->
       Format.fprintf ppf "%-32s %s%s%s@ " v.label

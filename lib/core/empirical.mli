@@ -9,7 +9,9 @@
     when some such run has no cut — matching the existential
     quantification over policies and runs in the paper's Definition 3 —
     and the verdict must agree with the static claim: observed-free iff
-    the static level is within Mdisjoint.
+    the static level is within Mdisjoint. A coordination-free level also
+    promises the right output on every run (Theorems 4.3/4.4), so a
+    single wrong run under it is a disagreement too.
 
     Win-move is the "sometimes" case (Zinn–Green–Ludäscher): under good
     domain-guided policies (everything co-located, or fully replicated)
@@ -33,7 +35,9 @@ type entry = {
   runs : policy_verdict list;
   observed_free : bool;
       (** some correct, quiescent run without a heard-from-all cut *)
-  agree : bool;                   (** observed_free = static_free *)
+  agree : bool;
+      (** [observed_free = static_free], and no run is wrong when
+          [static_free] *)
 }
 
 val default_network : Distributed.network

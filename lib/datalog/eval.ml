@@ -51,10 +51,9 @@ let rec satisfy stats plans which i n db delta env k =
    valuations of a plan's positive body with a caller-chosen probe per
    atom position. [probe i ap key emit] must call [emit] on every
    candidate fact for atom [i] whose keyed positions equal [key]; the
-   IVM layer composes base/overlay databases and membership filters
-   there (Δ-only positions, old ∖ removed, the counting partitions).
-   Inequality and negation side conditions stay with the caller, which
-   sees each complete valuation. *)
+   IVM layer composes the handle's indexes and an insert's overlays
+   there (Δ-only positions, old ∪ grown). Inequality and negation side
+   conditions stay with the caller, which sees each complete valuation. *)
 let iter_firings ~probe (p : Joindb.plan) k =
   let n = Array.length p.atoms in
   let rec go i env =
@@ -129,23 +128,10 @@ let derive_plans ?(neg = default_neg) plans j =
   Observe.Metrics.incr ~by:(Instance.cardinal out) m_derived;
   out
 
-let derive ?neg p j = derive_plans ?neg (Joindb.plan_program p) j
-
-let immediate_consequence ?neg p j = Instance.union j (derive ?neg p j)
-
 let guard max_facts j =
   match max_facts with
   | Some budget when Instance.cardinal j > budget -> raise Diverged
   | _ -> ()
-
-let naive ?neg ?max_facts p i =
-  let plans = Joindb.plan_program p in
-  let rec go j =
-    guard max_facts j;
-    let j' = Instance.union j (derive_plans ?neg plans j) in
-    if Instance.equal j' j then j else go j'
-  in
-  go i
 
 (* Semi-naive: after the first full round, every new derivation must match
    at least one positive atom in the delta. Negated predicates are fixed

@@ -1,6 +1,6 @@
 (** Fixpoint evaluation of Datalog¬ programs.
 
-    [naive] and [seminaive] compute the minimal fixpoint of the immediate
+    [seminaive] computes the minimal fixpoint of the immediate
     consequence operator [T_P] (Section 2) for semi-positive programs —
     programs whose negated predicates are never derived by the rules being
     evaluated (their extent is fixed throughout). [stratified] runs a
@@ -21,30 +21,13 @@ exception Diverged
     value invention, whose output the paper leaves undefined when infinite
     (Section 5.2). *)
 
-val derive :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  Ast.program -> Instance.t -> Instance.t
-(** Facts derived by all satisfying valuations on the given instance (the
-    [A] in [T_P(J) = J ∪ A]); result may overlap the instance. *)
-
-val immediate_consequence :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  Ast.program -> Instance.t -> Instance.t
-(** [T_P(J)]. *)
-
-val naive :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  ?max_facts:int ->
-  Ast.program -> Instance.t -> Instance.t
-(** Least fixpoint above the input by naive iteration.
-    @raise Diverged if the fixpoint grows past [max_facts]. *)
-
 val seminaive :
   ?neg:(Instance.t -> Fact.t -> bool) ->
   ?max_facts:int ->
   Ast.program -> Instance.t -> Instance.t
-(** Least fixpoint by semi-naive (delta) iteration. Agrees with {!naive}
-    on semi-positive programs (tested property). *)
+(** Least fixpoint by semi-naive (delta) iteration. Agrees with
+    {!Refeval.naive} on semi-positive programs (tested property).
+    @raise Diverged if the fixpoint grows past [max_facts]. *)
 
 val stratified :
   ?max_facts:int -> Ast.program -> Instance.t -> (Instance.t, string) result
@@ -62,9 +45,9 @@ val iter_firings :
     positive body, probing each atom position through a caller-supplied
     source. [probe i ap key emit] must pass every candidate fact for atom
     [i] whose keyed positions equal [key] to [emit]; the caller composes
-    base and overlay databases, membership filters, and the counting
-    partitions there. Inequality and negation checks are the caller's
-    responsibility ({!Joindb.checks_pass}). *)
+    the handle's indexes and the overlays of an insert there. Inequality
+    and negation checks are the caller's responsibility
+    ({!Joindb.checks_pass}). *)
 
 (** {2 EXPLAIN ANALYZE}
 

@@ -65,42 +65,6 @@ let of_facts facts : t =
         m)
     Smap.empty facts
 
-(* Functional update: predicates untouched by [add]/[remove] share their
-   [rel] record — and thus every index already built — with the input
-   database; touched predicates get a fresh record with no indexes, to be
-   rebuilt lazily on first probe. This is what lets an IVM handle keep
-   its base indexes warm across thousands of delta applies. *)
-let update (db : t) ~add ~remove : t =
-  let db =
-    if Instance.is_empty remove then db
-    else
-      Instance.fold
-        (fun f preds ->
-          if List.mem (Fact.rel f) preds then preds else Fact.rel f :: preds)
-        remove []
-      |> List.fold_left
-           (fun db pred ->
-             Smap.update pred
-               (function
-                 | None -> None
-                 | Some r -> (
-                   match
-                     List.filter (fun f -> not (Instance.mem f remove)) r.facts
-                   with
-                   | [] -> None
-                   | facts -> Some { facts; indexes = [] }))
-               db)
-           db
-  in
-  List.fold_left
-    (fun db f ->
-      Smap.update (Fact.rel f)
-        (function
-          | None -> Some { facts = [ f ]; indexes = [] }
-          | Some r -> Some { facts = f :: r.facts; indexes = [] })
-        db)
-    db add
-
 let index_for r ~arity ~positions =
   match List.assoc_opt (arity, positions) r.indexes with
   | Some idx -> idx

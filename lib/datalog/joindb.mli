@@ -33,12 +33,6 @@ val of_facts : Fact.t list -> t
 (** Index a raw fact list (duplicate-free) without building an
     {!Instance.t} first — the overlay databases of the IVM layer. *)
 
-val update : t -> add:Fact.t list -> remove:Instance.t -> t
-(** Functional update. Predicates untouched by [add]/[remove] share
-    their storage — including every lazily built index — with the input;
-    touched predicates drop their indexes for lazy rebuild. The input
-    database is left usable and unchanged. *)
-
 val probe :
   t -> string -> arity:int -> positions:int list -> Value.t list ->
   Fact.t list

@@ -37,45 +37,33 @@ let m_scan = Observe.Metrics.timing "monotone.scan"
    after the first within a group is a cache hit. When [Q(base)] is
    empty no extension can lose a fact ([diff before after ⊆ before]), so
    the second evaluation is skipped outright — the probes are still
-   counted, keeping [monotone.probes]/[pairs_scanned] byte-identical to
-   the pair-at-a-time scan's. With [cache = false] the probe recomputes
-   [Q(base)] per pair (the seed's behaviour); verdicts and certificates
-   are identical either way, which the test wall pins. *)
+   counted, so [monotone.probes]/[pairs_scanned] count every admissible
+   pair. *)
 (* Attribution paths are rooted ("scan/base/..."): probe_group runs on
    pool worker domains under [jobs > 1], whose ambient span stack is
    empty, so absolute paths are what makes the parallel profile
    aggregate with the sequential one. *)
-let probe_group ~cache ~ivm kind q (ord, (base, exts)) =
+let probe_group kind q (ord, (base, exts)) =
   Observe.Profile.span_rooted [ "scan"; "base" ] @@ fun () ->
   let series_on = Observe.Series.is_enabled () in
   let wall0 = if series_on then Unix.gettimeofday () else 0. in
-  let is_ivm_route = cache && Query.route ~ivm q = Query.Ivm in
-  let route =
-    match Query.route ~ivm q with
+  let route = Query.route q in
+  let route_name =
+    match route with
     | Query.Witness -> "witness"
     | Query.Ivm -> "ivm"
     | Query.Eval -> "eval"
   in
-  let probe, empty_fast =
-    if cache then begin
-      let before =
-        Observe.Profile.span_rooted [ "scan"; "base"; "qbase" ] (fun () ->
-            Query.apply q base)
-      in
-      if Instance.is_empty before then ((fun _ -> None), true)
-      else
-        ( Observe.Profile.span_rooted [ "scan"; "base"; "stage" ] (fun () ->
-              Classes.stage ~ivm ~before kind q ~base),
-          false )
-    end
+  let before =
+    Observe.Profile.span_rooted [ "scan"; "base"; "qbase" ] (fun () ->
+        Query.apply q base)
+  in
+  let empty_fast = Instance.is_empty before in
+  let probe =
+    if empty_fast then fun _ -> None
     else
-      (* The seed's pair-at-a-time behaviour: re-evaluate [Q(base)] and
-         re-stage per probe, incremental route off. *)
-      ( (fun d ->
-          let before = Query.apply q base in
-          if Instance.is_empty before then None
-          else Classes.stage ~ivm:false ~before kind q ~base d),
-        false )
+      Observe.Profile.span_rooted [ "scan"; "base"; "stage" ] (fun () ->
+          Classes.stage ~before kind q ~base)
   in
   let scanned = ref 0 in
   let found = ref None in
@@ -90,8 +78,8 @@ let probe_group ~cache ~ivm kind q (ord, (base, exts)) =
           Observe.Profile.span_rooted [ "scan"; "base"; "probe" ] (fun () ->
               if empty_fast then Observe.Profile.annot "empty_before"
               else begin
-                Observe.Profile.annot route;
-                if cache && !scanned > 1 then Observe.Profile.annot "cache_hit"
+                Observe.Profile.annot route_name;
+                if !scanned > 1 then Observe.Profile.annot "cache_hit"
               end;
               probe d)
         else probe d
@@ -106,9 +94,8 @@ let probe_group ~cache ~ivm kind q (ord, (base, exts)) =
      accounting, including a winning group's partial tally. *)
   if !scanned > 0 then begin
     Observe.Metrics.incr ~by:!scanned m_probes;
-    if cache && !scanned > 1 then
-      Observe.Metrics.incr ~by:(!scanned - 1) m_cache_hits;
-    if is_ivm_route && not empty_fast then
+    if !scanned > 1 then Observe.Metrics.incr ~by:(!scanned - 1) m_cache_hits;
+    if route = Query.Ivm && not empty_fast then
       Observe.Metrics.incr ~by:!scanned m_ivm_hits
   end;
   (* Per-base trajectory, tick = the base's ordinal in enumeration
@@ -136,7 +123,7 @@ let probe_group ~cache ~ivm kind q (ord, (base, exts)) =
    violation, but the reported violation is always the first one in
    enumeration order, so certificates (and their shrunken forms) are
    reproducible independently of [jobs]. *)
-let scan ?jobs ?(cache = true) ?(ivm = true) kind q groups =
+let scan ?jobs kind q groups =
   (* Ordinal-tag the groups so the per-base series tick is the base's
      position in enumeration order, a schedule-independent coordinate. *)
   let groups = Seq.mapi (fun i g -> (i, g)) groups in
@@ -150,7 +137,7 @@ let scan ?jobs ?(cache = true) ?(ivm = true) kind q groups =
              completed, so the sum is independent of scheduling. *)
           let pairs = Atomic.make 0 in
           let probe group =
-            let scanned, v = probe_group ~cache ~ivm kind q group in
+            let scanned, v = probe_group kind q group in
             (match v with
             | None -> ignore (Atomic.fetch_and_add pairs scanned)
             | Some _ -> ());
@@ -167,7 +154,7 @@ let scan ?jobs ?(cache = true) ?(ivm = true) kind q groups =
             match s () with
             | Seq.Nil -> No_violation { pairs = !count }
             | Seq.Cons (group, rest) -> (
-              let scanned, v = probe_group ~cache ~ivm kind q group in
+              let scanned, v = probe_group kind q group in
               count := !count + scanned;
               match v with Some v -> Violated v | None -> go rest)
           in
@@ -188,8 +175,7 @@ let scan ?jobs ?(cache = true) ?(ivm = true) kind q groups =
    sequence of its admissible extensions ({!Enumerate.extensions}
    guarantees admissibility per kind, so the probe skips re-checking). *)
 
-let check_exhaustive ?(bounds = default_bounds) ?schema ?jobs ?cache ?ivm
-    kind q =
+let check_exhaustive ?(bounds = default_bounds) ?schema ?jobs kind q =
   let schema = Option.value schema ~default:q.Query.input in
   let dom = Enumerate.value_pool bounds.dom_size in
   let fresh = Enumerate.fresh_pool bounds.fresh in
@@ -200,10 +186,9 @@ let check_exhaustive ?(bounds = default_bounds) ?schema ?jobs ?cache ?ivm
              Enumerate.extension_deltas kind ~base ~schema ~fresh
                ~max_size:bounds.max_ext ))
   in
-  scan ?jobs ?cache ?ivm kind q groups
+  scan ?jobs kind q groups
 
-let check_on_bases ?(fresh = 2) ?(max_ext = 2) ?jobs ?cache ?ivm kind q bases
-    =
+let check_on_bases ?(fresh = 2) ?(max_ext = 2) ?jobs kind q bases =
   let fresh = Enumerate.fresh_pool fresh in
   let groups =
     List.to_seq bases
@@ -212,7 +197,7 @@ let check_on_bases ?(fresh = 2) ?(max_ext = 2) ?jobs ?cache ?ivm kind q bases
              Enumerate.extension_deltas kind ~base ~schema:q.Query.input
                ~fresh ~max_size:max_ext ))
   in
-  scan ?jobs ?cache ?ivm kind q groups
+  scan ?jobs kind q groups
 
 let random_instance st schema ~dom ~max_facts =
   let dom = Array.of_list dom in
@@ -257,7 +242,7 @@ let random_extension st kind schema ~base ~fresh ~max_size =
     |> fun i -> Instance.diff i base
 
 let check_random ?(seed = 17) ?(trials = 500) ?(bounds = default_bounds)
-    ?schema ?jobs ?cache ?ivm kind q =
+    ?schema ?jobs kind q =
   let schema = Option.value schema ~default:q.Query.input in
   let st = Random.State.make [| seed |] in
   let dom = Enumerate.value_pool bounds.dom_size in
@@ -280,10 +265,9 @@ let check_random ?(seed = 17) ?(trials = 500) ?(bounds = default_bounds)
     |> Seq.map (fun (base, extension) ->
            (base, Seq.return (Query.delta_of_instance extension)))
   in
-  scan ?jobs ?cache ?ivm kind q groups
+  scan ?jobs kind q groups
 
-let ladder ?fresh ?bases ?(bounds = default_bounds) ?jobs ?cache ?ivm kind
-    ~max_i q =
+let ladder ?fresh ?bases ?(bounds = default_bounds) ?jobs kind ~max_i q =
   List.init max_i (fun k ->
       let i = k + 1 in
       let m_bound =
@@ -293,12 +277,9 @@ let ladder ?fresh ?bases ?(bounds = default_bounds) ?jobs ?cache ?ivm kind
       in
       Observe.Metrics.time m_bound (fun () ->
           match bases with
-          | Some bases ->
-            check_on_bases ?fresh ~max_ext:i ?jobs ?cache ?ivm kind q bases
+          | Some bases -> check_on_bases ?fresh ~max_ext:i ?jobs kind q bases
           | None ->
-            check_exhaustive
-              ~bounds:{ bounds with max_ext = i }
-              ?jobs ?cache ?ivm kind q))
+            check_exhaustive ~bounds:{ bounds with max_ext = i } ?jobs kind q))
 
 type placement = {
   plain : outcome;
@@ -306,14 +287,11 @@ type placement = {
   disjoint : outcome;
 }
 
-let place ?bounds ?schema ?jobs ?cache ?ivm q =
+let place ?bounds ?schema ?jobs q =
   {
-    plain =
-      check_exhaustive ?bounds ?schema ?jobs ?cache ?ivm Classes.Plain q;
-    distinct =
-      check_exhaustive ?bounds ?schema ?jobs ?cache ?ivm Classes.Distinct q;
-    disjoint =
-      check_exhaustive ?bounds ?schema ?jobs ?cache ?ivm Classes.Disjoint q;
+    plain = check_exhaustive ?bounds ?schema ?jobs Classes.Plain q;
+    distinct = check_exhaustive ?bounds ?schema ?jobs Classes.Distinct q;
+    disjoint = check_exhaustive ?bounds ?schema ?jobs Classes.Disjoint q;
   }
 
 let strongest p =

@@ -26,8 +26,8 @@ val default_bounds : bounds
 (** [{ dom_size = 3; fresh = 2; max_base = 4; max_ext = 2 }]. *)
 
 val check_exhaustive :
-  ?bounds:bounds -> ?schema:Schema.t -> ?jobs:int -> ?cache:bool ->
-  ?ivm:bool -> Classes.kind -> Query.t -> outcome
+  ?bounds:bounds -> ?schema:Schema.t -> ?jobs:int -> Classes.kind ->
+  Query.t -> outcome
 (** Tries every base over the (input) schema within bounds, and every
     admissible extension of it. [schema] defaults to the query's input
     schema. With [jobs > 1] the per-base groups of probes fan out across
@@ -36,24 +36,22 @@ val check_exhaustive :
     reports the first violation in enumeration order.
 
     The scan is grouped per base: [Q(base)] is evaluated once and every
-    admissible extension of that base is probed against it ([cache],
-    default [true]; when [Q(base)] is empty the extensions are counted
-    but not evaluated at all, since an empty output cannot lose facts).
-    [~cache:false] recomputes [Q(base)] per pair — same verdicts, same
-    certificates, same [monotone.probes]/[pairs_scanned]; only
-    [monotone.cache_hits] and wall-clock differ.
+    admissible extension of that base is probed against it (when
+    [Q(base)] is empty the extensions are counted but not evaluated at
+    all, since an empty output cannot lose facts); [monotone.cache_hits]
+    counts the probes after a group's first.
 
-    [ivm] (default [true]) enables the incremental route: when the query
-    carries a maintenance function ({!Relational.Query.route} is [Ivm]),
-    each group materializes [Q(base)] once and answers every probe by a
-    delta application instead of re-evaluating on [base ∪ extension].
-    Verdicts, certificates, and the stable metric rows are byte-identical
-    with the knob on or off; [monotone.ivm_hits] counts probes answered
-    incrementally. *)
+    When the query carries a maintenance function
+    ({!Relational.Query.route} is [Ivm]), each group materializes
+    [Q(base)] once and answers every probe with what the extension
+    removes from it instead of re-evaluating on [base ∪ extension];
+    [monotone.ivm_hits] counts those probes. Verdicts and certificates
+    equal those of the same query with its fast routes stripped, which
+    the test wall pins. *)
 
 val check_on_bases :
-  ?fresh:int -> ?max_ext:int -> ?jobs:int -> ?cache:bool -> ?ivm:bool ->
-  Classes.kind -> Query.t -> Instance.t list -> outcome
+  ?fresh:int -> ?max_ext:int -> ?jobs:int -> Classes.kind -> Query.t ->
+  Instance.t list -> outcome
 (** Exhaustive extensions over user-supplied base instances — used when
     the interesting bases are known (e.g. the paper's counterexample
     constructions) and full enumeration would be too wide. *)
@@ -64,16 +62,14 @@ val random_instance :
 
 val check_random :
   ?seed:int -> ?trials:int -> ?bounds:bounds -> ?schema:Schema.t ->
-  ?jobs:int -> ?cache:bool -> ?ivm:bool -> Classes.kind -> Query.t ->
-  outcome
+  ?jobs:int -> Classes.kind -> Query.t -> outcome
 (** Randomized pairs: random base, random admissible extension. The pair
     stream is drawn from the seeded RNG in enumeration order even under
     [jobs > 1], so the verdict does not depend on [jobs]. *)
 
 val ladder :
   ?fresh:int -> ?bases:Instance.t list -> ?bounds:bounds -> ?jobs:int ->
-  ?cache:bool -> ?ivm:bool -> Classes.kind -> max_i:int -> Query.t ->
-  outcome list
+  Classes.kind -> max_i:int -> Query.t -> outcome list
 (** The bounded profile [M¹ₖ, M²ₖ, ..., Mᵐᵃˣₖ] of a query (Figure 1's
     bounded ladders): element [i-1] checks the class with extensions of
     size at most [i], over the given bases ({!check_on_bases}) or
@@ -87,8 +83,7 @@ type placement = {
 }
 
 val place :
-  ?bounds:bounds -> ?schema:Schema.t -> ?jobs:int -> ?cache:bool ->
-  ?ivm:bool -> Query.t -> placement
+  ?bounds:bounds -> ?schema:Schema.t -> ?jobs:int -> Query.t -> placement
 (** Runs {!check_exhaustive} for all three kinds. *)
 
 val strongest : placement -> string

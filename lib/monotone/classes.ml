@@ -44,8 +44,8 @@ let pp_violation ppf v =
    witness, an IVM handle, or by evaluating. Probes consume
    {!Query.delta}s; the extension instance is only forced when a
    violation is actually reported. *)
-let stage ?ivm ~before kind q ~base =
-  let probe = Query.stage ?ivm q ~base ~expected:before in
+let stage ~before kind q ~base =
+  let probe = Query.stage q ~base ~expected:before in
   fun (d : Query.delta) ->
     match probe d with
     | None -> None
@@ -59,9 +59,6 @@ let stage ?ivm ~before kind q ~base =
           missing;
         }
 
-let check_extension ?ivm ~before kind q ~base ~extension =
-  stage ?ivm ~before kind q ~base (Query.delta_of_instance extension)
-
 let check_pair kind q ~base ~extension =
   if not (admissible kind ~base ~extension) then None
   else
@@ -69,4 +66,4 @@ let check_pair kind q ~base ~extension =
     (* Monotone in the trivial direction: an empty [before] cannot lose
        facts, so no extension violates — skip the second evaluation. *)
     if Instance.is_empty before then None
-    else check_extension ~before kind q ~base ~extension
+    else stage ~before kind q ~base (Query.delta_of_instance extension)

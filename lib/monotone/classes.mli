@@ -34,25 +34,18 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 
 val stage :
-  ?ivm:bool ->
   before:Instance.t -> kind -> Query.t -> base:Instance.t ->
   Query.delta -> violation option
 (** Staged probing of one base's extensions against a precomputed
     [before = Q(base)] — the checker's cross-probe cache computes
     [Q(base)] once per base, stages the query's membership probe
-    ({!Relational.Query.stage}, honouring the [ivm] knob), and tests
-    every admissible extension through the returned function.
+    ({!Relational.Query.stage}), and tests every admissible extension
+    through the returned function.
     Extensions arrive as {!Relational.Query.delta}s; their instance view
     is forced only when a violation is reported. Admissibility is the
     caller's obligation. The [missing] fact is the least element of
     [diff before (Q(base ∪ extension))], so certificates are independent
     of whether [before] was cached or answered incrementally. *)
-
-val check_extension :
-  ?ivm:bool ->
-  before:Instance.t -> kind -> Query.t ->
-  base:Instance.t -> extension:Instance.t -> violation option
-(** {!stage} applied to a single extension instance. *)
 
 val check_pair :
   kind -> Query.t -> base:Instance.t -> extension:Instance.t ->

@@ -23,7 +23,6 @@ let guard_metrics =
     (* Incremental-maintenance counters. *)
     "monotone.ivm_hits";
     "eval.ivm_applies";
-    "eval.ivm_rederived";
     (* Network runs: every transition, message and round of a seeded
        scheduler. *)
     "net.transitions";

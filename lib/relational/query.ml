@@ -39,15 +39,15 @@ let apply q i =
    The non-witness routes skip [apply]'s output validation — the scan
    probes millions of instances and the validation is a development
    assertion, re-checked on the certificate path. *)
-let stage ?(ivm = true) q ~base ~expected =
+let stage q ~base ~expected =
   if Instance.is_empty expected then fun _ -> None
   else
     match (q.witness, q.maintain) with
     | Some w, _ -> w ~base ~expected
-    | None, Some m when ivm ->
+    | None, Some m ->
       let app = m (Instance.restrict base q.input) in
       fun d -> Instance.first_missing expected (app d)
-    | None, _ ->
+    | None, None ->
       fun d ->
         Instance.first_missing expected
           (q.eval
@@ -57,11 +57,11 @@ let stage ?(ivm = true) q ~base ~expected =
 
 type route = Witness | Ivm | Eval
 
-let route ?(ivm = true) q =
+let route q =
   match (q.witness, q.maintain) with
   | Some _, _ -> Witness
-  | None, Some _ when ivm -> Ivm
-  | None, _ -> Eval
+  | None, Some _ -> Ivm
+  | None, None -> Eval
 
 let check_generic ?(trials = 8) ?(seed = 42) q i =
   let dom = Instance.adom i in

@@ -42,7 +42,7 @@ type t = {
           [d] removes is enough for {!stage}, whose [expected] is a
           subset of [Q(base)] on this route. Supplied by
           [Datalog.Program.query] via [Datalog.Ivm]; used by {!stage}
-          when no witness is registered and the [ivm] knob is on. *)
+          when no witness is registered. *)
 }
 
 val make :
@@ -57,16 +57,15 @@ val apply : t -> Instance.t -> Instance.t
     @raise Invalid_argument if the result leaves the output schema. *)
 
 val stage :
-  ?ivm:bool ->
   t -> base:Instance.t -> expected:Instance.t -> delta -> Fact.t option
 (** [stage q ~base ~expected] is a probe answering, for each extension
     delta [d], the least fact of [expected] not in [apply q (base ∪ d)]
     ([None] when [expected] is covered) — dispatching to the query's
-    {!field-witness} when present, then to {!field-maintain} (unless
-    [~ivm:false]), otherwise unioning and evaluating per probe (the
-    non-witness routes skip [apply]'s output-schema assertion). Apply it
-    partially and reuse the result: per-base work (witness staging, IVM
-    materialization) happens at staging time.
+    {!field-witness} when present, then to {!field-maintain}, otherwise
+    unioning and evaluating per probe (the non-witness routes skip
+    [apply]'s output-schema assertion). Apply it partially and reuse the
+    result: per-base work (witness staging, IVM materialization) happens
+    at staging time.
 
     The {!field-maintain} route requires [expected ⊆ apply q base], as
     the monotonicity scan's [expected = Q(base)] is: it sees only the
@@ -75,9 +74,9 @@ val stage :
 
 type route = Witness | Ivm | Eval
 
-val route : ?ivm:bool -> t -> route
-(** Which implementation {!stage} will dispatch to under the given [ivm]
-    knob — the scan records it per probe group. *)
+val route : t -> route
+(** Which implementation {!stage} will dispatch to — the scan records it
+    per probe group. *)
 
 val check_generic : ?trials:int -> ?seed:int -> t -> Instance.t -> bool
 (** [check_generic q i] verifies [Q(π I) = π (Q I)] for randomly chosen

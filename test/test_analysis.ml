@@ -252,12 +252,40 @@ let test_driver_jobs_independent () =
   let files =
     match A.Driver.collect [ dir ] with
     | Ok fs -> fs
-    | Error msg -> Alcotest.failf "collect: %s" msg
+    | Error (path, msg) -> Alcotest.failf "collect %s: %s" path msg
   in
   Alcotest.(check int) "collect finds the fixtures"
     (List.length zoo_sources) (List.length files);
   let render jobs = A.Driver.render_json (A.Driver.run ~jobs files) in
   Alcotest.(check string) "jobs=4 report = jobs=1 report" (render 1) (render 4)
+
+(* Links under a linted directory end neither the walk nor the run: each
+   real directory is walked once, so a cycle [loop -> ..] adds no file,
+   a dangling link is skipped, and a dangling [.dlog] link is kept for
+   its "cannot read" report. *)
+let test_driver_symlinks () =
+  let dir = Filename.temp_dir "calm_lint_cycle" "" in
+  let sub = Filename.concat dir "sub" in
+  Sys.mkdir sub 0o755;
+  let a = Filename.concat dir "a.dlog" and b = Filename.concat sub "b.dlog" in
+  List.iter
+    (fun f ->
+      Out_channel.with_open_text f (fun oc ->
+          output_string oc "T(x) :- E(x)."))
+    [ a; b ];
+  let loop = Filename.concat sub "loop"
+  and dangling = Filename.concat sub "dangling"
+  and gone = Filename.concat sub "gone.dlog" in
+  Unix.symlink ".." loop;
+  Unix.symlink "missing" dangling;
+  Unix.symlink "missing.dlog" gone;
+  let collected = A.Driver.collect [ dir ] in
+  List.iter Sys.remove [ loop; dangling; gone; a; b ];
+  List.iter Sys.rmdir [ sub; dir ];
+  match collected with
+  | Ok files ->
+    Alcotest.(check (list string)) "each .dlog file once" [ a; b; gone ] files
+  | Error (path, msg) -> Alcotest.failf "collect %s: %s" path msg
 
 (* File names are arbitrary bytes. The JSON report escapes them to pure
    ASCII [\u00XX], one per byte, which [Observe.Json] parses back to the
@@ -331,6 +359,7 @@ let () =
             test_driver_jobs_independent;
           Alcotest.test_case "file name escaping" `Quick
             test_driver_file_name_escaping;
+          Alcotest.test_case "symlinks" `Quick test_driver_symlinks;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -195,6 +195,35 @@ let test_empirical_zoo_agrees () =
           v.Empirical.coordinated)
       scatter_cells
 
+(* A wrong output refutes a coordination-free placement. O copies E
+   unless a 4-clique exists; the bounded empirical placement cannot hold
+   a 4-clique and puts the program at the monotone level, which is given
+   directly here (the examples/cli golden goes through the placement).
+   Replicating everything stays correct and cut-free, so the query is
+   observed coordination-free, yet most other runs output edges of the
+   clique: the entry must DISAGREE, with exit code 2. *)
+let test_empirical_wrong_output_disagrees () =
+  let p =
+    Datalog.Program.parse
+      "K(x) :- E(x,y), E(x,z), E(x,w), E(y,z), E(y,w), E(z,w), x != y, \
+       x != z, x != w, y != z, y != w, z != w. H(u) :- K(x), Adom(u). \
+       O(x,y) :- E(x,y), not H(x)."
+  in
+  let en =
+    Empirical.detect_compiled ~name:"4-clique"
+      ~compiled:(Compile.compile_program ~level:Hierarchy.Monotone p)
+      ~input:
+        (Graph_gen.of_edges [ (1, 2); (1, 3); (1, 4); (2, 3); (2, 4); (3, 4) ])
+      ()
+  in
+  check_bool "observed coordination-free" true en.Empirical.observed_free;
+  check_bool "some run is wrong" true
+    (List.exists
+       (fun (v : Empirical.policy_verdict) -> not v.Empirical.correct)
+       en.Empirical.runs);
+  check_bool "disagrees" false en.Empirical.agree;
+  Alcotest.(check int) "exit code" 2 (Empirical.exit_code en)
+
 (* ------------------------------------------------------------------ *)
 (* Report *)
 
@@ -273,6 +302,8 @@ let () =
             test_compile_beyond_barrier;
           Alcotest.test_case "zoo agrees with static claims" `Slow
             test_empirical_zoo_agrees;
+          Alcotest.test_case "wrong output disagrees" `Quick
+            test_empirical_wrong_output_disagrees;
         ] );
       ("report", [ Alcotest.test_case "rendering" `Quick test_report_rendering ]);
       ( "figure2",

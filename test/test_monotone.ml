@@ -516,10 +516,10 @@ let test_games_losers_query () =
     (Instance.mem (Fact.make "Lose" [ Value.int 1 ]) out)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-probe cache and parallel-scan determinism: verdicts, pair
-   tallies and (shrunken) certificates must be byte-identical whether
-   Q(base) is cached across a base's probes or recomputed per pair, and
-   independently of the worker count. *)
+(* Fast-route and parallel-scan determinism: verdicts, pair tallies and
+   (shrunken) certificates must be byte-identical between a query and
+   the same query with its fast routes stripped (the reference, which
+   evaluates per probe), and independently of the worker count. *)
 
 let violation_equal (a : Classes.violation) (b : Classes.violation) =
   a.Classes.kind = b.Classes.kind
@@ -535,79 +535,78 @@ let outcome_equal a b =
   | Checker.Violated v, Checker.Violated v' -> violation_equal v v'
   | _ -> false
 
-let scan_configs =
-  [
-    (1, true, true);
-    (1, false, true);
-    (2, true, true);
-    (2, false, true);
-    (4, true, true);
-    (4, false, true);
-    (1, true, false);
-    (2, true, false);
-    (4, true, false);
-  ]
+let eval_only (q : Query.t) = { q with Query.witness = None; maintain = None }
 
-let check_scan_invariant name run =
-  let reference = run ~jobs:1 ~cache:true ~ivm:true in
+(* [run ~jobs q] for the query as given and for its eval-only
+   reference, at jobs 1, 2 and 4, keyed by (route, jobs). *)
+let scan_configs run q =
+  List.concat_map
+    (fun (route, q) ->
+      List.map (fun jobs -> ((route, jobs), run ~jobs q)) [ 1; 2; 4 ])
+    [ ("query", q); ("eval-only", eval_only q) ]
+
+let check_scan_invariant name run q =
+  let results = scan_configs run q in
+  let reference = List.assoc ("eval-only", 1) results in
   List.iter
-    (fun (jobs, cache, ivm) ->
-      let o = run ~jobs ~cache ~ivm in
+    (fun ((route, jobs), o) ->
       check_bool
-        (Printf.sprintf "%s: jobs=%d cache=%b ivm=%b" name jobs cache ivm)
+        (Printf.sprintf "%s: %s jobs=%d" name route jobs)
         true
         (outcome_equal reference o);
       match (reference, o) with
       | Checker.Violated v, Checker.Violated v' ->
         check_bool
-          (Printf.sprintf "%s: shrunken certificate jobs=%d cache=%b ivm=%b"
-             name jobs cache ivm)
+          (Printf.sprintf "%s: shrunken certificate %s jobs=%d" name route
+             jobs)
           true
-          (violation_equal
-             (Shrink.shrink Zoo.comp_tc v)
-             (Shrink.shrink Zoo.comp_tc v'))
+          (violation_equal (Shrink.shrink q v) (Shrink.shrink q v'))
       | _ -> ())
-    scan_configs
+    results
 
 let test_scan_cache_jobs_violating () =
-  check_scan_invariant "comp-tc distinct" (fun ~jobs ~cache ~ivm ->
-      Checker.check_exhaustive ~bounds:small ~jobs ~cache ~ivm
-        Classes.Distinct Zoo.comp_tc)
+  check_scan_invariant "comp-tc distinct"
+    (fun ~jobs q ->
+      Checker.check_exhaustive ~bounds:small ~jobs Classes.Distinct q)
+    Zoo.comp_tc
 
 let test_scan_cache_jobs_clean () =
-  check_scan_invariant "tc plain" (fun ~jobs ~cache ~ivm ->
-      Checker.check_exhaustive ~bounds:small ~jobs ~cache ~ivm Classes.Plain
-        Zoo.tc)
+  check_scan_invariant "tc plain"
+    (fun ~jobs q ->
+      Checker.check_exhaustive ~bounds:small ~jobs Classes.Plain q)
+    Zoo.tc
 
 let test_scan_cache_jobs_random () =
-  check_scan_invariant "comp-tc random" (fun ~jobs ~cache ~ivm ->
+  check_scan_invariant "comp-tc random"
+    (fun ~jobs q ->
       Checker.check_random ~seed:23 ~trials:800
         ~bounds:{ small with Checker.max_ext = 2 }
-        ~jobs ~cache ~ivm Classes.Distinct Zoo.comp_tc);
-  check_scan_invariant "tc random clean" (fun ~jobs ~cache ~ivm ->
-      Checker.check_random ~seed:23 ~trials:300 ~jobs ~cache ~ivm
-        Classes.Plain Zoo.tc)
+        ~jobs Classes.Distinct q)
+    Zoo.comp_tc;
+  check_scan_invariant "tc random clean"
+    (fun ~jobs q ->
+      Checker.check_random ~seed:23 ~trials:300 ~jobs Classes.Plain q)
+    Zoo.tc
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-route determinism: a maintain-backed query
    ({!Datalog.Program.query} installs the {!Datalog.Ivm} route; no
-   witness) must give byte-identical verdicts, certificates, and stable
-   metric rows with the route on or off, across cache and jobs — only
-   the ivm_* rows themselves may differ, and when the route is live they
-   must prove it actually fired. *)
+   witness) must give byte-identical verdicts, certificates, and scan
+   rows to its eval-only reference, across jobs — only
+   [monotone.ivm_hits] may differ, and on the query it must prove the
+   route actually fired. *)
 
-(* The scan's verdict rows — probes, pairs, violations, certificate
-   sizes — must not move with any knob; [monotone.cache_hits] and the
-   ivm_* rows are the knobs' own meters and are pinned separately. The
-   engine's [eval.*] work counters legitimately change with [cache] and
-   [ivm] (that is the point of the routes); they must still be identical
-   across [jobs] at fixed knobs. *)
+(* The scan's verdict rows — probes, pairs, cache hits, violations,
+   certificate sizes — must not move with the route; [monotone.ivm_hits]
+   is the route's own meter and is pinned separately. The engine's
+   [eval.*] work counters legitimately change with the route (that is
+   its point); they must still be identical across [jobs] for a fixed
+   query. *)
 let monotone_core_rows c =
   Observe.Metrics.render_stable c
   |> String.split_on_char '\n'
   |> List.filter (fun l ->
          String.starts_with ~prefix:"monotone." l
-         && (not (String.starts_with ~prefix:"monotone.cache_hits" l))
          && not (String.starts_with ~prefix:"monotone.ivm_hits" l))
   |> String.concat "\n"
 
@@ -621,65 +620,47 @@ let root_count name =
   | None -> 0
 
 (* [full_model] says whether the probes need {!Datalog.Ivm.lost}'s
-   full-model fallback: a positive program must answer every probe
+   saturating fallback: a positive program must answer every probe
    without one (no [eval.ivm_applies] at all), a violation needs at
    least one. *)
 let check_ivm_scan_invariant ~full_model name kind q =
   check_bool (name ^ ": route is ivm") true (Query.route q = Query.Ivm);
-  check_bool (name ^ ": knob off routes to eval") true
-    (Query.route ~ivm:false q = Query.Eval);
-  let run ~jobs ~cache ~ivm =
+  check_bool (name ^ ": stripped reference routes to eval") true
+    (Query.route (eval_only q) = Query.Eval);
+  let run ~jobs q =
     Observe.Metrics.reset Observe.Metrics.root;
-    let o = Checker.check_exhaustive ~bounds:small ~jobs ~cache ~ivm kind q in
+    let o = Checker.check_exhaustive ~bounds:small ~jobs kind q in
     ( o,
       Observe.Metrics.render_stable Observe.Metrics.root,
       monotone_core_rows Observe.Metrics.root,
       root_count "monotone.ivm_hits",
-      root_count "monotone.cache_hits",
       root_count "eval.ivm_applies" )
   in
-  let knob_refs =
-    List.map
-      (fun (cache, ivm) -> ((cache, ivm), run ~jobs:1 ~cache ~ivm))
-      [ (true, true); (false, true); (true, false) ]
-  in
-  let ref_o, _, ref_core, ref_hits, ref_cache_hits, ref_applies =
-    List.assoc (true, true) knob_refs
-  in
-  check_bool (name ^ ": incremental route fired") true (ref_hits > 0);
+  let results = scan_configs run q in
+  let ref_o, _, ref_core, _, _ = List.assoc ("eval-only", 1) results in
+  let _, _, _, hits, applies = List.assoc ("query", 1) results in
+  check_bool (name ^ ": incremental route fired") true (hits > 0);
   check_bool
-    (Printf.sprintf "%s: full-model runs (%d) %s" name ref_applies
+    (Printf.sprintf "%s: full-model runs (%d) %s" name applies
        (if full_model then "> 0" else "= 0"))
-    full_model (ref_applies > 0);
+    full_model (applies > 0);
   List.iter
-    (fun (jobs, cache, ivm) ->
-      let o, rows, core, hits, cache_hits, _ = run ~jobs ~cache ~ivm in
-      let _, knob_rows, _, _, _, _ = List.assoc (cache, ivm) knob_refs in
+    (fun ((route, jobs), (o, rows, core, hits', _)) ->
+      let _, rows1, _, _, _ = List.assoc (route, 1) results in
       check_bool
-        (Printf.sprintf "%s: verdict jobs=%d cache=%b ivm=%b" name jobs cache
-           ivm)
+        (Printf.sprintf "%s: verdict %s jobs=%d" name route jobs)
         true (outcome_equal ref_o o);
       check_bool
-        (Printf.sprintf "%s: stable rows at jobs=%d = jobs=1 (cache=%b \
-                         ivm=%b)"
-           name jobs cache ivm)
-        true
-        (String.equal knob_rows rows);
+        (Printf.sprintf "%s: stable rows %s jobs=%d = jobs=1" name route jobs)
+        true (String.equal rows1 rows);
       check_bool
-        (Printf.sprintf "%s: verdict rows jobs=%d cache=%b ivm=%b" name jobs
-           cache ivm)
-        true
-        (String.equal ref_core core);
-      if cache then
-        check_int
-          (Printf.sprintf "%s: cache hits jobs=%d ivm=%b" name jobs ivm)
-          ref_cache_hits cache_hits;
+        (Printf.sprintf "%s: verdict rows %s jobs=%d" name route jobs)
+        true (String.equal ref_core core);
       check_int
-        (Printf.sprintf "%s: ivm hits jobs=%d cache=%b ivm=%b" name jobs
-           cache ivm)
-        (if cache && ivm then ref_hits else 0)
-        hits)
-    scan_configs
+        (Printf.sprintf "%s: ivm hits %s jobs=%d" name route jobs)
+        (if route = "query" then hits else 0)
+        hits')
+    results
 
 let test_ivm_scan_violating () =
   check_ivm_scan_invariant ~full_model:true "comp-tc-prog distinct"
