@@ -447,14 +447,16 @@ let check_cmd =
 (* Shared network-command plumbing *)
 
 (* What run, sweep, explain, detect and explore start from. A program
-   that stays Beyond compiles to the coordinated barrier strategy. *)
+   that stays Beyond compiles to the coordinated barrier strategy. The
+   commands with --jobs (sweep, detect, explore) pass it on to the
+   empirical placement of a program outside the syntactic fragments. *)
 type setup = {
   input : Instance.t;
   compiled : Calm_core.Compile.compiled;
   network : Distributed.network;
 }
 
-let setup ~outputs ~nodes src facts facts_file =
+let setup ?jobs ~outputs ~nodes src facts facts_file =
   if nodes < 1 then begin
     Printf.eprintf "invalid --nodes %d: a network has at least one node\n"
       nodes;
@@ -466,7 +468,7 @@ let setup ~outputs ~nodes src facts facts_file =
   in
   {
     input;
-    compiled = Calm_core.Compile.compile_program program;
+    compiled = Calm_core.Compile.compile_program ?jobs program;
     network = Distributed.network_of_ints (List.init nodes (fun i -> 1 + i));
   }
 
@@ -661,7 +663,7 @@ let sweep_cmd =
     let code =
       with_observability obs @@ fun () ->
       let { input; compiled; network } =
-        setup ~outputs ~nodes src facts facts_file
+        setup ~jobs ~outputs ~nodes src facts facts_file
       in
       let query = compiled.Calm_core.Compile.query in
       let policies =
@@ -863,7 +865,7 @@ let detect_cmd =
           exit 1
       in
       let { input; compiled; network } =
-        setup ~outputs ~nodes src facts facts_file
+        setup ~jobs ~outputs ~nodes src facts facts_file
       in
       let faults = faults_of_flag ~network faults in
       let schema = compiled.Calm_core.Compile.query.Query.input in
@@ -1086,7 +1088,7 @@ let explore_cmd =
   in
   let run src outputs facts facts_file budget jobs =
     let { input; compiled; network } =
-      setup ~outputs ~nodes:2 src facts facts_file
+      setup ~jobs ~outputs ~nodes:2 src facts facts_file
     in
     let policy = default_policy_for compiled network in
     Printf.printf

@@ -49,14 +49,14 @@ let compile ~level q =
       domain_guided_only = level = Hierarchy.Domain_disjoint;
     }
 
-let compile_program ?bounds ?level p =
+let compile_program ?bounds ?jobs ?level p =
   let q = Datalog.Program.query ~name:"program" p in
   let level =
     match level with
     | Some l -> l
     | None -> (
       match Hierarchy.of_fragment (Datalog.Program.fragment p) with
-      | Hierarchy.Beyond -> Hierarchy.place_empirically ?bounds q
+      | Hierarchy.Beyond -> Hierarchy.place_empirically ?bounds ?jobs q
       | l -> l)
   in
   compile ~level q

@@ -32,9 +32,10 @@ val compile : level:Hierarchy.level -> Query.t -> compiled
     {!coordinated} at [Beyond]. Total. *)
 
 val compile_program :
-  ?bounds:Monotone.Checker.bounds -> ?level:Hierarchy.level ->
+  ?bounds:Monotone.Checker.bounds -> ?jobs:int -> ?level:Hierarchy.level ->
   Datalog.Program.t -> compiled
 (** Level defaults to the program's syntactic placement
     ({!Hierarchy.of_fragment}); when that is [Beyond] the empirical
-    placement is tried, and a program that stays [Beyond] compiles to
-    {!coordinated}. *)
+    placement is tried on [jobs] domains ({!Hierarchy.place_empirically};
+    the level does not depend on [jobs]), and a program that stays
+    [Beyond] compiles to {!coordinated}. *)

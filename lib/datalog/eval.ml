@@ -41,7 +41,7 @@ let rec satisfy stats plans which i n db delta env k =
     List.iter
       (fun f ->
         stats.probes <- stats.probes + 1;
-        match Joindb.extend env ap.slots f with
+        match Joindb.extend env ap f with
         | None -> ()
         | Some env' -> satisfy stats plans which (i + 1) n db delta env' k)
       candidates
@@ -52,8 +52,9 @@ let rec satisfy stats plans which i n db delta env k =
    atom position. [probe i ap key emit] must call [emit] on every
    candidate fact for atom [i] whose keyed positions equal [key]; the
    IVM layer composes the handle's indexes and an insert's overlays
-   there (Δ-only positions, old ∪ grown). Inequality and negation side
-   conditions stay with the caller, which sees each complete valuation. *)
+   there (the Δ atom first, old ∪ grown behind it). Inequalities are
+   tested by [Joindb.extend] at the atom that binds them; negation stays
+   with the caller, which sees each complete valuation. *)
 let iter_firings ~probe (p : Joindb.plan) k =
   let n = Array.length p.atoms in
   let rec go i env =
@@ -61,7 +62,7 @@ let iter_firings ~probe (p : Joindb.plan) k =
     else
       let ap : Joindb.atom_plan = p.atoms.(i) in
       probe i ap (Joindb.key_of_env env ap) (fun f ->
-          match Joindb.extend env ap.slots f with
+          match Joindb.extend env ap f with
           | None -> ()
           | Some env' -> go (i + 1) env')
   in
@@ -237,7 +238,7 @@ let explain ?(neg = default_neg) p j =
           cands.(i) <- cands.(i) + List.length candidates;
           List.iter
             (fun f ->
-              match Joindb.extend env ap.slots f with
+              match Joindb.extend env ap f with
               | None -> ()
               | Some env' -> go (i + 1) env')
             candidates

@@ -42,12 +42,14 @@ val iter_firings :
     (int -> Joindb.atom_plan -> Value.t list -> (Fact.t -> unit) -> unit) ->
   Joindb.plan -> (Value.t Joindb.Env.t -> unit) -> unit
 (** Delta plumbing for {!Ivm}: enumerate complete valuations of a plan's
-    positive body, probing each atom position through a caller-supplied
-    source. [probe i ap key emit] must pass every candidate fact for atom
-    [i] whose keyed positions equal [key] to [emit]; the caller composes
-    the handle's indexes and the overlays of an insert there. Inequality
-    and negation checks are the caller's responsibility
-    ({!Joindb.checks_pass}). *)
+    positive body that pass the rule's inequalities, probing each atom
+    position through a caller-supplied source. [probe i ap key emit] must
+    pass every candidate fact for atom [i] whose keyed positions equal
+    [key] to [emit]; the caller composes the handle's indexes and the
+    overlays of an insert there. Each inequality is tested by
+    {!Joindb.extend} at the atom that binds it, so a valuation that
+    breaks one is never extended; negation checks are the caller's
+    responsibility ({!Joindb.checks_pass}). *)
 
 (** {2 EXPLAIN ANALYZE}
 
@@ -73,8 +75,10 @@ type atom_report = {
 type rule_report = {
   plan : Joindb.plan;
   atom_reports : atom_report list;
-  valuations : int;  (** complete positive-body valuations *)
-  fired : int;  (** valuations passing inequality/negation checks *)
+  valuations : int;
+      (** complete positive-body valuations that pass the rule's
+          inequalities, each tested at its binding atom *)
+  fired : int;  (** valuations passing the negation checks *)
   derived : int;  (** facts derived by this pass not already in the db *)
 }
 

@@ -10,7 +10,9 @@ open Relational
    negated literal whose predicate grew, so [lost] propagates Δ only
    through the rules that feed a negation and looks for an old firing
    that a grown fact now blocks; only when it finds one does it saturate
-   [given ∪ Δ]. *)
+   [given ∪ Δ]. The relations one [lost] call builds — the grown facts
+   and each round's Δ — hold a handful of facts and are probed a few
+   times each, so they are scanned, never indexed. *)
 
 module Sset = Set.Make (String)
 
@@ -20,9 +22,11 @@ type stratum = {
   rules : Ast.program;
   heads : Sset.t;
   body_preds : Sset.t;  (* positive and negated body predicates *)
-  feeds : Joindb.plan list;
-      (* Plans of the rules whose head feeds a negation: the only rules
-         [lost] propagates an insert through. *)
+  feeds : (string * Joindb.plan) list;
+      (* One plan per (rule whose head feeds a negation, positive atom),
+         keyed by the atom's predicate: the rule with that atom moved to
+         the front, so [sem_add] probes a round's Δ first. These rules
+         are the only ones [lost] propagates an insert through. *)
   seeds : (string * Joindb.plan) list;
       (* One plan per (rule, negated atom), keyed by the negated
          predicate: the rule with that atom moved to the front of its
@@ -44,6 +48,9 @@ let current h = h.model
 let probe_db db (ap : Joindb.atom_plan) key emit =
   List.iter emit
     (Joindb.probe db ap.pred ~arity:ap.arity ~positions:ap.key_positions key)
+
+let scan facts ap key emit =
+  List.iter (fun f -> if Joindb.matches ap key f then emit f) facts
 
 (* ------------------------------------------------------------------ *)
 (* Stratum compilation *)
@@ -70,17 +77,18 @@ let feeding program =
     (List.fold_left (fun s (r : Ast.rule) -> preds_of r.neg s) Sset.empty
        program)
 
+(* The plan of [r] with atom [a] moved to the front of its positive
+   body, [pos] and [neg] being what remains; keyed by [a]'s predicate. *)
+let first (r : Ast.rule) (a : Ast.atom) ~pos ~neg =
+  (a.pred, Joindb.plan_rule { r with pos = a :: pos; neg })
+
+let without j l = List.filteri (fun k _ -> k <> j) l
+
 let seed_plans (r : Ast.rule) =
-  List.mapi
-    (fun j (a : Ast.atom) ->
-      ( a.pred,
-        Joindb.plan_rule
-          {
-            r with
-            pos = a :: r.pos;
-            neg = List.filteri (fun k _ -> k <> j) r.neg;
-          } ))
-    r.neg
+  List.mapi (fun j a -> first r a ~pos:r.pos ~neg:(without j r.neg)) r.neg
+
+let delta_plans (r : Ast.rule) =
+  List.mapi (fun j a -> first r a ~pos:(without j r.pos) ~neg:r.neg) r.pos
 
 let make_stratum ~feeding rules =
   {
@@ -94,9 +102,10 @@ let make_stratum ~feeding rules =
         (fun s (r : Ast.rule) -> preds_of r.neg (preds_of r.pos s))
         Sset.empty rules;
     feeds =
-      List.filter
-        (fun (pl : Joindb.plan) -> Sset.mem pl.rule.head.pred feeding)
-        (Joindb.plan_program rules);
+      List.concat_map delta_plans
+        (List.filter
+           (fun (r : Ast.rule) -> Sset.mem r.head.pred feeding)
+           rules);
     seeds = List.concat_map seed_plans rules;
   }
 
@@ -129,15 +138,16 @@ let materialize program given =
 (* Losses under insertion *)
 
 (* What one [lost] call has grown the old model by so far: [grown] is
-   the model plus [adds], [overlays] index [adds] (one per batch) and
-   [preds] names their predicates. *)
+   the model plus [adds], and [preds] names their predicates. *)
 type growth = {
   h : t;
   mutable grown : Instance.t;
   mutable adds : Fact.t list;
-  mutable overlays : Joindb.t list;
   mutable preds : Sset.t;
 }
+
+let preds_of_facts facts =
+  List.fold_left (fun s f -> Sset.add (Fact.rel f) s) Sset.empty facts
 
 let grow g facts =
   match facts with
@@ -145,36 +155,34 @@ let grow g facts =
   | _ ->
     g.grown <- List.fold_left (fun m f -> Instance.add f m) g.grown facts;
     g.adds <- List.rev_append facts g.adds;
-    g.overlays <- Joindb.of_facts facts :: g.overlays;
-    g.preds <- List.fold_left (fun s f -> Sset.add (Fact.rel f) s) g.preds facts
+    g.preds <- Sset.union (preds_of_facts facts) g.preds
 
-(* Insertion-only semi-naive over [plans] of stratum [s], seeded with the
-   additions its bodies read. Exact when no old firing of [s] is blocked
-   by a grown negated atom, which [seeded] has ruled out. Returns the
-   freshly derived head facts. *)
-let sem_add g s plans =
+(* Insertion-only semi-naive through the Δ-first [feeds] of stratum [s],
+   seeded with the additions its bodies read: each round runs the plans
+   whose front predicate its Δ holds, the front atom over Δ and the rest
+   over the model, the additions and every fact derived so far. Exact
+   when no old firing of [s] is blocked by a grown negated atom, which
+   [seeded] has ruled out. Returns the freshly derived head facts. *)
+let sem_add g s =
   let seen = ref Instance.empty in
   let all_fresh = ref [] in
-  let local = ref [] in
   let full ap key emit =
     probe_db g.h.db ap key emit;
-    List.iter (fun db -> probe_db db ap key emit) g.overlays;
-    List.iter (fun db -> probe_db db ap key emit) !local
+    scan g.adds ap key emit;
+    scan !all_fresh ap key emit
   in
-  let rec rounds delta_facts =
-    match delta_facts with
+  let rec rounds delta =
+    match delta with
     | [] -> ()
     | _ ->
-      let ddb = Joindb.of_facts delta_facts in
-      local := ddb :: !local;
+      let preds = preds_of_facts delta in
       let fresh = ref [] in
       List.iter
-        (fun (pl : Joindb.plan) ->
-          for which = 0 to Array.length pl.atoms - 1 do
+        (fun (pred, (pl : Joindb.plan)) ->
+          if Sset.mem pred preds then
             Eval.iter_firings
               ~probe:(fun i ap key emit ->
-                if i = which then probe_db ddb ap key emit
-                else full ap key emit)
+                if i = 0 then scan delta ap key emit else full ap key emit)
               pl
               (fun env ->
                 if Joindb.checks_pass g.grown Joindb.default_neg env pl.rule
@@ -187,9 +195,8 @@ let sem_add g s plans =
                     seen := Instance.add f !seen;
                     fresh := f :: !fresh
                   end
-                end)
-          done)
-        plans;
+                end))
+        s.feeds;
       all_fresh := List.rev_append !fresh !all_fresh;
       rounds !fresh
   in
@@ -211,8 +218,7 @@ let seeded g s =
       try
         Eval.iter_firings
           ~probe:(fun i ap key emit ->
-            if i = 0 then
-              List.iter (fun db -> probe_db db ap key emit) g.overlays
+            if i = 0 then scan g.adds ap key emit
             else probe_db g.h.db ap key emit)
           pl
           (fun env ->
@@ -239,15 +245,7 @@ let lost h facts =
     match List.filter (fun f -> not (Instance.mem f h.model)) facts with
     | [] -> Instance.empty
     | adds ->
-      let g =
-        {
-          h;
-          grown = h.model;
-          adds = [];
-          overlays = [];
-          preds = Sset.empty;
-        }
-      in
+      let g = { h; grown = h.model; adds = []; preds = Sset.empty } in
       grow g
         (List.filter (fun f -> not (Sset.mem (Fact.rel f) h.all_heads)) adds);
       (* Stratum by stratum up to the last negation: look for a seed
@@ -261,10 +259,10 @@ let lost h facts =
         ||
         match s.feeds with
         | [] -> any_seed (si + 1)
-        | feeds ->
+        | _ :: _ ->
           grow g (List.filter (fun f -> Sset.mem (Fact.rel f) s.heads) adds);
           if not (Sset.disjoint s.body_preds g.preds) then
-            grow g (sem_add g s feeds);
+            grow g (sem_add g s);
           any_seed (si + 1))
       in
       if any_seed 0 then Instance.diff h.model (what_if h adds)

@@ -2,7 +2,10 @@
 
     A handle caches the saturated model of a program over an input, with
     Joindb indexes over it that are built lazily once and shared across
-    probes. The monotonicity classes quantify over extensions only
+    probes, and the rule plans {!lost} runs: each negation-feeding rule
+    once per positive atom with that atom first (Δ-first), each rule
+    once per negated atom with that atom first (the seed search). The
+    monotonicity classes quantify over extensions only
     ([Q(I) ⊆ Q(I ∪ J)]), so the one question a handle answers is
     {!lost}: which facts of the model does an insertion remove? It
     answers without saturating the extended input unless a grown negated
@@ -42,6 +45,10 @@ val lost : t -> Fact.t list -> Instance.t
       last one with a negated literal, only through the rules feeding a
       negation, and each stratum is searched for a {e seed}: a firing
       valid in the old model whose negated atom is now a grown fact;
+    - a propagation round runs only the Δ-first plans whose front
+      predicate its Δ holds, with the front atom over Δ; the relations
+      the call builds (the grown facts, each round's Δ) are a handful of
+      facts, scanned rather than indexed ({!Joindb.matches});
     - no seed anywhere answers empty; the first seed falls back to
       saturating the extended input and diffs it against [current h].
     Only that fallback counts in [eval.ivm_applies]. *)

@@ -55,16 +55,6 @@ let of_instance i : t =
         m)
     i Smap.empty
 
-let of_facts facts : t =
-  List.fold_left
-    (fun m f ->
-      Smap.update (Fact.rel f)
-        (function
-          | None -> Some { facts = [ f ]; indexes = [] }
-          | Some r -> Some { r with facts = f :: r.facts })
-        m)
-    Smap.empty facts
-
 let index_for r ~arity ~positions =
   match List.assoc_opt (arity, positions) r.indexes with
   | Some idx -> idx
@@ -104,11 +94,13 @@ let ground_atom env (a : Ast.atom) =
     Fact.make a.pred (Value.Skolem (skolem_functor a.pred, args) :: args)
   else Fact.make a.pred args
 
+let ineq_holds env (x, y) =
+  not (Value.equal (term_value env x) (term_value env y))
+
+(* Inequalities are tested earlier, by [extend] at the atom that binds
+   them; only the negations wait for a complete valuation. *)
 let checks_pass current neg env (r : Ast.rule) =
-  List.for_all
-    (fun (x, y) -> not (Value.equal (term_value env x) (term_value env y)))
-    r.ineq
-  && List.for_all (fun a -> neg current (ground_atom env a)) r.neg
+  List.for_all (fun a -> neg current (ground_atom env a)) r.neg
 
 (* ------------------------------------------------------------------ *)
 (* Rule plans *)
@@ -126,6 +118,9 @@ type atom_plan = {
   key_positions : int list;
   key_terms : Ast.term list;  (* aligned with [key_positions] *)
   slots : slot list;
+  ineqs : (Ast.term * Ast.term) list;
+      (* the rule's inequalities whose sides this atom's bindings
+         complete *)
 }
 
 type plan = {
@@ -154,22 +149,46 @@ let plan_atom bound (a : Ast.atom) =
       key_positions = List.map fst keyed;
       key_terms = List.map snd keyed;
       slots = List.rev !slots;
+      ineqs = [];
     },
     !fresh )
 
+(* Each inequality is tested at the first atom after which both of its
+   sides are bound (a constant is bound from the start), so a valuation
+   that breaks it is cut before the atoms that follow are probed. Only
+   an unsafe rule ({!Ast.check_rule}) has one that no atom binds. *)
 let plan_rule (r : Ast.rule) =
-  let atoms, _ =
-    List.fold_left
-      (fun (acc, bound) a ->
-        let ap, fresh = plan_atom bound a in
-        (ap :: acc, fresh @ bound))
-      ([], []) r.pos
+  let is_bound bound = function
+    | Ast.Const _ -> true
+    | Ast.Var v -> List.mem v bound
   in
+  let atoms, _, rest =
+    List.fold_left
+      (fun (acc, bound, pending) a ->
+        let ap, fresh = plan_atom bound a in
+        let bound = fresh @ bound in
+        let now, pending =
+          List.partition
+            (fun (x, y) -> is_bound bound x && is_bound bound y)
+            pending
+        in
+        ({ ap with ineqs = now } :: acc, bound, pending))
+      ([], [], r.ineq) r.pos
+  in
+  if rest <> [] then
+    invalid_arg "Joindb.plan_rule: an inequality over an unbound variable";
   { rule = r; atoms = Array.of_list (List.rev atoms) }
 
 let plan_program p = List.map plan_rule p
 
 let key_of_env env ap = List.map (term_value env) ap.key_terms
+
+let matches ap key f =
+  String.equal (Fact.rel f) ap.pred
+  && Fact.arity f = ap.arity
+  && List.for_all2
+       (fun i v -> Value.equal (Fact.arg f i) v)
+       ap.key_positions key
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN: pretty-print a compiled plan. One line per body atom showing
@@ -190,19 +209,24 @@ let pp_atom_plan ppf ap =
     Format.fprintf ppf "%s/%d via index(%s) key=<%s>" ap.pred ap.arity
       (String.concat "," (List.map string_of_int ps))
       (String.concat "," (List.map pp_term_str ap.key_terms)));
-  match ap.slots with
+  (match ap.slots with
   | [] -> Format.fprintf ppf ", fully keyed"
   | slots ->
     Format.fprintf ppf ", %s"
       (String.concat ", "
-         (List.map (fun s -> Format.asprintf "%a" pp_slot s) slots))
+         (List.map (fun s -> Format.asprintf "%a" pp_slot s) slots)));
+  List.iter
+    (fun (x, y) ->
+      Format.fprintf ppf ", filter %s != %s" (pp_term_str x) (pp_term_str y))
+    ap.ineqs
 
-let extend env slots f =
+let extend env ap f =
   let rec go env = function
-    | [] -> Some env
+    | [] ->
+      if List.for_all (ineq_holds env) ap.ineqs then Some env else None
     | Bind (i, v) :: rest -> go (Env.add v (Fact.arg f i) env) rest
     | Check (i, v) :: rest ->
       if Value.equal (Fact.arg f i) (Env.find v env) then go env rest
       else None
   in
-  go env slots
+  go env ap.slots

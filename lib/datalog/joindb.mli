@@ -6,7 +6,10 @@
     determinate — constants, or variables bound by earlier atoms — is a
     static property of the rule, precomputed once as a {!plan}; a probe
     then answers "facts matching this atom under these bindings" with a
-    single hash lookup instead of a scan of the predicate's facts.
+    single hash lookup instead of a scan of the predicate's facts. The
+    plan also places each inequality of the rule at the first atom that
+    binds both of its sides, and {!extend} tests it there, so a
+    valuation that breaks it is cut before the later atoms are probed.
 
     {!Eval} (depth-first, tuple-at-a-time) and {!Ivm} (delta
     propagation) drive their joins through this module; the seed tree's
@@ -29,10 +32,6 @@ type t
 val empty : t
 val of_instance : Instance.t -> t
 
-val of_facts : Fact.t list -> t
-(** Index a raw fact list (duplicate-free) without building an
-    {!Instance.t} first — the overlay databases of the IVM layer. *)
-
 val probe :
   t -> string -> arity:int -> positions:int list -> Value.t list ->
   Fact.t list
@@ -54,8 +53,9 @@ val ground_atom : Value.t Env.t -> Ast.atom -> Fact.t
 val checks_pass :
   Instance.t -> (Instance.t -> Fact.t -> bool) -> Value.t Env.t ->
   Ast.rule -> bool
-(** Inequality and negation side conditions of a rule under a complete
-    positive-body valuation. *)
+(** The negation side conditions of a rule under a complete
+    positive-body valuation. Its inequalities are not retested: a plan
+    tests them while binding ({!extend}). *)
 
 (** {2 Rule plans} *)
 
@@ -69,6 +69,10 @@ type atom_plan = {
   key_positions : int list;
   key_terms : Ast.term list;
   slots : slot list;
+  ineqs : (Ast.term * Ast.term) list;
+      (** the rule's inequalities tested once this atom is bound: those
+          whose sides (a constant counts as bound) are all bound here and
+          not before *)
 }
 
 type plan = {
@@ -77,18 +81,30 @@ type plan = {
 }
 
 val plan_rule : Ast.rule -> plan
+(** @raise Invalid_argument when a side of an inequality is a variable no
+    positive atom binds — an unsafe rule, which {!Ast.check_rule}
+    rejects. *)
+
 val plan_program : Ast.program -> plan list
 
 val key_of_env : Value.t Env.t -> atom_plan -> Value.t list
 (** The probe key for an atom under the current bindings. *)
 
-val extend : Value.t Env.t -> slot list -> Fact.t -> Value.t Env.t option
-(** Bind the free positions of a probed fact; [None] when a repeated
-    free variable clashes. Keyed positions are already guaranteed equal
-    by the probe. *)
+val matches : atom_plan -> Value.t list -> Fact.t -> bool
+(** [matches ap key f]: [f] is a fact of the atom's predicate and arity
+    whose keyed positions equal [key] — what {!probe} returns, decided
+    for one fact. Probing a handful of facts by filtering them this way
+    builds no index. *)
+
+val extend : Value.t Env.t -> atom_plan -> Fact.t -> Value.t Env.t option
+(** Bind the free positions of a probed fact, then test the atom's
+    [ineqs]; [None] when a repeated free variable clashes or
+    an inequality fails. Keyed positions are already guaranteed equal by
+    the probe. *)
 
 (** {2 EXPLAIN} *)
 
 val pp_atom_plan : Format.formatter -> atom_plan -> unit
-(** One line: index choice (hashed positions + key terms, or full scan)
-    and the bind/check slots the probe loop applies per candidate. *)
+(** One line: index choice (hashed positions + key terms, or full scan),
+    the bind/check slots the probe loop applies per candidate, and the
+    inequalities it then tests ([filter x != y]). *)

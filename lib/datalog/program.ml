@@ -44,11 +44,10 @@ let run t i =
 
 (* Stratified programs answer the scan's probes incrementally: staging
    materializes the model of the base once ({!Ivm.materialize}), and
-   each probe returns the survivors [Q(base) ∖ lost], where {!Ivm.lost}
-   derives only what a loss could depend on and builds the model of
-   [base ∪ Δ] only when a grown negated fact blocks an old firing. With
-   nothing lost the probe returns the staged [Q(base)] itself.
-   Well-founded programs have no maintenance route and evaluate. *)
+   each probe returns the output facts {!Ivm.lost} finds, which derives
+   only what a loss could depend on and builds the model of [base ∪ Δ]
+   only when a grown negated fact blocks an old firing. Well-founded
+   programs have no maintenance route and evaluate. *)
 let query ~name t =
   let maintain =
     match t.semantics with
@@ -57,11 +56,8 @@ let query ~name t =
       Some
         (fun base ->
           let h = Ivm.materialize t.rules base in
-          let before = Instance.restrict_rels (Ivm.current h) t.outputs in
           fun (d : Query.delta) ->
-            let lost = Ivm.lost h d.Query.facts in
-            if Instance.is_empty lost then before
-            else Instance.diff before lost)
+            Instance.restrict_rels (Ivm.lost h d.Query.facts) t.outputs)
   in
   Query.make ?maintain ~name ~input:(input_schema t) ~output:(output_schema t)
     (run t)

@@ -38,6 +38,6 @@ val query : name:string -> t -> Query.t
 (** Package as an abstract query. [Stratified] programs install a
     maintenance route ({!Relational.Query.t.maintain}): staging
     materializes an {!Ivm} handle for the base once, and each probe
-    returns the facts of [Q(base)] that survive Δ, found by {!Ivm.lost}
-    instead of re-running the engine on [base ∪ Δ]. [Well_founded]
-    programs evaluate per probe. *)
+    returns the facts of [Q(base)] that Δ removes — {!Ivm.lost}
+    restricted to the outputs — instead of re-running the engine on
+    [base ∪ Δ]. [Well_founded] programs evaluate per probe. *)

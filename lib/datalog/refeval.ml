@@ -52,10 +52,18 @@ let rec satisfy_pos db_idx delta_idx which i atoms env k =
         | Some env' -> satisfy_pos db_idx delta_idx which (i + 1) rest env' k)
       (lookup source a.pred)
 
+(* Inequalities on the complete valuation, as the seed tested them —
+   independently of where a {!Joindb} plan places them. *)
+let ineqs_pass env (r : Ast.rule) =
+  List.for_all
+    (fun (x, y) ->
+      not (Value.equal (Joindb.term_value env x) (Joindb.term_value env y)))
+    r.ineq
+
 let derive_rule ~neg ~current ~db_idx ~delta_idx ~which (r : Ast.rule) acc =
   let out = ref acc in
   satisfy_pos db_idx delta_idx which 0 r.pos Env.empty (fun env ->
-      if Joindb.checks_pass current neg env r then
+      if ineqs_pass env r && Joindb.checks_pass current neg env r then
         out := Instance.add (Joindb.ground_atom env r.head) !out);
   !out
 

@@ -32,10 +32,11 @@ let apply q i =
    base's graph, resolving [expected]) and answers each probe from the
    delta's few facts, never materializing [Q]; the [maintain] route
    saturates [Q(base)] once into an incremental handle and answers each
-   probe with the facts of [Q(base)] that survive Δ — enough, since
-   [expected ⊆ Q(base)] there; the fallback unions, evaluates from
-   scratch, and scans [expected] in fact order. All routes return
-   the head of [diff expected after] whenever that diff is non-empty.
+   probe with the least fact of [expected] among those Δ removes from
+   [Q(base)] — enough, since [expected ⊆ Q(base)] there — and at once
+   when Δ removes none; the fallback unions, evaluates from scratch, and
+   scans [expected] in fact order. All routes return the head of
+   [diff expected after] whenever that diff is non-empty.
    The non-witness routes skip [apply]'s output validation — the scan
    probes millions of instances and the validation is a development
    assertion, re-checked on the certificate path. *)
@@ -45,8 +46,14 @@ let stage q ~base ~expected =
     match (q.witness, q.maintain) with
     | Some w, _ -> w ~base ~expected
     | None, Some m ->
-      let app = m (Instance.restrict base q.input) in
-      fun d -> Instance.first_missing expected (app d)
+      let removed = m (Instance.restrict base q.input) in
+      fun d ->
+        let lost = removed d in
+        if Instance.is_empty lost then None
+        else
+          List.find_opt
+            (fun f -> Instance.mem f expected)
+            (Instance.to_list lost)
     | None, None ->
       fun d ->
         Instance.first_missing expected

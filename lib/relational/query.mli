@@ -36,13 +36,14 @@ type t = {
   maintain : (Instance.t -> delta -> Instance.t) option;
       (** Optional incremental route: [m base] materializes [Q(base)]
           once (saturated IDB plus support state), and the returned
-          probe answers, for each delta, the facts of [Q(base)] that
-          survive it — [inter (apply _ base) (apply _ (union base d))]
-          — without re-saturating from scratch. Computing only what
-          [d] removes is enough for {!stage}, whose [expected] is a
-          subset of [Q(base)] on this route. Supplied by
-          [Datalog.Program.query] via [Datalog.Ivm]; used by {!stage}
-          when no witness is registered. *)
+          probe answers, for each delta, the facts of [Q(base)] that it
+          removes — [diff (apply _ base) (apply _ (union base d))] —
+          without re-saturating from scratch. Losses are enough for
+          {!stage}, whose [expected] is a subset of [Q(base)] on this
+          route; almost every probe of a scan loses nothing and answers
+          with the empty instance. Supplied by [Datalog.Program.query]
+          via [Datalog.Ivm]; used by {!stage} when no witness is
+          registered. *)
 }
 
 val make :
@@ -69,8 +70,10 @@ val stage :
 
     The {!field-maintain} route requires [expected ⊆ apply q base], as
     the monotonicity scan's [expected = Q(base)] is: it sees only the
-    facts of [Q(base)] a delta removes. The witness and evaluating
-    routes answer for any [expected]. *)
+    facts of [Q(base)] a delta removes, answers the least of them in
+    [expected], and answers [None] without reading [expected] when the
+    delta removes none. The witness and evaluating routes answer for any
+    [expected]. *)
 
 type route = Witness | Ivm | Eval
 

@@ -4,7 +4,12 @@
    two negated atoms and at most one inequality draw only from the
    positive atoms' variables, so every rule is range-restricted by
    construction. Idb negation can make a program unstratifiable; the
-   properties that need a stratified program skip those draws. *)
+   properties that need a stratified program skip those draws.
+
+   [~ineqs:(lo, hi)] draws between [lo] and [hi] inequalities per rule
+   instead, each side a positive atom's variable or, one time in four, a
+   constant 0–4; both sides may be the same variable ([x != x]). Without
+   it the draws are the ones every earlier caller saw. *)
 
 open Datalog
 
@@ -12,7 +17,7 @@ let var_atom p t1 t2 = Ast.atom p [ Ast.Var t1; Ast.Var t2 ]
 
 (* [negatable] lists the predicates a negated atom may use; [[]] draws
    positive rules. *)
-let rule ~negatable =
+let rule ?ineqs ~negatable () =
   let open QCheck2.Gen in
   let vars = [ "x"; "y"; "z" ] in
   let* npos = int_range 1 3 in
@@ -37,14 +42,22 @@ let rule ~negatable =
          let* t2 = pvar in
          return (var_atom p t1 t2))
   in
+  let var = map (fun v -> Ast.Var v) pvar in
+  let (lo, hi), side =
+    match ineqs with
+    | None -> ((0, 1), var)
+    | Some range ->
+      let const n = Ast.Const (Relational.Value.Int n) in
+      (range, frequency [ (3, var); (1, map const (int_range 0 4)) ])
+  in
   let* ineq =
-    list_size (int_range 0 1)
-      (let* t1 = pvar in
-       let* t2 = pvar in
-       return (Ast.Var t1, Ast.Var t2))
+    list_size (int_range lo hi)
+      (let* t1 = side in
+       let* t2 = side in
+       return (t1, t2))
   in
   return { Ast.head = var_atom hp h1 h2; pos; neg; ineq }
 
 (* Between [lo] and [hi] rules. *)
-let program ~negatable ~rules:(lo, hi) =
-  QCheck2.Gen.(list_size (int_range lo hi) (rule ~negatable))
+let program ?ineqs ~negatable ~rules:(lo, hi) () =
+  QCheck2.Gen.(list_size (int_range lo hi) (rule ?ineqs ~negatable ()))

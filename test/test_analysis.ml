@@ -80,7 +80,7 @@ let test_wall_every_fragment () =
    recursion are allowed, so stratifiable, unstratifiable, connected and
    unconnected shapes all occur. *)
 let gen_program =
-  Random_program.program ~negatable:[ "A"; "B"; "P"; "Q" ] ~rules:(1, 5)
+  Random_program.program ~negatable:[ "A"; "B"; "P"; "Q" ] ~rules:(1, 5) ()
 
 let prop_wall_random =
   QCheck2.Test.make ~name:"classify = certify (random programs)" ~count:300

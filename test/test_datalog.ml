@@ -964,11 +964,13 @@ let prop_ivm_zoo_sequences =
    over edb {A, B} and idb {P, Q}, negation over both, sometimes topped
    by a stratum negating the recursive [P], and that one sometimes
    negated in turn, so a loss cascades upward. Unstratifiable draws are
-   skipped. *)
-let gen_ivm_case =
+   skipped. [ineqs] is the generator's inequality range. *)
+let gen_ivm_case ?ineqs () =
   let open QCheck2.Gen in
   let* rules =
-    Random_program.program ~negatable:[ "A"; "B"; "P"; "Q" ] ~rules:(1, 4)
+    Random_program.program ?ineqs
+      ~negatable:[ "A"; "B"; "P"; "Q" ]
+      ~rules:(1, 4) ()
   in
   let* top =
     oneofl
@@ -995,10 +997,27 @@ let ab_facts trips =
    do. *)
 let prop_ivm_random_sequences =
   QCheck2.Test.make ~name:"what-if steps = Refeval (random)" ~count:300
-    ~max_gen:1000 gen_ivm_case
+    ~max_gen:1000 (gen_ivm_case ())
     (fun (p, init, steps) ->
       if not (Stratify.is_stratifiable p) then QCheck2.assume_fail ()
       else ivm_sequence_ok p (ab_facts init) steps ab_facts)
+
+(* The same wall over inequality-heavy programs: up to three [!=] per
+   rule, sides repeated ([x != x]) or constant, so each is placed at the
+   first, a middle or the last atom of a plan, in the evaluator's body
+   order, in every Δ-first order of [Ivm]'s propagation and behind every
+   seed atom. {!Refeval} tests them on complete valuations only: the
+   fixpoint ({!Eval.seminaive}, stratum by stratum) and {!Ivm.lost} at
+   every what-if step must agree with it. *)
+let prop_ivm_ineq_sequences =
+  QCheck2.Test.make ~name:"inequalities: seminaive and lost = Refeval"
+    ~count:300 ~max_gen:1000 (gen_ivm_case ~ineqs:(0, 3) ())
+    (fun (p, init, steps) ->
+      if not (Stratify.is_stratifiable p) then QCheck2.assume_fail ()
+      else
+        let i = ab_facts init in
+        Instance.equal (Eval.stratified_exn p i) (ivm_oracle p i)
+        && ivm_sequence_ok p i steps ab_facts)
 
 (* The random wall must reach every answer of {!Ivm.lost}: a fast empty
    answer on a program with negation, the full-model fallback, and a
@@ -1021,7 +1040,7 @@ let test_ivm_lost_routes () =
         check_bool "lost = from-scratch difference" true
           (ivm_sequence_ok ~tally p (ab_facts init) steps ab_facts))
     (QCheck2.Gen.generate ~rand:(Random.State.make [| 22 |]) ~n:300
-       gen_ivm_case);
+       (gen_ivm_case ()));
   check_bool "fast answers" true (!fast > 0);
   check_bool "full-model fallbacks" true (!fallback > 0);
   check_bool "cascaded losses" true (!cascades > 0)
@@ -1216,5 +1235,7 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_ivm_zoo_sequences; prop_ivm_random_sequences ] );
+      ( "ivm-ineq",
+        [ QCheck_alcotest.to_alcotest prop_ivm_ineq_sequences ] );
       ("properties", qcheck_cases);
     ]

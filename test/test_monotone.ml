@@ -847,7 +847,7 @@ let prop_witness_contract =
 let gen_program ~with_neg =
   Random_program.program
     ~negatable:(if with_neg then [ "A"; "B" ] else [])
-    ~rules:(1, 4)
+    ~rules:(1, 4) ()
 
 let program_query rules =
   let heads =
