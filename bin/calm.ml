@@ -1081,10 +1081,23 @@ let figure2_cmd =
 (* calm explore *)
 
 let explore_cmd =
+  (* Checked when the term is evaluated, as [jobs_term] is. *)
   let budget_term =
-    Arg.(
-      value & opt int 20_000
-      & info [ "budget" ] ~doc:"Maximum configurations to explore.")
+    let check budget =
+      if budget < 1 then begin
+        Printf.eprintf
+          "invalid --budget %d: a budget is at least one configuration\n"
+          budget;
+        exit 1
+      end;
+      budget
+    in
+    Term.(
+      const check
+      $ Arg.(
+          value & opt int 20_000
+          & info [ "budget" ] ~docv:"N"
+              ~doc:"Maximum configurations to explore, at least 1."))
   in
   let run src outputs facts facts_file budget jobs =
     let { input; compiled; network } =
@@ -1100,13 +1113,17 @@ let explore_cmd =
         ~transducer:compiled.Calm_core.Compile.transducer
         ~query:compiled.Calm_core.Compile.query ~input ()
     in
-    print_endline (Network.Explore.verdict_to_string verdict)
+    print_endline (Network.Explore.verdict_to_string verdict);
+    match verdict with
+    | Network.Explore.Wrong_output _ | Network.Explore.Stuck _ -> exit 2
+    | Network.Explore.Consistent _ | Network.Explore.Out_of_budget _ -> ()
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
          "exhaustively verify the compiled strategy under every message \
-          order (tiny inputs)")
+          order (tiny inputs); exit 2 when some run outputs a wrong fact \
+          or quiesces short of Q(input)")
     Term.(
       const run $ program_src_term $ outputs_term $ facts_term
       $ facts_file_term $ budget_term $ jobs_term)

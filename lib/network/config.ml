@@ -55,22 +55,6 @@ let compare a b =
   let c = Value.Map.compare Instance.compare a.state b.state in
   if c <> 0 then c else Value.Map.compare Multiset.compare a.buffer b.buffer
 
-(* Folds in key order over structural digests ([Hashtbl.hash] on a fact
-   agrees with [Fact.equal]), so [equal a b] implies [hash a = hash b]. *)
-let hash t =
-  let mix acc h = (acc * 31) + h in
-  let h =
-    Value.Map.fold
-      (fun x s acc -> mix (mix acc (Value.hash x)) (Instance.hash s))
-      t.state 17
-  in
-  Value.Map.fold
-    (fun x b acc ->
-      Multiset.fold
-        (fun f n acc -> mix (mix acc (Hashtbl.hash f)) n)
-        b (mix acc (Value.hash x)))
-    t.buffer h
-
 type stats = {
   messages_sent : int;
   delivered : int;

@@ -40,10 +40,9 @@ val outputs : Transducer_schema.t -> t -> Instance.t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-
-val hash : t -> int
-(** A structural digest consistent with {!equal}: [equal a b] implies
-    [hash a = hash b]. *)
+(** Structural, on states and buffers. {!Explore} does not use them: it
+    compares configurations as arrays of interned ids and builds a [t]
+    only for a certificate. *)
 
 type stats = {
   messages_sent : int;      (** copies enqueued (fact × recipients) *)
@@ -94,7 +93,9 @@ val react :
     Under [with_policy] it builds [S] once per (node, [A]) and then looks
     it up; without, [S] is [Id] and the prepared [All] facts. It touches
     no buffer, builds no {!stats}, records no [net.*] counter and does
-    not check that the node is in the network. *)
+    not check that the node is in the network. It is the only reaction
+    path: {!step} and {!Explore}, which memoises it on interned ids,
+    both call it. *)
 
 val step : ctx -> t -> node:Value.t -> deliver:Multiset.t -> t * stats
 (** One transition of the given node consuming the given submultiset of

@@ -1,14 +1,26 @@
 (* Bounded model checking by breadth-first search over support-abstracted
-   configurations. Two tables, both private to one [check], carry the
-   speed:
-   - a transition changes only its own node, through the four transducer
-     queries over that node's visible instance, so each node's reaction
-     is memoised on (node, state, delivered support); successors and the
-     fair continuations re-deliver the same few supports over and over;
-   - the visited set hashes configurations ([Config.hash], with
-     [Config.equal] on a collision).
+   configurations, kept as ids. Each check interns every distinct node
+   state ([Instance.equal]/[Instance.hash]) and buffer support
+   ([Fact.Set.equal], with a fold hash) to an int, so a configuration is
+   an [int array]: the n node states' ids, then the n buffers' ids, in
+   network order. Equal ids mean equal values, so the visited set hashes
+   and compares 2n ints. On ids, each check memoises:
+   - each node's reaction ([Config.react]) on (node index, state id,
+     delivered id): a transition changes only its own node, and successors
+     and the fair continuations re-deliver the same few supports. This
+     is sound because the transducer's components are queries, functions
+     of the visible instance alone (explore.mli);
+   - each buffer's sends (buffer id ∪ sent) and single-fact consumptions
+     (buffer id minus one fact);
+   - each state's output restriction.
+   One lock guards every table, and the pool's domains share them: an
+   expansion (inspection and successors of one configuration) holds it
+   throughout and lets go only while a reaction miss runs the transducer
+   queries. No table outlives its [check]. A [Config.t] is built only
+   for a certificate.
    BFS order, successor lists and the continuation rule decide every
-   verdict and counter, and neither table changes them. *)
+   verdict and counter. No id orders anything, so which domain interns a
+   value first changes none of them. *)
 
 open Relational
 
@@ -18,42 +30,70 @@ type verdict =
   | Stuck of { config : Config.t; missing : Fact.t }
   | Out_of_budget of { configs : int }
 
-module Visited = Hashtbl.Make (struct
-  type t = Config.t
+(* Dense ids from 0 for values up to structural equality, and the value
+   of each id. *)
+module Interner (H : Hashtbl.HashedType) = struct
+  module T = Hashtbl.Make (H)
 
-  let equal = Config.equal
-  let hash = Config.hash
+  type t = { ids : int T.t; mutable values : H.t array }
+
+  let create () = { ids = T.create 1024; values = [||] }
+
+  let id t v =
+    match T.find_opt t.ids v with
+    | Some i -> i
+    | None ->
+      let i = T.length t.ids in
+      if i = Array.length t.values then
+        t.values <- Array.append t.values (Array.make (max 64 i) v);
+      t.values.(i) <- v;
+      T.add t.ids v i;
+      i
+
+  let value t i = t.values.(i)
+end
+
+module States = Interner (struct
+  type t = Instance.t
+
+  let equal = Instance.equal
+  let hash = Instance.hash
 end)
 
-(* A reaction's key: the node, its state and the delivered support,
-   digested once when the key is built, outside the table's lock. *)
-type key = {
-  digest : int;
-  node : Value.t;
-  state : Instance.t;
-  delivered : Fact.Set.t;
-}
+module Supports = Interner (struct
+  type t = Fact.Set.t
 
-let key node state delivered =
-  {
-    digest =
-      (((Value.hash node * 31) + Instance.hash state) * 31)
-      + Instance.hash (Instance.of_set delivered);
-    node;
-    state;
-    delivered;
-  }
+  let equal = Fact.Set.equal
+  let hash s = Instance.hash (Instance.of_set s)
+end)
 
-module Reactions = Hashtbl.Make (struct
-  type t = key
+module Ints = Hashtbl.Make (Int)
 
-  let hash k = k.digest
+module Pairs = Hashtbl.Make (struct
+  type t = int * int
 
-  let equal a b =
-    a.digest = b.digest
-    && Value.equal a.node b.node
-    && (a.state == b.state || Instance.equal a.state b.state)
-    && Fact.Set.equal a.delivered b.delivered
+  let equal (a, b) (c, d) = a = c && b = d
+  let hash (a, b) = (a * 31) + b
+end)
+
+module Triples = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (a, b, c) (d, e, f) = a = d && b = e && c = f
+  let hash (a, b, c) = (((a * 31) + b) * 31) + c
+end)
+
+(* Two configurations over one network. *)
+let same (a : int array) b =
+  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+  go (Array.length a - 1)
+
+(* The hash reads every entry: [Hashtbl.hash] would stop after 10. *)
+module Visited = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = same
+  let hash = Array.fold_left (fun h x -> (h * 31) + x) 17
 end)
 
 exception Found of verdict
@@ -71,97 +111,170 @@ let m_frontier = Observe.Metrics.histogram "explore.frontier"
 let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
     ~input () =
   let network = Policy.network policy in
+  let start = Config.start network in
+  let nodes = Array.of_list network in
+  let n = Array.length nodes in
   let expected = Query.apply query input in
-  let schema = transducer.Transducer.schema in
+  let output = transducer.Transducer.schema.Transducer_schema.output in
   (* Its one table is lock-guarded, so the parallel mode's domains share
      it. *)
   let ctx = Config.prepare ~variant ~policy ~transducer ~input in
-  (* The transducer's components are queries, so a reaction is a pure
-     function of its key. The pool's domains share the table; two that
-     miss on one key compute the same reaction. *)
-  let reactions = Reactions.create 1024 in
+  let states = States.create () and supports = Supports.create () in
+  let reactions = Triples.create 1024 and sends = Pairs.create 1024 in
+  let singles = Ints.create 1024 and outputs = Ints.create 1024 in
   let lock = Mutex.create () in
-  let react node state delivered =
-    let k = key node state delivered in
-    match Mutex.protect lock (fun () -> Reactions.find_opt reactions k) with
-    | Some r -> r
-    | None ->
-      let r = Config.react ctx ~node state delivered in
-      Mutex.protect lock (fun () -> Reactions.replace reactions k r);
-      r
+  let unlocked f =
+    Mutex.unlock lock;
+    Fun.protect ~finally:(fun () -> Mutex.lock lock) f
+  in
+  let empty = Supports.id supports Fact.Set.empty in
+  let start =
+    Array.init (2 * n) (fun k ->
+        if k < n then States.id states (Config.state_of start nodes.(k))
+        else
+          Supports.id supports
+            (Multiset.support (Config.buffer_of start nodes.(k - n))))
   in
   (* Buffers are kept as their supports, every fact once: fair senders
      regenerate undelivered copies, and the transducers considered here
      read only the support of what is delivered, so multiplicities add
      no reachable knowledge states — but they would make the space
-     infinite. Delivering a sub-support keeps a buffer a support;
-     sending adds only the facts a buffer lacks. *)
-  let send sent b =
-    Instance.fold
-      (fun f b -> if Multiset.mem f b then b else Multiset.add f b)
-      sent b
+     infinite. Sending adds only the facts a buffer lacks. *)
+  let send b sent =
+    match Pairs.find_opt sends (b, sent) with
+    | Some b' -> b'
+    | None ->
+      let b' =
+        Supports.id supports
+          (Fact.Set.union (Supports.value supports b)
+             (Supports.value supports sent))
+      in
+      Pairs.replace sends (b, sent) b';
+      b'
   in
-  let step config node deliver =
+  (* Node [i] of [c] takes delivered support [d] and keeps buffer
+     [rest]; [c] is updated in place. The transducer's components are
+     queries, so a reaction is a pure function of its key, and only a
+     miss leaves the lock, to run them. Two domains that miss on one key
+     compute the same reaction, and interning gives its parts the same
+     ids. *)
+  let transition c i d rest =
+    let key = (i, c.(i), d) in
     let state, sent =
-      react node (Config.state_of config node) (Multiset.support deliver)
+      match Triples.find_opt reactions key with
+      | Some r -> r
+      | None ->
+        let state = States.value states c.(i)
+        and delivered = Supports.value supports d in
+        let state, sent =
+          unlocked (fun () -> Config.react ctx ~node:nodes.(i) state delivered)
+        in
+        let sent = Instance.fold Fact.Set.add sent Fact.Set.empty in
+        let r = (States.id states state, Supports.id supports sent) in
+        Triples.replace reactions key r;
+        r
     in
-    let consume b =
-      if Multiset.is_empty deliver then b else Multiset.diff b deliver
-    in
-    let buffer = config.Config.buffer in
-    {
-      Config.state = Value.Map.add node state config.Config.state;
-      buffer =
-        (if Instance.is_empty sent then
-           Value.Map.add node (consume (Config.buffer_of config node)) buffer
-         else
-           Value.Map.mapi
-             (fun y b -> if Value.equal y node then consume b else send sent b)
-             buffer);
-    }
+    c.(i) <- state;
+    c.(n + i) <- rest;
+    if sent <> empty then
+      for j = 0 to n - 1 do
+        if j <> i then c.(n + j) <- send c.(n + j) sent
+      done
+  in
+  (* Each single-fact delivery from a buffer, in descending fact order:
+     the delivered singleton's id and the rest of the buffer's. *)
+  let singletons b =
+    match Ints.find_opt singles b with
+    | Some l -> l
+    | None ->
+      let support = Supports.value supports b in
+      let l =
+        Fact.Set.fold
+          (fun f acc ->
+            ( Supports.id supports (Fact.Set.singleton f),
+              Supports.id supports (Fact.Set.remove f support) )
+            :: acc)
+          support []
+      in
+      Ints.replace singles b l;
+      l
+  in
+  let step c i d rest =
+    let c = Array.copy c in
+    transition c i d rest;
+    c
   in
   (* Complete per-node delivery choices: nothing, everything, or any
      single buffered fact. Single-fact deliveries subsume arbitrary
      submultisets for reachability of knowledge states: any submultiset
      delivery is equivalent to a set of states reachable via singleton
      deliveries interleaved with heartbeats, because D only sees the
-     support of what has been delivered and stored. *)
-  let successors config =
+     support of what has been delivered and stored. An empty buffer
+     still gives both the heartbeat and the (equal) full delivery. *)
+  let successors c =
     List.concat_map
-      (fun node ->
-        let buffer = Config.buffer_of config node in
-        let singletons =
-          Fact.Set.fold
-            (fun f acc -> Multiset.add f Multiset.empty :: acc)
-            (Multiset.support buffer) []
-        in
-        List.map (step config node) (Multiset.empty :: buffer :: singletons))
-      network
+      (fun i ->
+        let b = c.(n + i) in
+        step c i empty b :: step c i b empty
+        :: List.map (fun (d, rest) -> step c i d rest) (singletons b))
+      (List.init n Fun.id)
+  in
+  let outputs_of c =
+    let restrict s =
+      match Ints.find_opt outputs s with
+      | Some o -> o
+      | None ->
+        let o = Instance.restrict (States.value states s) output in
+        Ints.replace outputs s o;
+        o
+    in
+    let acc = ref Instance.empty in
+    for i = 0 to n - 1 do
+      acc := Instance.union (restrict c.(i)) !acc
+    done;
+    !acc
   in
   (* The canonical fair continuation: full-delivery round-robin rounds
      until a round changes nothing, at most 200; returns the final
      outputs. *)
-  let full_round config =
-    List.fold_left
-      (fun config node -> step config node (Config.buffer_of config node))
-      config network
+  let full_round c =
+    let c = Array.copy c in
+    for i = 0 to n - 1 do
+      transition c i c.(n + i) empty
+    done;
+    c
   in
-  let final_outputs config =
+  let final_outputs c =
     let rec go c rounds =
       let c' = full_round c in
-      if rounds = 1 || Config.equal c c' then Config.outputs schema c'
+      if rounds = 1 || same c c' then outputs_of c'
       else go c' (rounds - 1)
     in
-    go config 200
+    go c 200
   in
-  let inspect config =
-    let out = Config.outputs schema config in
-    match Instance.to_list (Instance.diff out expected) with
-    | extra :: _ -> Some (Wrong_output { config; extra })
-    | [] -> (
-      match Instance.to_list (Instance.diff expected (final_outputs config)) with
-      | missing :: _ -> Some (Stuck { config; missing })
-      | [] -> None)
+  let to_config c =
+    let map f =
+      Seq.fold_left
+        (fun m (i, x) -> Value.Map.add x (f i) m)
+        Value.Map.empty (Array.to_seqi nodes)
+    in
+    {
+      Config.state = map (fun i -> States.value states c.(i));
+      buffer =
+        map (fun i ->
+            Fact.Set.fold
+              (fun f b -> Multiset.add f b)
+              (Supports.value supports c.(n + i))
+              Multiset.empty);
+    }
+  in
+  let inspect c =
+    match Instance.first_missing (outputs_of c) expected with
+    | Some extra -> Some (Wrong_output { config = to_config c; extra })
+    | None -> (
+      match Instance.first_missing expected (final_outputs c) with
+      | Some missing -> Some (Stuck { config = to_config c; missing })
+      | None -> None)
   in
   (* Round-structured BFS, shared by both execution modes: expand the
      whole frontier (output inspection, fair-continuation check,
@@ -172,7 +285,6 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
      configs, visited counts — and the [explore.*] metrics — are
      identical under any [jobs]. *)
   let bfs mapper =
-    let start = Config.start network in
     let visited = Visited.create 4096 in
     Visited.replace visited start ();
     let frontier = ref [ start ] in
@@ -190,7 +302,8 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
         let expanded =
           mapper
             (fun c ->
-              Observe.Metrics.silenced (fun () -> (inspect c, successors c)))
+              Observe.Metrics.silenced (fun () ->
+                  Mutex.protect lock (fun () -> (inspect c, successors c))))
             !frontier
         in
         let wave_dedup = ref 0 in

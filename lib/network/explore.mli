@@ -50,13 +50,23 @@ val check :
     single-fact deliveries — complete for transducers that accumulate
     deliveries in memory, which all of this library's strategies do. The
     space is then finite whenever states grow monotonically over a finite
-    fact universe, so exploration terminates.
+    fact universe, so exploration terminates. The fair continuation that
+    judges [Stuck] runs full-delivery round-robin rounds until one
+    changes nothing, at most 200; one still changing after them is
+    judged on the outputs it has then.
 
-    Each check memoises every node's reaction ({!Config.react}) on
-    (node, state, delivered support), shared by the pool's domains. This
-    relies on the transducer's components being queries, that is,
-    functions of the visible instance [D] alone (see {!Transducer}): a
-    component that kept hidden state or read anything besides its
-    argument would be replayed from the memo rather than re-run. *)
+    Each check interns every distinct node state and buffer support to an
+    int, so a configuration is an array of ids, and memoises on those ids
+    each node's reaction ({!Config.react}) on (node, state, delivered
+    support), each buffer's sends and single-fact consumptions, and each
+    state's output restriction. One lock guards every table and the
+    pool's domains share them: expanding a configuration holds the lock,
+    except while a reaction miss runs the transducer queries. No table
+    outlives the check, and a {!Config.t} is built only for a
+    certificate. The reaction memo relies on the
+    transducer's components being queries, that is, functions of the
+    visible instance [D] alone (see {!Transducer}): a component that kept
+    hidden state or read anything besides its argument would be replayed
+    from the memo rather than re-run. *)
 
 val verdict_to_string : verdict -> string

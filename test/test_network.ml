@@ -1514,6 +1514,70 @@ let test_explore_domain_request_exhaustive () =
         rows)
     [ 1; 2 ]
 
+(* A one-node counter: each transition adds C(k+1) to the largest C(k)
+   it holds (C(0) first) up to C(target), and O(1), all that Q outputs,
+   is output only once C(target) is held, on round target + 2 of a fair
+   continuation that starts at the empty state. Before that the
+   continuation changes the state on every round. *)
+let counter_case target =
+  let one = Schema.of_list [ ("O", 1) ] in
+  let o1 = Instance.of_list [ Fact.make "O" [ v 1 ] ] in
+  let largest d =
+    Instance.fold
+      (fun f k ->
+        match (Fact.rel f, Fact.arg f 0) with
+        | "C", Value.Int c -> max c k
+        | _ -> k)
+      d (-1)
+  in
+  let transducer =
+    Transducer.make
+      ~schema:
+        (Transducer_schema.make ~input:graph ~output:one
+           ~memory:(Schema.of_list [ ("C", 1) ])
+           ())
+      ~ins:(fun d ->
+        let k = largest d in
+        if k < target then Instance.of_list [ Fact.make "C" [ v (k + 1) ] ]
+        else Instance.empty)
+      ~out:(fun d -> if largest d = target then o1 else Instance.empty)
+      ()
+  in
+  let query = Query.make ~name:"O(1)" ~input:graph ~output:one (fun _ -> o1) in
+  (transducer, query)
+
+(* The continuation gives up after 200 rounds, as [Refexplore]'s does:
+   at C(250) the start configuration is judged on the outputs it has
+   then, stuck with the same certificate and [explore.*] rows at jobs 1
+   and 2. At C(198), O(1) comes on round 200, just in time (checked
+   without the reference, which would take ~1 s here). *)
+let test_explore_continuation_cap () =
+  let net1 = Distributed.network_of_ints [ 1 ] in
+  let policy = Policy.make ~name:"single" graph net1 (fun _ -> [ v 1 ]) in
+  let variant = Config.oblivious and input = Instance.empty in
+  let transducer, query = counter_case 250 in
+  (match
+     explore_disagreement ~max_configs:1_000 ~variant ~policy ~transducer
+       ~query ~input
+   with
+  | None -> ()
+  | Some m -> Alcotest.fail m);
+  (match Explore.check ~variant ~policy ~transducer ~query ~input () with
+  | Explore.Stuck { config; missing } ->
+    check_bool "the start configuration" true
+      (Config.equal config (Config.start net1));
+    check_bool "O(1) missing" true
+      (Fact.equal missing (Fact.make "O" [ v 1 ]))
+  | v ->
+    Alcotest.fail
+      ("C(250): expected stuck, got " ^ Explore.verdict_to_string v));
+  let transducer, query = counter_case 198 in
+  match Explore.check ~variant ~policy ~transducer ~query ~input () with
+  | Explore.Consistent _ -> ()
+  | v ->
+    Alcotest.fail
+      ("C(198): expected consistent, got " ^ Explore.verdict_to_string v)
+
 let explore_queries =
   [
     ("tc", Zoo.tc, "E");
@@ -1722,6 +1786,8 @@ let () =
             test_explore_oracle_e19;
           Alcotest.test_case "E19 domain-request exhaustive" `Slow
             test_explore_domain_request_exhaustive;
+          Alcotest.test_case "continuation cap at 200 rounds" `Quick
+            test_explore_continuation_cap;
           QCheck_alcotest.to_alcotest prop_explore_matches_reference;
         ] );
     ]
