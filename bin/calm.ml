@@ -345,21 +345,35 @@ let eval_cmd =
 (* ------------------------------------------------------------------ *)
 (* calm classify *)
 
+(* Each bound is checked when the term is evaluated, as [jobs_term] is:
+   below 1 the scan has no pairs, or only ones that cannot violate, and
+   its verdict would be vacuous. *)
 let bounds_term =
-  let dom =
-    Arg.(value & opt int 3 & info [ "dom" ] ~doc:"Base-domain size for checks.")
-  in
-  let fresh = Arg.(value & opt int 2 & info [ "fresh" ] ~doc:"Fresh values.") in
-  let base =
-    Arg.(value & opt int 3 & info [ "max-base" ] ~doc:"Max base facts.")
-  in
-  let ext =
-    Arg.(value & opt int 2 & info [ "max-ext" ] ~doc:"Max extension facts.")
+  let bound long default doc reason =
+    let check n =
+      if n < 1 then begin
+        Printf.eprintf "invalid --%s %d: %s\n" long n reason;
+        exit 1
+      end;
+      n
+    in
+    Term.(
+      const check
+      $ Arg.(value & opt int default & info [ long ] ~docv:"N" ~doc))
   in
   let mk dom_size fresh max_base max_ext =
     { Monotone.Checker.dom_size; fresh; max_base; max_ext }
   in
-  Term.(const mk $ dom $ fresh $ base $ ext)
+  Term.(
+    const mk
+    $ bound "dom" 3 "Base-domain size for checks, at least 1."
+        "a base domain has at least one value"
+    $ bound "fresh" 2 "Fresh values, at least 1."
+        "an extension has at least one fresh value"
+    $ bound "max-base" 3 "Max base facts, at least 1."
+        "a base has at least one fact"
+    $ bound "max-ext" 2 "Max extension facts, at least 1."
+        "an extension has at least one fact")
 
 let classify_cmd =
   let run src outputs bounds jobs =

@@ -34,10 +34,16 @@ type stratum = {
          first. *)
 }
 
-type t = {
+(* What depends on the program alone; immutable, so one value serves
+   every base and every domain. *)
+type compiled = {
   strata : stratum array;
   all_heads : Sset.t;
   last_neg : int;  (* last stratum with a negated literal; -1 if none *)
+}
+
+type t = {
+  compiled : compiled;
   given : Instance.t;
   model : Instance.t;  (* the saturation of [given] *)
   db : Joindb.t;  (* indexes over [model], lazily built, reused *)
@@ -113,15 +119,14 @@ let make_stratum ~feeding rules =
 let saturate strata given =
   Array.fold_left (fun acc s -> Eval.seminaive s.rules acc) given strata
 
-let materialize program given =
+let compile program =
   match Stratify.stratify program with
-  | Error e -> invalid_arg ("Ivm.materialize: " ^ e)
+  | Error e -> invalid_arg ("Ivm.compile: " ^ e)
   | Ok { strata = rule_strata; _ } ->
     let feeding = feeding program in
     let strata =
       Array.of_list (List.map (make_stratum ~feeding) rule_strata)
     in
-    let model = saturate strata given in
     let last_neg = ref (-1) in
     Array.iteri (fun si s -> if s.seeds <> [] then last_neg := si) strata;
     {
@@ -129,10 +134,11 @@ let materialize program given =
       all_heads =
         Array.fold_left (fun s st -> Sset.union s st.heads) Sset.empty strata;
       last_neg = !last_neg;
-      given;
-      model;
-      db = Joindb.of_instance model;
     }
+
+let materialize compiled given =
+  let model = saturate compiled.strata given in
+  { compiled; given; model; db = Joindb.of_instance model }
 
 (* ------------------------------------------------------------------ *)
 (* Losses under insertion *)
@@ -233,28 +239,29 @@ let seeded g s =
 let what_if h adds =
   let run () =
     Observe.Metrics.incr m_applies;
-    saturate h.strata
+    saturate h.compiled.strata
       (List.fold_left (fun i f -> Instance.add f i) h.given adds)
   in
   if Observe.Profile.is_enabled () then Observe.Profile.span "ivm.apply" run
   else run ()
 
 let lost h facts =
-  if h.last_neg < 0 then Instance.empty
+  let c = h.compiled in
+  if c.last_neg < 0 then Instance.empty
   else
     match List.filter (fun f -> not (Instance.mem f h.model)) facts with
     | [] -> Instance.empty
     | adds ->
       let g = { h; grown = h.model; adds = []; preds = Sset.empty } in
       grow g
-        (List.filter (fun f -> not (Sset.mem (Fact.rel f) h.all_heads)) adds);
+        (List.filter (fun f -> not (Sset.mem (Fact.rel f) c.all_heads)) adds);
       (* Stratum by stratum up to the last negation: look for a seed
          against the growth of the strata below, then grow this one
          through its negation-feeding rules only. *)
       let rec any_seed si =
-        si <= h.last_neg
+        si <= c.last_neg
         &&
-        let s = h.strata.(si) in
+        let s = c.strata.(si) in
         (seeded g s
         ||
         match s.feeds with

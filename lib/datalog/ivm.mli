@@ -1,10 +1,12 @@
 (** Incremental view maintenance for stratified Datalog¬, insert-only.
 
-    A handle caches the saturated model of a program over an input, with
-    Joindb indexes over it that are built lazily once and shared across
-    probes, and the rule plans {!lost} runs: each negation-feeding rule
-    once per positive atom with that atom first (Δ-first), each rule
-    once per negated atom with that atom first (the seed search). The
+    A program is compiled once ({!compile}) into its strata and the rule
+    plans {!lost} runs: each negation-feeding rule once per positive
+    atom with that atom first (Δ-first), each rule once per negated atom
+    with that atom first (the seed search). A handle caches the
+    saturated model of a compiled program over an input, with Joindb
+    indexes over it that are built lazily once and shared across
+    probes. The
     monotonicity classes quantify over extensions only
     ([Q(I) ⊆ Q(I ∪ J)]), so the one question a handle answers is
     {!lost}: which facts of the model does an insertion remove? It
@@ -22,14 +24,22 @@
 
 open Relational
 
+type compiled
+(** What a handle needs from the program alone: its strata and the
+    Δ-first and seed plans of each. Immutable, so one compiled program
+    serves every base and can be shared across domains. *)
+
+val compile : Ast.program -> compiled
+(** Stratify the program and plan its strata.
+    @raise Invalid_argument if the program is not stratifiable. *)
+
 type t
 (** A materialization handle. {!lost} leaves the model it holds
     unchanged; the handle only memoizes shared indexes, so it is not
     thread-safe — use one handle per domain. *)
 
-val materialize : Ast.program -> Instance.t -> t
-(** Saturate the program over the given input.
-    @raise Invalid_argument if the program is not stratifiable. *)
+val materialize : compiled -> Instance.t -> t
+(** Saturate the compiled program over the given input. *)
 
 val current : t -> Instance.t
 (** The cached model: the input and every derived fact — extensionally

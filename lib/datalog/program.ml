@@ -42,20 +42,22 @@ let run t i =
   in
   Instance.restrict_rels full t.outputs
 
-(* Stratified programs answer the scan's probes incrementally: staging
-   materializes the model of the base once ({!Ivm.materialize}), and
-   each probe returns the output facts {!Ivm.lost} finds, which derives
-   only what a loss could depend on and builds the model of [base ∪ Δ]
-   only when a grown negated fact blocks an old firing. Well-founded
-   programs have no maintenance route and evaluate. *)
+(* Stratified programs answer the scan's probes incrementally: the
+   program is compiled once here ({!Ivm.compile}), staging materializes
+   the model of the base once ({!Ivm.materialize}), and each probe
+   returns the output facts {!Ivm.lost} finds, which derives only what a
+   loss could depend on and builds the model of [base ∪ Δ] only when a
+   grown negated fact blocks an old firing. Well-founded programs have
+   no maintenance route and evaluate. *)
 let query ~name t =
   let maintain =
     match t.semantics with
     | Well_founded -> None
     | Stratified ->
+      let compiled = Ivm.compile t.rules in
       Some
         (fun base ->
-          let h = Ivm.materialize t.rules base in
+          let h = Ivm.materialize compiled base in
           fun (d : Query.delta) ->
             Instance.restrict_rels (Ivm.lost h d.Query.facts) t.outputs)
   in

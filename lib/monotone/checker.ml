@@ -31,14 +31,26 @@ let m_violations = Observe.Metrics.counter "monotone.violations"
 let m_cert_size = Observe.Metrics.histogram "monotone.counterexample_size"
 let m_scan = Observe.Metrics.timing "monotone.scan"
 
-(* Probe one base's admissible extensions left to right, stopping at the
+(* What one group probes: every admissible extension of its base with
+   at most [max_ext] facts, enumerated inside the group's task
+   ({!Enumerate.candidates}, then {!Enumerate.subsets_until}), or one
+   given extension (the random checker's draws). *)
+type extensions =
+  | Admissible of { schema : Schema.t; fresh : Value.t list; max_ext : int }
+  | Single of Query.delta
+
+(* Probe one base's admissible extensions in pair order, stopping at the
    first violation. This is where the cross-probe cache lives: [Q(base)]
    is evaluated once per base rather than once per pair; every probe
-   after the first within a group is a cache hit. When [Q(base)] is
-   empty no extension can lose a fact ([diff before after ⊆ before]), so
-   the second evaluation is skipped outright — the probes are still
-   counted, so [monotone.probes]/[pairs_scanned] count every admissible
-   pair. *)
+   after the first within a group is a cache hit. The candidates are
+   built here, so under [jobs > 1] on the worker that runs the group,
+   and each subset the kernel hands over goes straight to the staged
+   probe as a {!Relational.Query.delta}. When [Q(base)] is empty no
+   extension can lose a fact ([diff before after ⊆ before]), so nothing
+   is probed and, with profiling off, the group's pairs are counted as
+   [Σ C(n, s)] without being walked; under profiling each still gets
+   its span. Either way [monotone.probes]/[pairs_scanned] count every
+   admissible pair. *)
 (* Attribution paths are rooted ("scan/base/..."): probe_group runs on
    pool worker domains under [jobs > 1], whose ambient span stack is
    empty, so absolute paths are what makes the parallel profile
@@ -65,38 +77,49 @@ let probe_group kind q (ord, (base, exts)) =
       Observe.Profile.span_rooted [ "scan"; "base"; "stage" ] (fun () ->
           Classes.stage ~before kind q ~base)
   in
-  let scanned = ref 0 in
   let found = ref None in
   let profiling = Observe.Profile.is_enabled () in
-  let rec go s =
-    match s () with
-    | Seq.Nil -> ()
-    | Seq.Cons (d, rest) -> (
-      incr scanned;
-      let verdict =
-        if profiling then
-          Observe.Profile.span_rooted [ "scan"; "base"; "probe" ] (fun () ->
-              if empty_fast then Observe.Profile.annot "empty_before"
-              else begin
-                Observe.Profile.annot route_name;
-                if !scanned > 1 then Observe.Profile.annot "cache_hit"
-              end;
-              probe d)
-        else probe d
-      in
-      match verdict with
-      | Some v -> found := Some v
-      | None -> go rest)
+  let first = ref true in
+  let test d =
+    let verdict =
+      if profiling then
+        Observe.Profile.span_rooted [ "scan"; "base"; "probe" ] (fun () ->
+            if empty_fast then Observe.Profile.annot "empty_before"
+            else begin
+              Observe.Profile.annot route_name;
+              if not !first then Observe.Profile.annot "cache_hit"
+            end;
+            first := false;
+            probe d)
+      else probe d
+    in
+    match verdict with
+    | Some v ->
+      found := Some v;
+      true
+    | None -> false
   in
-  go exts;
+  let scanned =
+    match exts with
+    | Single d ->
+      ignore (test d);
+      1
+    | Admissible { schema; fresh; max_ext } ->
+      let candidates = Enumerate.candidates kind ~base ~schema ~fresh in
+      if empty_fast && not profiling then
+        Enumerate.subsets_count (Array.length candidates) max_ext
+      else
+        Enumerate.subsets_until candidates max_ext (fun facts ->
+            test (Query.delta_of_facts facts))
+  in
   (* Committed once per group rather than once per probe — the hot loop
      pays no registry hits — with totals byte-identical to the per-probe
      accounting, including a winning group's partial tally. *)
-  if !scanned > 0 then begin
-    Observe.Metrics.incr ~by:!scanned m_probes;
-    if !scanned > 1 then Observe.Metrics.incr ~by:(!scanned - 1) m_cache_hits;
+  if scanned > 0 then begin
+    Observe.Metrics.incr ~by:scanned m_probes;
+    if scanned > 1 then Observe.Metrics.incr ~by:(scanned - 1) m_cache_hits;
     if route = Query.Ivm && not empty_fast then
-      Observe.Metrics.incr ~by:!scanned m_ivm_hits
+      Observe.Metrics.incr ~by:scanned m_ivm_hits
   end;
   (* Per-base trajectory, tick = the base's ordinal in enumeration
      order: on the parallel path these land in the pool's per-task
@@ -106,14 +129,14 @@ let probe_group kind q (ord, (base, exts)) =
      probes/sec, never the stable snapshot. *)
   if series_on then begin
     Observe.Series.sample "monotone.base_probes" ~tick:ord
-      (float_of_int !scanned);
+      (float_of_int scanned);
     (match !found with
     | Some _ -> Observe.Series.sample "monotone.base_violation" ~tick:ord 1.
     | None -> ());
     Observe.Series.sample ~stable:false "monotone.base_wall" ~tick:ord
       (Unix.gettimeofday () -. wall0)
   end;
-  (!scanned, !found)
+  (scanned, !found)
 
 (* Scan a per-base grouped (base, extensions) stream for a violation.
    Groups preserve pair enumeration order, so "first violation in group
@@ -170,34 +193,27 @@ let scan ?jobs kind q groups =
          + Instance.cardinal v.Classes.extension)));
   outcome
 
-(* The pair streams were already generated base-major; the checkers now
-   keep that grouping explicit — each group is one base with the lazy
-   sequence of its admissible extensions ({!Enumerate.extensions}
-   guarantees admissibility per kind, so the probe skips re-checking). *)
+(* Each group is one base with the description of its extensions; the
+   group's task builds them ({!Enumerate.candidates} guarantees
+   admissibility per kind, so the probe skips re-checking). *)
 
 let check_exhaustive ?(bounds = default_bounds) ?schema ?jobs kind q =
   let schema = Option.value schema ~default:q.Query.input in
   let dom = Enumerate.value_pool bounds.dom_size in
   let fresh = Enumerate.fresh_pool bounds.fresh in
+  let exts = Admissible { schema; fresh; max_ext = bounds.max_ext } in
   let groups =
     Enumerate.instances schema ~dom ~max_facts:bounds.max_base
-    |> Seq.map (fun base ->
-           ( base,
-             Enumerate.extension_deltas kind ~base ~schema ~fresh
-               ~max_size:bounds.max_ext ))
+    |> Seq.map (fun base -> (base, exts))
   in
   scan ?jobs kind q groups
 
 let check_on_bases ?(fresh = 2) ?(max_ext = 2) ?jobs kind q bases =
-  let fresh = Enumerate.fresh_pool fresh in
-  let groups =
-    List.to_seq bases
-    |> Seq.map (fun base ->
-           ( base,
-             Enumerate.extension_deltas kind ~base ~schema:q.Query.input
-               ~fresh ~max_size:max_ext ))
+  let exts =
+    Admissible
+      { schema = q.Query.input; fresh = Enumerate.fresh_pool fresh; max_ext }
   in
-  scan ?jobs kind q groups
+  scan ?jobs kind q (List.to_seq bases |> Seq.map (fun base -> (base, exts)))
 
 let random_instance st schema ~dom ~max_facts =
   let dom = Array.of_list dom in
@@ -263,7 +279,7 @@ let check_random ?(seed = 17) ?(trials = 500) ?(bounds = default_bounds)
            (not (Instance.is_empty extension))
            && Classes.admissible kind ~base ~extension)
     |> Seq.map (fun (base, extension) ->
-           (base, Seq.return (Query.delta_of_instance extension)))
+           (base, Single (Query.delta_of_instance extension)))
   in
   scan ?jobs kind q groups
 

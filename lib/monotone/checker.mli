@@ -35,10 +35,15 @@ val check_exhaustive :
     pair count — is identical to the sequential one, because the search
     reports the first violation in enumeration order.
 
-    The scan is grouped per base: [Q(base)] is evaluated once and every
-    admissible extension of that base is probed against it (when
-    [Q(base)] is empty the extensions are counted but not evaluated at
-    all, since an empty output cannot lose facts); [monotone.cache_hits]
+    The scan is grouped per base: [Q(base)] is evaluated once, the
+    base's candidate facts are built once ({!Enumerate.candidates}, in
+    the group's own task, so on a worker under [jobs > 1]), and every
+    admissible extension {!Enumerate.subsets_until} walks is probed
+    against [Q(base)], in {!Enumerate.subsets_up_to}'s order. When
+    [Q(base)] is empty the extensions are counted ([Σ C(n, s)],
+    {!Enumerate.subsets_count}) but neither walked nor evaluated, since
+    an empty output cannot lose facts; under {!Observe.Profile} they are
+    walked so that each probe keeps its span. [monotone.cache_hits]
     counts the probes after a group's first.
 
     When the query carries a maintenance function

@@ -1,7 +1,16 @@
 open Relational
 
-let value_pool n = List.init n (fun i -> Value.Int (i + 1))
-let fresh_pool n = List.init n (fun i -> Value.Int (9_000_000 + i))
+let check_size what n =
+  if n < 0 then
+    invalid_arg (Printf.sprintf "Enumerate.%s: negative size %d" what n)
+
+let value_pool n =
+  check_size "value_pool" n;
+  List.init n (fun i -> Value.Int (i + 1))
+
+let fresh_pool n =
+  check_size "fresh_pool" n;
+  List.init n (fun i -> Value.Int (9_000_000 + i))
 
 (* Subsets in nondecreasing size order so that small counterexamples are
    found first. *)
@@ -27,6 +36,50 @@ let subsets_up_to items k =
   in
   sizes 0
 
+(* The scan's kernel: [subsets_up_to]'s order without its empty subset,
+   walked by index. [idx] holds the chosen positions of the subset being
+   built; a complete one is read back to front, so its list ascends
+   with no reversal and allocates only its own cells. *)
+let subsets_until items k stop =
+  let n = Array.length items in
+  let top = min k n in
+  let idx = Array.make (max top 0) 0 in
+  let visited = ref 0 in
+  let stopped = ref false in
+  let rec read j acc =
+    if j < 0 then acc else read (j - 1) (items.(idx.(j)) :: acc)
+  in
+  let rec choose size depth start =
+    if depth = size then begin
+      incr visited;
+      stopped := stop (read (size - 1) [])
+    end
+    else begin
+      let i = ref start in
+      while (not !stopped) && !i <= n - (size - depth) do
+        idx.(depth) <- !i;
+        choose size (depth + 1) (!i + 1);
+        incr i
+      done
+    end
+  in
+  let size = ref 1 in
+  while (not !stopped) && !size <= top do
+    choose !size 0 0;
+    incr size
+  done;
+  !visited
+
+let subsets_count n k =
+  (* C(n, s) from C(n, s-1): the product is divisible by [s]. *)
+  let rec sum s c acc =
+    if s > min k n then acc
+    else
+      let c = c * (n - s + 1) / s in
+      sum (s + 1) c (acc + c)
+  in
+  sum 1 1 0
+
 let instances schema ~dom ~max_facts =
   let facts =
     Schema.all_facts schema (Value.Set.of_list dom)
@@ -34,35 +87,21 @@ let instances schema ~dom ~max_facts =
   in
   Seq.map Instance.of_list (subsets_up_to facts max_facts)
 
-(* Extensions are constructed fact-by-fact from a sorted candidate list,
-   so each one IS a delta against the base: hand the scan the raw
-   (sorted, duplicate-free) fact list and a lazy instance view instead
-   of materializing a set it would immediately re-diff. *)
-let extension_deltas kind ~base ~schema ~fresh ~max_size =
+let candidates kind ~base ~schema ~fresh =
   let base_dom = Instance.adom base in
   let pool =
     match (kind : Classes.kind) with
     | Disjoint -> Value.Set.of_list fresh
-    | Plain | Distinct ->
-      Value.Set.union base_dom (Value.Set.of_list fresh)
+    | Plain | Distinct -> Value.Set.union base_dom (Value.Set.of_list fresh)
   in
-  let candidates =
-    Schema.all_facts schema pool
-    |> List.filter (fun f ->
-           (not (Instance.mem f base))
-           &&
-           match kind with
-           | Classes.Plain -> true
-           | Classes.Distinct ->
-             not (Value.Set.subset (Fact.adom f) base_dom)
-           | Classes.Disjoint ->
-             Value.Set.is_empty (Value.Set.inter (Fact.adom f) base_dom))
-    |> List.sort Fact.compare
-  in
-  subsets_up_to candidates max_size
-  |> Seq.filter (fun l -> l <> [])
-  |> Seq.map Query.delta_of_facts
-
-let extensions kind ~base ~schema ~fresh ~max_size =
-  extension_deltas kind ~base ~schema ~fresh ~max_size
-  |> Seq.map Query.delta_instance
+  Schema.all_facts schema pool
+  |> List.filter (fun f ->
+         (not (Instance.mem f base))
+         &&
+         match kind with
+         | Classes.Plain -> true
+         | Classes.Distinct ->
+           not (Value.Set.subset (Fact.adom f) base_dom)
+         | Classes.Disjoint ->
+           Value.Set.is_empty (Value.Set.inter (Fact.adom f) base_dom))
+  |> List.sort Fact.compare |> Array.of_list

@@ -3,43 +3,58 @@
     Class membership is undecidable in general (paper, Section 7); the
     checkers explore all instances up to a size/domain bound. Genericity of
     queries means the choice of concrete domain values is irrelevant, so a
-    fixed value pool loses no generality at a given size. *)
+    fixed value pool loses no generality at a given size.
+
+    The scan's extensions of one base are the nonempty subsets of at most
+    [max_ext] facts of its {!candidates}, walked by {!subsets_until}: an
+    index recursion over one sorted array, with no lazy stream between
+    the enumeration and the probe. The order is {!subsets_up_to}'s: size
+    first, then lexicographic in the candidate indices, each subset's
+    facts ascending. So the first violation in pair order, and with it
+    the certificate, is fixed by the bounds alone. *)
 
 open Relational
 
 val value_pool : int -> Value.t list
-(** [n] canonical base-instance values ([Int 1 .. Int n]). *)
+(** [n] canonical base-instance values ([Int 1 .. Int n]).
+    @raise Invalid_argument if [n] is negative. *)
 
 val fresh_pool : int -> Value.t list
-(** [n] values guaranteed disjoint from every {!value_pool}. *)
+(** [n] values guaranteed disjoint from every {!value_pool}.
+    @raise Invalid_argument if [n] is negative. *)
 
 val subsets_up_to : 'a list -> int -> 'a list Seq.t
-(** All subsets of size [<= k], smallest first. *)
+(** All subsets of size [<= k], smallest first, then in lexicographic
+    order of their positions in the list; each subset keeps the list's
+    order. The empty subset comes first. *)
+
+val subsets_until : 'a array -> int -> ('a list -> bool) -> int
+(** [subsets_until items k stop] hands [stop] the nonempty subsets of
+    [items] with at most [k] elements, in {!subsets_up_to}'s order, until
+    [stop] answers [true]. Returns how many it handed over, the stopping
+    one included: {!subsets_count}[ n k] when [stop] never answers
+    [true]. Nothing is allocated per subset but its list. *)
+
+val subsets_count : int -> int -> int
+(** [subsets_count n k] is [Σ C(n, s)] over [1 <= s <= min k n]: the
+    number of nonempty subsets of at most [k] out of [n] items. The scan
+    counts a group whose [Q(base)] is empty with it instead of walking
+    the group. *)
 
 val instances :
   Schema.t -> dom:Value.t list -> max_facts:int -> Instance.t Seq.t
 (** All instances over the schema using only the given values, with at most
     [max_facts] facts. *)
 
-val extension_deltas :
+val candidates :
   Classes.kind ->
   base:Instance.t ->
   schema:Schema.t ->
   fresh:Value.t list ->
-  max_size:int ->
-  Query.delta Seq.t
-(** All nonempty extensions [J] admissible for the kind, built from
-    [adom base ∪ fresh] ([fresh] only, for [Disjoint]), excluding facts
-    already in the base, with [|J| <= max_size] — presented as
-    {!Relational.Query.delta}s: the sorted fact list the enumeration
-    just constructed, with the instance view forced only by consumers
-    that need a set. Same enumeration order as {!extensions}. *)
-
-val extensions :
-  Classes.kind ->
-  base:Instance.t ->
-  schema:Schema.t ->
-  fresh:Value.t list ->
-  max_size:int ->
-  Instance.t Seq.t
-(** {!extension_deltas} with each delta forced to its instance. *)
+  Fact.t array
+(** The facts an admissible extension of [base] is built from, ascending
+    by {!Relational.Fact.compare}: the facts over [adom base ∪ fresh]
+    ([fresh] only, for [Disjoint]) outside the base, and, for
+    [Distinct], with a value outside [adom base]. Every nonempty subset
+    of them is an admissible extension for the kind, and every
+    admissible extension disjoint from the base is one. *)

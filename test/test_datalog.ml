@@ -870,7 +870,7 @@ let prop_stratified_genericity =
 
 let test_ivm_basic () =
   let p = Parser.parse_program tc_src in
-  let h = Ivm.materialize p (inst [ edge 1 2; edge 2 3 ]) in
+  let h = Ivm.materialize (Ivm.compile p) (inst [ edge 1 2; edge 2 3 ]) in
   check_bool "T(1,3)" true (Instance.mem (fact "T" [ 1; 3 ]) (Ivm.current h));
   check_bool "an insert loses no fact of a positive program" true
     (Instance.is_empty (Ivm.lost h [ edge 3 4 ]));
@@ -880,7 +880,7 @@ let test_ivm_basic () =
 let test_ivm_unstratifiable () =
   let p = Parser.parse_program winmove_src in
   check_bool "unsupported" false (Stratify.is_stratifiable p);
-  match Ivm.materialize p Instance.empty with
+  match Ivm.compile p with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
@@ -920,14 +920,15 @@ let lost_route p h facts =
     if applies > 0 then `Fallback else if trivial then `Trivial else `Fast )
 
 let ivm_sequence_ok ?(tally = fun _ _ -> ()) p init steps to_inst =
-  let h = ref (Ivm.materialize p init) in
+  let c = Ivm.compile p in
+  let h = ref (Ivm.materialize c init) in
   let given = ref init in
   List.for_all
     (fun (rematerialize, adds, rems) ->
       let add = to_inst adds in
       if rematerialize then begin
         given := Instance.union (Instance.diff !given (to_inst rems)) add;
-        h := Ivm.materialize p !given;
+        h := Ivm.materialize c !given;
         Instance.equal (Ivm.current !h) (ivm_oracle p !given)
       end
       else
@@ -1051,12 +1052,12 @@ let test_ivm_lost_routes () =
    covers. *)
 let test_ivm_lost () =
   let base = inst [ edge 1 2; edge 2 3 ] in
-  let h = Ivm.materialize tc base in
+  let h = Ivm.materialize (Ivm.compile tc) base in
   let lost, n = with_applies (fun () -> Ivm.lost h [ edge 3 1; edge 3 4 ]) in
   check_bool "positive program loses nothing" true (Instance.is_empty lost);
   check_int "positive program: no full-model run" 0 n;
   let p = Adom.augment (Parser.parse_program comp_tc_src) in
-  let h = Ivm.materialize p base in
+  let h = Ivm.materialize (Ivm.compile p) base in
   let lost, n = with_applies (fun () -> Ivm.lost h [ edge 7 8; edge 8 9 ]) in
   check_bool "disjoint insert loses nothing" true (Instance.is_empty lost);
   check_int "disjoint insert: no full-model run" 0 n;
@@ -1077,14 +1078,14 @@ let test_ivm_lost () =
       "P(x) :- E(x,y). Q(x) :- P(x). R(x) :- Q(x). O(x) :- F(x), not R(x)."
   in
   let base = inst [ fact "F" [ 1 ]; fact "F" [ 2 ] ] in
-  let h = Ivm.materialize p base in
+  let h = Ivm.materialize (Ivm.compile p) base in
   Alcotest.check instance_testable "loss through a positive chain"
     (inst [ fact "O" [ 1 ] ])
     (Ivm.lost h [ edge 1 2 ]);
   (* Both negated atoms of one old firing grow at once: the seed is
      judged against the old model, where neither was present. *)
   let p = Parser.parse_program "O(x) :- F(x), not A(x), not B(x)." in
-  let h = Ivm.materialize p base in
+  let h = Ivm.materialize (Ivm.compile p) base in
   Alcotest.check instance_testable "two grown negations block one firing"
     (inst [ fact "O" [ 1 ] ])
     (Ivm.lost h [ fact "A" [ 1 ]; fact "B" [ 1 ] ])

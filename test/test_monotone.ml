@@ -79,18 +79,51 @@ let test_instances_enumeration () =
   in
   check_int "2^3 subsets" 8 (List.length all)
 
+(* The reference scan's extensions are admissible and nonempty, and the
+   kernel hands over the same ones, in the same order. *)
 let test_extensions_admissible () =
   let base = Graph_gen.of_edges [ (1, 2) ] in
   let sg = Graph_gen.schema in
   let fresh = Enumerate.fresh_pool 2 in
   List.iter
     (fun kind ->
-      Enumerate.extensions kind ~base ~schema:sg ~fresh ~max_size:2
-      |> Seq.iter (fun ext ->
-             check_bool "admissible" true
-               (Classes.admissible kind ~base ~extension:ext);
-             check_bool "nonempty" false (Instance.is_empty ext)))
+      let reference =
+        Refscan.extensions kind ~base ~schema:sg ~fresh ~max_size:2
+        |> List.of_seq
+      in
+      List.iter
+        (fun ext ->
+          check_bool "admissible" true
+            (Classes.admissible kind ~base ~extension:ext);
+          check_bool "nonempty" false (Instance.is_empty ext))
+        reference;
+      let kernel = ref [] in
+      let n =
+        Enumerate.subsets_until
+          (Enumerate.candidates kind ~base ~schema:sg ~fresh)
+          2
+          (fun facts ->
+            kernel := Instance.of_list facts :: !kernel;
+            false)
+      in
+      check_int "kernel count" (List.length reference) n;
+      check_bool "kernel = reference" true
+        (List.equal Instance.equal reference (List.rev !kernel)))
     [ Classes.Plain; Classes.Distinct; Classes.Disjoint ]
+
+let test_pool_sizes () =
+  check_int "empty pool" 0 (List.length (Enumerate.value_pool 0));
+  List.iter
+    (fun (what, pool) ->
+      match pool (-1) with
+      | _ -> Alcotest.failf "%s accepted a negative size" what
+      | exception Invalid_argument msg ->
+        check_bool (what ^ " names itself") true
+          (String.starts_with ~prefix:("Enumerate." ^ what) msg))
+    [
+      ("value_pool", Enumerate.value_pool);
+      ("fresh_pool", Enumerate.fresh_pool);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 3.1 separations, bounded *)
@@ -882,6 +915,143 @@ let prop_sp_programs_distinct_monotone =
                    ~bounds:{ small with Checker.max_base = 3 }
                    Classes.Distinct q)))
 
+(* ------------------------------------------------------------------ *)
+(* The scan kernel against its order oracle and the reference scan
+   ({!Refscan}): the kernel hands over exactly the nonempty subsets of
+   [subsets_up_to], in its order, and stops at the first [true]; the
+   checkers agree with the per-pair [Seq] scan on the verdict, the
+   certificate, [monotone.probes] and [pairs_scanned] at every job
+   count. *)
+
+let binomial_sum n k =
+  let rec choose n s = if s = 0 then 1 else choose (n - 1) (s - 1) * n / s in
+  List.init (max 0 (min k n)) (fun s -> choose n (s + 1))
+  |> List.fold_left ( + ) 0
+
+let prop_kernel_order =
+  QCheck2.Test.make ~name:"kernel = subsets_up_to, stops at the first true"
+    ~count:300
+    QCheck2.Gen.(
+      let* items = list_size (int_range 0 12) (int_range 0 9) in
+      let* k = int_range (-1) 4 in
+      let* stop = int_range 0 (binomial_sum (List.length items) k + 1) in
+      return (items, k, stop))
+    (fun (items, k, stop) ->
+      let expected =
+        Enumerate.subsets_up_to items k
+        |> Seq.filter (fun l -> l <> [])
+        |> Seq.take (stop + 1) |> List.of_seq
+      in
+      let seen = ref [] in
+      let count =
+        Enumerate.subsets_until (Array.of_list items) k (fun l ->
+            seen := l :: !seen;
+            List.length !seen > stop)
+      in
+      List.rev !seen = expected
+      && count = List.length expected
+      && Enumerate.subsets_count (List.length items) k
+         = binomial_sum (List.length items) k)
+
+(* [run ~jobs] against the reference's [(outcome, probes)] at jobs 1, 2
+   and 4: same outcome (certificate included), same probes, and
+   [pairs_scanned] = the pair count of a clean scan (0 when violated). *)
+let check_against_reference name (ref_o, ref_probes) run =
+  let ref_pairs =
+    match ref_o with Checker.No_violation { pairs } -> pairs | _ -> 0
+  in
+  List.iter
+    (fun jobs ->
+      Observe.Metrics.reset Observe.Metrics.root;
+      let o = run ~jobs in
+      let at what = Printf.sprintf "%s: %s jobs=%d" name what jobs in
+      check_bool (at "outcome") true (outcome_equal ref_o o);
+      check_int (at "monotone.probes") ref_probes
+        (root_count "monotone.probes");
+      check_int (at "monotone.pairs_scanned") ref_pairs
+        (root_count "monotone.pairs_scanned"))
+    [ 1; 2; 4 ]
+
+let kinds = [ Classes.Plain; Classes.Distinct; Classes.Disjoint ]
+
+let wall_zoo =
+  [
+    ("tc", Zoo.tc);
+    ("comp-tc", Zoo.comp_tc);
+    ("q-clique-3", Zoo.q_clique 3);
+    ("q-star-2", Zoo.q_star 2);
+    ("q-duplicate-2", Zoo.q_duplicate 2);
+    ("triangles-unless-2-disjoint", Zoo.triangles_unless_two_disjoint);
+    ("win-move", Zoo.winmove);
+    ("win-move-doubled", Zoo.winmove_doubled);
+  ]
+
+let test_kernel_wall_zoo () =
+  List.iter
+    (fun (name, q) ->
+      List.iter
+        (fun kind ->
+          let name = name ^ " " ^ Classes.kind_to_string kind in
+          check_against_reference name
+            (Refscan.check_exhaustive ~bounds:small kind q)
+            (fun ~jobs -> Checker.check_exhaustive ~bounds:small ~jobs kind q))
+        kinds)
+    wall_zoo
+
+let test_kernel_wall_bases () =
+  let bases =
+    [
+      Instance.empty;
+      Graph_gen.of_edges [ (1, 2) ];
+      Graph_gen.path 3;
+      Graph_gen.cycle 3;
+      Graph_gen.of_edges [ (1, 2); (2, 1); (3, 3) ];
+    ]
+  in
+  List.iter
+    (fun (name, q) ->
+      List.iter
+        (fun kind ->
+          let name = name ^ " on bases " ^ Classes.kind_to_string kind in
+          check_against_reference name
+            (Refscan.check_on_bases ~fresh:3 ~max_ext:3 kind q bases)
+            (fun ~jobs ->
+              Checker.check_on_bases ~fresh:3 ~max_ext:3 ~jobs kind q bases))
+        kinds)
+    [ ("tc", Zoo.tc); ("comp-tc", Zoo.comp_tc); ("q-clique-3", Zoo.q_clique 3) ]
+
+(* Random semi-positive and stratified programs ({!Random_program}) over
+   binary A and B, so the incremental route answers the probes; the
+   bounds stay small because two binary relations widen the scan. *)
+let test_kernel_wall_programs () =
+  let bounds = { Checker.dom_size = 2; fresh = 1; max_base = 2; max_ext = 2 } in
+  let rules =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 28 |]) ~n:24
+      (Random_program.program ~negatable:[ "A"; "B"; "P"; "Q" ]
+         ~rules:(1, 4) ())
+  in
+  let queries =
+    List.filter_map
+      (fun r ->
+        match program_query r with
+        | q -> Some q
+        | exception Invalid_argument _ -> None)
+      rules
+  in
+  check_bool "enough stratified draws" true (List.length queries >= 8);
+  List.iteri
+    (fun i q ->
+      List.iter
+        (fun kind ->
+          let name =
+            Printf.sprintf "program %d %s" i (Classes.kind_to_string kind)
+          in
+          check_against_reference name
+            (Refscan.check_exhaustive ~bounds kind q)
+            (fun ~jobs -> Checker.check_exhaustive ~bounds ~jobs kind q))
+        kinds)
+    queries
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -911,6 +1081,7 @@ let () =
           Alcotest.test_case "instances" `Quick test_instances_enumeration;
           Alcotest.test_case "extensions admissible" `Quick
             test_extensions_admissible;
+          Alcotest.test_case "pool sizes" `Quick test_pool_sizes;
         ] );
       ( "theorem-3.1",
         [
@@ -965,6 +1136,16 @@ let () =
         [
           Alcotest.test_case "violating scan" `Slow test_ivm_scan_violating;
           Alcotest.test_case "clean scan" `Slow test_ivm_scan_clean;
+        ] );
+      ( "scan-kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_kernel_order;
+          Alcotest.test_case "zoo against the reference" `Slow
+            test_kernel_wall_zoo;
+          Alcotest.test_case "bases against the reference" `Slow
+            test_kernel_wall_bases;
+          Alcotest.test_case "programs against the reference" `Slow
+            test_kernel_wall_programs;
         ] );
       ( "shrink-ladder",
         [
