@@ -3,6 +3,7 @@
    Subcommands:
      calm eval      evaluate a Datalog¬ program on an input instance
      calm classify  syntactic fragment + CALM level + empirical placement
+                    (--profile: span-tree attribution of its scans)
      calm check     monotonicity-class membership with explicit bounds
      calm run       compile and run once on a simulated network: output
                     vs Q(input), heartbeat witness, telemetry record
@@ -16,7 +17,6 @@
      calm report    bench-trajectory dashboard, and the guarded-row
                     regression gate (--diff)
      calm plan      EXPLAIN ANALYZE of the compiled Joindb plans
-     calm profile   span-tree attribution of the monotonicity scans
      calm graph, figure2, lint, certify
 
    Programs use the conventional syntax (see lib/datalog/parser.mli);
@@ -364,19 +364,25 @@ let bounds_term =
   let mk dom_size fresh max_base max_ext =
     { Monotone.Checker.dom_size; fresh; max_base; max_ext }
   in
+  let d = Monotone.Checker.default_bounds in
   Term.(
     const mk
-    $ bound "dom" 3 "Base-domain size for checks, at least 1."
+    $ bound "dom" d.dom_size "Base-domain size for checks, at least 1."
         "a base domain has at least one value"
-    $ bound "fresh" 2 "Fresh values, at least 1."
+    $ bound "fresh" d.fresh "Fresh values, at least 1."
         "an extension has at least one fresh value"
-    $ bound "max-base" 3 "Max base facts, at least 1."
+    $ bound "max-base" d.max_base "Max base facts, at least 1."
         "a base has at least one fact"
-    $ bound "max-ext" 2 "Max extension facts, at least 1."
+    $ bound "max-ext" d.max_ext "Max extension facts, at least 1."
         "an extension has at least one fact")
 
+(* The one placement line ({!Calm_core.Hierarchy.pp_placement}). *)
+let print_placement level source =
+  Format.printf "%a@." Calm_core.Hierarchy.pp_placement (level, source)
+
 let classify_cmd =
-  let run src outputs bounds jobs =
+  let run src outputs bounds jobs obs =
+    with_observability obs @@ fun () ->
     let program = load_program ~outputs src in
     let fragment = Datalog.Program.fragment program in
     Printf.printf "fragment:        %s\n" (Datalog.Fragment.to_string fragment);
@@ -389,11 +395,24 @@ let classify_cmd =
       (Calm_core.Hierarchy.transducer_model syntactic)
       (Calm_core.Hierarchy.datalog_fragment syntactic);
     let q = Datalog.Program.query ~name:"program" program in
+    let t0 = Unix.gettimeofday () in
     let empirical = Calm_core.Hierarchy.place_empirically ~bounds ~jobs q in
-    Printf.printf "empirical level: %s (bounded: dom %d, fresh %d, base %d, ext %d)\n"
-      (Calm_core.Hierarchy.to_string empirical)
-      bounds.Monotone.Checker.dom_size bounds.Monotone.Checker.fresh
-      bounds.Monotone.Checker.max_base bounds.Monotone.Checker.max_ext;
+    let wall = Unix.gettimeofday () -. t0 in
+    print_placement empirical (Calm_core.Hierarchy.Bounded bounds);
+    (* Timings are schedule-dependent, so redacted output leaves this
+       line out. *)
+    if Observe.Profile.is_enabled () && not obs.redact_timings then
+      Option.iter
+        (fun scan ->
+          Printf.printf
+            "attribution: %.1f%% of the %.3fs scan wall time is attributed \
+             to named (base, stage, rule) spans (%.3fs total placement \
+             wall)\n"
+            (100. *. Observe.Profile.coverage scan)
+            scan.Observe.Profile.total_s wall)
+        (List.find_opt
+           (fun n -> n.Observe.Profile.path = [ "scan" ])
+           (Observe.Profile.spans Observe.Metrics.root));
     let points = Datalog.Points_of_order.analyze program.Datalog.Program.rules in
     Printf.printf "points of order: %d — %s\n" (List.length points)
       (Datalog.Points_of_order.coordination_level program.Datalog.Program.rules);
@@ -403,9 +422,17 @@ let classify_cmd =
   in
   Cmd.v
     (Cmd.info "classify"
-       ~doc:"place a program in the refined CALM hierarchy")
+       ~doc:
+         "place a program in the refined CALM hierarchy: its syntactic \
+          level and the bounded scans' level (plain, then distinct, then \
+          disjoint, up to the first class that holds); --profile prints \
+          the scans' attribution tree (scan → base → stage/probe → rule, \
+          with cache-hit / route / empty-before annotations), and \
+          --record writes it as profile.json, profile.folded and the \
+          profile track of trace.json")
     Term.(
-      const run $ program_src_term $ outputs_term $ bounds_term $ jobs_term)
+      const run $ program_src_term $ outputs_term $ bounds_term $ jobs_term
+      $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm check *)
@@ -463,7 +490,8 @@ let check_cmd =
 (* What run, sweep, explain, detect and explore start from. A program
    that stays Beyond compiles to the coordinated barrier strategy. The
    commands with --jobs (sweep, detect, explore) pass it on to the
-   empirical placement of a program outside the syntactic fragments. *)
+   empirical placement of a program outside the syntactic fragments.
+   Each command prints the placement line once its inputs are valid. *)
 type setup = {
   input : Instance.t;
   compiled : Calm_core.Compile.compiled;
@@ -485,6 +513,9 @@ let setup ?jobs ~outputs ~nodes src facts facts_file =
     compiled = Calm_core.Compile.compile_program ?jobs program;
     network = Distributed.network_of_ints (List.init nodes (fun i -> 1 + i));
   }
+
+let print_compiled c =
+  print_placement c.Calm_core.Compile.level c.Calm_core.Compile.source
 
 let default_policy_for compiled network =
   let schema = compiled.Calm_core.Compile.query.Query.input in
@@ -572,11 +603,7 @@ let run_cmd =
         setup ~outputs ~nodes src facts facts_file
       in
       let faults = faults_of_flag ~network faults in
-      let level = compiled.Calm_core.Compile.level in
-      Printf.printf "compiled at level %s (%s strategy)\n"
-        (Calm_core.Hierarchy.to_string level)
-        (if level = Calm_core.Hierarchy.Beyond then "coordinated barrier"
-         else Calm_core.Hierarchy.transducer_model level);
+      print_compiled compiled;
       let policy = default_policy_for compiled network in
       let sched = scheduler_of nodes seed scheduler in
       let tracer =
@@ -686,6 +713,7 @@ let sweep_cmd =
           query.Query.input network
       in
       let faults = faults_of_flag ~network faults in
+      print_compiled compiled;
       let cells =
         Network.Netquery.grid policies Network.Netquery.default_schedulers
       in
@@ -769,6 +797,7 @@ let explain_cmd =
     in
     let policy = default_policy_for compiled network in
     let faults = faults_of_flag ~network faults in
+    print_compiled compiled;
     let sched = scheduler_of nodes seed scheduler in
     let tracer = Network.Trace.collector () in
     let result =
@@ -777,8 +806,7 @@ let explain_cmd =
         ~transducer:compiled.Calm_core.Compile.transducer ~input sched
     in
     let events = Network.Trace.events tracer in
-    Printf.printf "level=%s policy=%s quiesced=%b transitions=%d\n"
-      (Calm_core.Hierarchy.to_string compiled.Calm_core.Compile.level)
+    Printf.printf "policy=%s quiesced=%b transitions=%d\n"
       (Network.Policy.name policy) result.Network.Run.quiesced
       result.Network.Run.transitions;
     let targets =
@@ -882,6 +910,7 @@ let detect_cmd =
         setup ~jobs ~outputs ~nodes src facts facts_file
       in
       let faults = faults_of_flag ~network faults in
+      print_compiled compiled;
       let schema = compiled.Calm_core.Compile.query.Query.input in
       let policies =
         let base =
@@ -1013,62 +1042,6 @@ let plan_cmd =
       $ facts_file_term)
 
 (* ------------------------------------------------------------------ *)
-(* calm profile *)
-
-let profile_cmd =
-  let redact_term =
-    Arg.(
-      value & flag
-      & info [ "redact-timings" ]
-          ~doc:
-            "Replace schedule-dependent numbers with '-' so stdout is \
-             byte-reproducible (counts and annotations only).")
-  in
-  let run src outputs bounds jobs record redact =
-    with_observability
-      { record; profile = false; redact_timings = false; live = false;
-        heartbeat = 0. }
-    @@ fun () ->
-    Observe.Profile.enable ();
-    let program = load_program ~outputs src in
-    let q = Datalog.Program.query ~name:"program" program in
-    let t0 = Unix.gettimeofday () in
-    let placement = Monotone.Checker.place ~bounds ~jobs q in
-    let wall = Unix.gettimeofday () -. t0 in
-    Observe.Profile.disable ();
-    Printf.printf "placement: %s (dom %d, fresh %d, base %d, ext %d)\n"
-      (Monotone.Checker.strongest placement)
-      bounds.Monotone.Checker.dom_size bounds.Monotone.Checker.fresh
-      bounds.Monotone.Checker.max_base bounds.Monotone.Checker.max_ext;
-    let root = Observe.Metrics.root in
-    Format.printf "%a@?" (Observe.Profile.pp ~redact_timings:redact) root;
-    if not redact then
-      let nodes = Observe.Profile.spans root in
-      match
-        List.find_opt (fun n -> n.Observe.Profile.path = [ "scan" ]) nodes
-      with
-      | Some scan ->
-        Printf.printf
-          "attribution: %.1f%% of the %.3fs scan wall time is attributed \
-           to named (base, stage, rule) spans (%.3fs total placement wall)\n"
-          (100. *. Observe.Profile.coverage scan)
-          scan.Observe.Profile.total_s wall
-      | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "profile the full monotonicity placement of a program: run the \
-          plain/distinct/disjoint scans with span profiling enabled and \
-          print the attribution tree (scan → base → stage/probe → rule, \
-          with cache-hit / witness-route / empty-before annotations); \
-          --record writes the span tree as profile.json, profile.folded \
-          and the profile track of trace.json")
-    Term.(
-      const run $ program_src_term $ outputs_term $ bounds_term $ jobs_term
-      $ record_term $ redact_term)
-
-(* ------------------------------------------------------------------ *)
 (* calm graph *)
 
 let graph_cmd =
@@ -1118,6 +1091,7 @@ let explore_cmd =
       setup ~jobs ~outputs ~nodes:2 src facts facts_file
     in
     let policy = default_policy_for compiled network in
+    print_compiled compiled;
     Printf.printf
       "model-checking every message order on a 2-node network (budget %d)...\n"
       budget;
@@ -1383,6 +1357,5 @@ let () =
           [
             eval_cmd; classify_cmd; check_cmd; run_cmd; sweep_cmd;
             explain_cmd; detect_cmd; explore_cmd; validate_cmd; report_cmd;
-            plan_cmd; profile_cmd; graph_cmd; figure2_cmd; lint_cmd;
-            certify_cmd;
+            plan_cmd; graph_cmd; figure2_cmd; lint_cmd; certify_cmd;
           ]))

@@ -2,6 +2,7 @@ open Relational
 
 type compiled = {
   level : Hierarchy.level;
+  source : Hierarchy.source;
   query : Query.t;
   transducer : Network.Transducer.t;
   variant : Network.Config.variant;
@@ -28,6 +29,7 @@ let strategy_for (level : Hierarchy.level) q =
 let coordinated q =
   {
     level = Hierarchy.Beyond;
+    source = Hierarchy.Given;
     query = q;
     transducer = Strategies.Barrier.transducer q;
     variant = Network.Config.original;
@@ -40,6 +42,7 @@ let compile ~level q =
   | level ->
     {
       level;
+      source = Hierarchy.Given;
       query = q;
       transducer = strategy_for level q;
       variant =
@@ -49,14 +52,14 @@ let compile ~level q =
       domain_guided_only = level = Hierarchy.Domain_disjoint;
     }
 
-let compile_program ?bounds ?jobs ?level p =
+let compile_program ?jobs p =
   let q = Datalog.Program.query ~name:"program" p in
-  let level =
-    match level with
-    | Some l -> l
-    | None -> (
-      match Hierarchy.of_fragment (Datalog.Program.fragment p) with
-      | Hierarchy.Beyond -> Hierarchy.place_empirically ?bounds ?jobs q
-      | l -> l)
+  let fragment = Datalog.Program.fragment p in
+  let level, source =
+    match Hierarchy.of_fragment fragment with
+    | Hierarchy.Beyond ->
+      let bounds = Monotone.Checker.default_bounds in
+      (Hierarchy.place_empirically ~bounds ?jobs q, Hierarchy.Bounded bounds)
+    | level -> (level, Hierarchy.Syntactic fragment)
   in
-  compile ~level q
+  { (compile ~level q) with source }

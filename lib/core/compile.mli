@@ -6,6 +6,9 @@ open Relational
 
 type compiled = {
   level : Hierarchy.level;
+  source : Hierarchy.source;
+      (** where [level] comes from: {!Hierarchy.Given} unless
+          {!compile_program} placed it *)
   query : Query.t;
   transducer : Network.Transducer.t;
   variant : Network.Config.variant;
@@ -31,11 +34,11 @@ val compile : level:Hierarchy.level -> Query.t -> compiled
 (** The level's coordination-free strategy ({!strategy_for}), or
     {!coordinated} at [Beyond]. Total. *)
 
-val compile_program :
-  ?bounds:Monotone.Checker.bounds -> ?jobs:int -> ?level:Hierarchy.level ->
-  Datalog.Program.t -> compiled
-(** Level defaults to the program's syntactic placement
-    ({!Hierarchy.of_fragment}); when that is [Beyond] the empirical
-    placement is tried on [jobs] domains ({!Hierarchy.place_empirically};
-    the level does not depend on [jobs]), and a program that stays
-    [Beyond] compiles to {!coordinated}. *)
+val compile_program : ?jobs:int -> Datalog.Program.t -> compiled
+(** The program's syntactic level ({!Hierarchy.of_fragment}, source
+    [Syntactic]); when that is [Beyond], {!Hierarchy.place_empirically}
+    at {!Monotone.Checker.default_bounds} on [jobs] domains (source
+    [Bounded]; the level does not depend on [jobs]). A bounded level
+    keeps the coordination-free strategy it names, so a run that refutes
+    it shows up as a wrong output; a program that stays [Beyond] compiles
+    to {!coordinated}. *)

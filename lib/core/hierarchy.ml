@@ -46,15 +46,31 @@ let of_fragment (f : Datalog.Fragment.t) =
   | Datalog.Fragment.Semi_connected_stratified -> Domain_disjoint
   | Datalog.Fragment.Stratified | Datalog.Fragment.Unstratifiable -> Beyond
 
+(* Plain, then distinct, then disjoint: the first class that holds is the
+   strongest (see the interface), so the weaker scans never run. *)
 let place_empirically ?bounds ?jobs q =
-  let p = Monotone.Checker.place ?bounds ?jobs q in
-  let open Monotone.Checker in
-  if not (is_violation p.plain) then Monotone
-  else if not (is_violation p.distinct) then Domain_distinct
-  else if not (is_violation p.disjoint) then Domain_disjoint
+  let holds kind =
+    not
+      (Monotone.Checker.is_violation
+         (Monotone.Checker.check_exhaustive ?bounds ?jobs kind q))
+  in
+  if holds Monotone.Classes.Plain then Monotone
+  else if holds Monotone.Classes.Distinct then Domain_distinct
+  else if holds Monotone.Classes.Disjoint then Domain_disjoint
   else Beyond
 
-let placement_of_program ?bounds ?jobs p =
-  let syntactic = of_fragment (Datalog.Program.fragment p) in
-  let q = Datalog.Program.query ~name:"program" p in
-  (syntactic, place_empirically ?bounds ?jobs q)
+type source =
+  | Syntactic of Datalog.Fragment.t
+  | Bounded of Monotone.Checker.bounds
+  | Given
+
+let pp_placement ppf (level, source) =
+  Format.fprintf ppf "placement: %s (" (to_string level);
+  (match source with
+  | Syntactic f ->
+    Format.fprintf ppf "syntactic: %s" (Datalog.Fragment.to_string f)
+  | Bounded { Monotone.Checker.dom_size; fresh; max_base; max_ext } ->
+    Format.fprintf ppf "bounded: dom %d, fresh %d, base %d, ext %d" dom_size
+      fresh max_base max_ext
+  | Given -> Format.pp_print_string ppf "given");
+  Format.pp_print_char ppf ')'

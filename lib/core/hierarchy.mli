@@ -37,13 +37,26 @@ val of_fragment : Datalog.Fragment.t -> level
 
 val place_empirically :
   ?bounds:Monotone.Checker.bounds -> ?jobs:int -> Query.t -> level
-(** Bounded-exhaustive placement via {!Monotone.Checker.place}: the
-    strongest class with no violation found. [jobs] fans the membership
-    probes across a Domain pool without changing the placement. *)
+(** The one empirical placement: {!Monotone.Checker.check_exhaustive}
+    for [Plain], then [Distinct], then [Disjoint], stopping at the first
+    class with no violation within [bounds] (default
+    {!Monotone.Checker.default_bounds}); [Beyond] when all three are
+    violated. Per base the admissible extensions nest (Disjoint ⊆
+    Distinct ⊆ Plain) and a probe's answer does not depend on the kind,
+    so the classes skipped would hold too: the level is the one read off
+    all three outcomes, at the cost of one scan for a monotone query.
+    [jobs] fans each scan across a Domain pool without changing the
+    level. *)
 
-val placement_of_program :
-  ?bounds:Monotone.Checker.bounds -> ?jobs:int ->
-  Datalog.Program.t -> level * level
-(** [(syntactic, empirical)] placement of a Datalog¬ program; the
-    syntactic level always bounds the empirical one from above when the
-    checkers are given enough budget. *)
+(** Where a level comes from. *)
+type source =
+  | Syntactic of Datalog.Fragment.t
+      (** a Figure 2 arrow from the program's fragment: certain *)
+  | Bounded of Monotone.Checker.bounds
+      (** {!place_empirically} within these bounds: evidence only *)
+  | Given  (** stated by the caller (e.g. a zoo query's paper level) *)
+
+val pp_placement : Format.formatter -> level * source -> unit
+(** The one placement line: ["placement: <level> (syntactic: <fragment>)"],
+    ["placement: <level> (bounded: dom D, fresh F, base B, ext E)"] or
+    ["placement: <level> (given)"]. *)

@@ -96,7 +96,7 @@ let derive_plan ~neg ~current ~db ~delta ~which (p : Joindb.plan) acc =
   in
   if not profiling then fst (run ())
   else begin
-    (* Per-rule ANALYZE, recorded only under [calm profile]/[--profile]:
+    (* Per-rule ANALYZE, recorded only under [--profile]/[--record]:
        fired/derived/deduped are stable counters (summed per activation,
        so byte-identical across --jobs by the pool's in-order merge);
        the timing and the profile span stay volatile. *)

@@ -208,7 +208,8 @@ let check_exhaustive ?(bounds = default_bounds) ?schema ?jobs kind q =
   in
   scan ?jobs kind q groups
 
-let check_on_bases ?(fresh = 2) ?(max_ext = 2) ?jobs kind q bases =
+let check_on_bases ?(fresh = default_bounds.fresh)
+    ?(max_ext = default_bounds.max_ext) ?jobs kind q bases =
   let exts =
     Admissible
       { schema = q.Query.input; fresh = Enumerate.fresh_pool fresh; max_ext }
@@ -296,22 +297,3 @@ let ladder ?fresh ?bases ?(bounds = default_bounds) ?jobs kind ~max_i q =
           | Some bases -> check_on_bases ?fresh ~max_ext:i ?jobs kind q bases
           | None ->
             check_exhaustive ~bounds:{ bounds with max_ext = i } ?jobs kind q))
-
-type placement = {
-  plain : outcome;
-  distinct : outcome;
-  disjoint : outcome;
-}
-
-let place ?bounds ?schema ?jobs q =
-  {
-    plain = check_exhaustive ?bounds ?schema ?jobs Classes.Plain q;
-    distinct = check_exhaustive ?bounds ?schema ?jobs Classes.Distinct q;
-    disjoint = check_exhaustive ?bounds ?schema ?jobs Classes.Disjoint q;
-  }
-
-let strongest p =
-  if not (is_violation p.plain) then "M"
-  else if not (is_violation p.distinct) then "Mdistinct"
-  else if not (is_violation p.disjoint) then "Mdisjoint"
-  else "C (non-monotone)"

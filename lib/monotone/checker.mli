@@ -23,7 +23,9 @@ type bounds = {
 }
 
 val default_bounds : bounds
-(** [{ dom_size = 3; fresh = 2; max_base = 4; max_ext = 2 }]. *)
+(** [{ dom_size = 3; fresh = 2; max_base = 4; max_ext = 2 }]: the one
+    bounds default. The checkers here, the CLI's bound options and the
+    empirical placement of a compiled program all default to it. *)
 
 val check_exhaustive :
   ?bounds:bounds -> ?schema:Schema.t -> ?jobs:int -> Classes.kind ->
@@ -80,18 +82,3 @@ val ladder :
     size at most [i], over the given bases ({!check_on_bases}) or
     exhaustively. By inclusion the outcomes are monotone: once violated at
     [i], violated for all [j ≥ i]. *)
-
-type placement = {
-  plain : outcome;
-  distinct : outcome;
-  disjoint : outcome;
-}
-
-val place :
-  ?bounds:bounds -> ?schema:Schema.t -> ?jobs:int -> Query.t -> placement
-(** Runs {!check_exhaustive} for all three kinds. *)
-
-val strongest : placement -> string
-(** Human name of the strongest class with no violation found:
-    "M" / "Mdistinct" / "Mdisjoint" / "C (non-monotone)" — using the
-    inclusion chain M ⊆ Mdistinct ⊆ Mdisjoint. *)

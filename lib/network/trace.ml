@@ -26,10 +26,8 @@ type collector = event list ref
 
 let collector () = ref []
 
-(* Every trace event is also forwarded to the ambient structured-event
-   sink (a no-op while the sink is disabled), so enabling the sink turns
-   run traces into Chrome trace events for free. *)
-let sink_args e =
+(* The JSON fields of an event, shared by the JSONL exports. *)
+let json_fields e =
   let facts fs = Observe.Json.List (List.map (fun f -> Observe.Json.String (Fact.to_string f)) fs) in
   [
     ("index", Observe.Json.Int e.index);
@@ -57,10 +55,7 @@ let sink_args e =
   @ (if e.restart then [ ("restart", Observe.Json.Bool true) ] else [])
   @ if e.injected <> [] then [ ("injected", facts e.injected) ] else []
 
-let record c e =
-  c := e :: !c;
-  if Observe.Sink.is_enabled Observe.Sink.default then
-    Observe.Sink.record ~cat:"trace" ~args:(sink_args e) "net.transition"
+let record c e = c := e :: !c
 
 let events c = List.rev !c
 
@@ -87,7 +82,7 @@ let canonical evs =
 (* JSONL: one compact object per event. Facts are serialized through
    [Fact.to_string]/[Fact.of_string], which round-trip for non-Skolem
    values (Skolem values have no parseable syntax). *)
-let event_to_json e = Observe.Json.Obj (sink_args e)
+let event_to_json e = Observe.Json.Obj (json_fields e)
 
 let to_jsonl evs =
   String.concat ""
@@ -107,7 +102,7 @@ let sweep_to_jsonl cells =
            (fun e ->
              Observe.Json.to_string
                (Observe.Json.Obj
-                  (("cell", Observe.Json.String label) :: sink_args e))
+                  (("cell", Observe.Json.String label) :: json_fields e))
              ^ "\n")
            (canonical evs))
        cells)

@@ -38,10 +38,6 @@ type collector
 val collector : unit -> collector
 
 val record : collector -> event -> unit
-(** Also forwards the event to {!Observe.Sink.default} (as a
-    ["net.transition"] instant in category ["trace"], causal stamp in
-    the args) when that sink is enabled, so run traces show up in its
-    Chrome export. *)
 
 val events : collector -> event list
 (** In transition order. *)

@@ -17,7 +17,7 @@ val validate_bench : Json.t -> (unit, string) result
     object. *)
 
 val validate_profile : Json.t -> (unit, string) result
-(** A record's [profile.json] (also [calm profile]'s):
+(** A record's [profile.json]:
     [schema = "calm-profile/v1"] and a [spans] array whose entries carry
     a non-empty ['/']-separated [path] with no empty frames, a
     non-negative [count], an [annots] object of non-negative ints, and

@@ -42,18 +42,6 @@ let push t e =
   if t.enabled then t.events <- e :: t.events;
   Mutex.unlock t.lock
 
-let record ?(sink = default) ?(cat = "app") ?(args = []) name =
-  if sink.enabled then
-    push sink
-      {
-        ts = Metrics.now () -. sink.t0;
-        dur = None;
-        track = Domain.DLS.get ambient_track;
-        cat;
-        name;
-        args;
-      }
-
 let span ?(sink = default) ?(cat = "app") ?(args = []) name f =
   if not sink.enabled then f ()
   else begin

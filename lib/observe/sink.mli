@@ -1,10 +1,10 @@
 (** Structured event sink with a Chrome [trace_event] exporter.
 
-    A sink collects timestamped events — instants and spans — from any
-    domain; each domain tags its events with an ambient {e track} name
-    (the pool labels its workers [worker-1..n-1]), so a Chrome
-    [trace_event] export shows the pool's workers as separate tracks in
-    Perfetto / [chrome://tracing].
+    A sink collects timestamped spans from any domain ({!to_chrome} also
+    renders instants that callers build); each domain tags its events
+    with an ambient {e track} name (the pool labels its workers
+    [worker-1..n-1]), so a Chrome [trace_event] export shows the pool's
+    workers as separate tracks in Perfetto / [chrome://tracing].
 
     The process-wide {!default} sink starts {e disabled} and costs one
     branch per event while disabled; the CLI enables it under
@@ -35,11 +35,6 @@ val is_enabled : t -> bool
 
 val set_track : string -> unit
 (** Set this domain's ambient track name (default ["main"]). *)
-
-val record :
-  ?sink:t -> ?cat:string -> ?args:(string * Json.t) list -> string -> unit
-(** Record an instant event on the ambient track ([sink] defaults to
-    {!default}); a no-op when the sink is disabled. *)
 
 val span :
   ?sink:t ->

@@ -64,8 +64,9 @@ let add_edges g edges =
     { n; values = Array.sub values 0 n; adj }
 
 (* Stage spans nest under whatever scan span is ambient at call time
-   (e.g. scan/base/stage/kernel.intern), so [calm profile] can say which
-   kernel stage of a witness dominates. No-ops unless profiling. *)
+   (e.g. scan/base/stage/kernel.intern), so [calm classify --profile] can
+   say which kernel stage of a witness dominates. No-ops unless
+   profiling. *)
 let of_rel rel i =
   Observe.Profile.span "kernel.intern" @@ fun () ->
   add_edges empty (edges_of rel i)

@@ -61,3 +61,12 @@ let rule ?ineqs ~negatable () =
 (* Between [lo] and [hi] rules. *)
 let program ?ineqs ~negatable ~rules:(lo, hi) () =
   QCheck2.Gen.(list_size (int_range lo hi) (rule ?ineqs ~negatable ()))
+
+(* A drawn program with every head predicate as an output.
+   @raise Invalid_argument when it does not stratify. *)
+let make rules =
+  let heads =
+    List.sort_uniq String.compare
+      (List.map (fun (r : Ast.rule) -> r.Ast.head.Ast.pred) rules)
+  in
+  Program.make ~outputs:heads rules

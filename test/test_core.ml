@@ -53,10 +53,131 @@ let test_empirical_placement () =
        Zoo.winmove
     = Hierarchy.Domain_disjoint)
 
+(* The placement wall. {!Hierarchy.place_empirically} stops at the first
+   class that holds; the reference runs all three full scans and reads
+   the level off their outcomes, checking on the way that the classes
+   that hold are closed upwards (per base the extensions nest, so a class
+   that holds leaves nothing for a weaker one to violate). The chain's
+   level must equal the reference's at jobs 1 and 2, and stay within the
+   syntactic level where the query has a program. *)
+let classes =
+  [
+    (Monotone.Classes.Plain, Hierarchy.Monotone);
+    (Monotone.Classes.Distinct, Hierarchy.Domain_distinct);
+    (Monotone.Classes.Disjoint, Hierarchy.Domain_disjoint);
+  ]
+
+let reference_level ~bounds q =
+  let held =
+    List.filter_map
+      (fun (kind, level) ->
+        if Monotone.Checker.is_violation
+             (Monotone.Checker.check_exhaustive ~bounds kind q)
+        then None
+        else Some level)
+      classes
+  in
+  match held with
+  | [] -> (Hierarchy.Beyond, true)
+  | strongest :: _ ->
+    ( strongest,
+      List.for_all
+        (fun (_, level) ->
+          List.mem level held || not (Hierarchy.leq strongest level))
+        classes )
+
+let check_placement ~bounds name q ~syntactic =
+  let expected, nested = reference_level ~bounds q in
+  check_bool (name ^ ": holding classes nest") true nested;
+  check_bool (name ^ ": within the syntactic level") true
+    (Hierarchy.leq expected syntactic);
+  List.iter
+    (fun jobs ->
+      check_bool
+        (Printf.sprintf "%s: chain = reference at jobs %d" name jobs)
+        true
+        (Hierarchy.place_empirically ~bounds ~jobs q = expected))
+    [ 1; 2 ]
+
+let syntactic_level p = Hierarchy.of_fragment (Datalog.Program.fragment p)
+
+let placement_wall_zoo () =
+  let program ?semantics src outputs =
+    Datalog.Program.parse ?semantics ~outputs src
+  in
+  let programs =
+    [
+      ("tc", program Zoo.tc_program [ "T" ]);
+      ("comp-tc", program Zoo.comp_tc_program [ "O" ]);
+      ("example 5.1 P1", program Zoo.example_51_p1 [ "O" ]);
+      ("example 5.1 P2", program Zoo.example_51_p2 [ "O" ]);
+      ( "win-move",
+        program ~semantics:Datalog.Program.Well_founded Zoo.winmove_program
+          [ "Win" ] );
+      ("q-clique-3", program Zoo.q_clique3_program [ "O" ]);
+      ("q-star-2", program Zoo.q_star2_program [ "O" ]);
+    ]
+  in
+  List.iter
+    (fun (name, p) ->
+      check_placement ~bounds:small_bounds (name ^ " program")
+        (Datalog.Program.query ~name p) ~syntactic:(syntactic_level p))
+    programs;
+  (* The hand-written queries, bounded by their program's level where
+     the zoo has one. *)
+  let level_of name = syntactic_level (List.assoc name programs) in
+  List.iter
+    (fun (name, q, syntactic) ->
+      check_placement ~bounds:small_bounds name q ~syntactic)
+    [
+      ("tc", Zoo.tc, level_of "tc");
+      ("comp-tc", Zoo.comp_tc, level_of "comp-tc");
+      ("q-clique-3", Zoo.q_clique 3, level_of "q-clique-3");
+      ("q-star-2", Zoo.q_star 2, level_of "q-star-2");
+      ("win-move", Zoo.winmove, level_of "win-move");
+      ("q-duplicate-2", Zoo.q_duplicate 2, Hierarchy.Beyond);
+      ( "triangles-unless-2-disjoint",
+        Zoo.triangles_unless_two_disjoint,
+        Hierarchy.Beyond );
+      ("win-move-doubled", Zoo.winmove_doubled, Hierarchy.Beyond);
+    ]
+
+(* Random stratified programs ({!Random_program}) over binary A and B, at
+   bounds small enough for two relations. *)
+let placement_wall_programs () =
+  let bounds =
+    { Monotone.Checker.dom_size = 2; fresh = 1; max_base = 2; max_ext = 2 }
+  in
+  let programs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 29 |]) ~n:24
+      (Random_program.program ~negatable:[ "A"; "B"; "P"; "Q" ]
+         ~rules:(1, 4) ())
+    |> List.filter_map (fun rules ->
+           match Random_program.make rules with
+           | p -> Some p
+           | exception Invalid_argument _ -> None)
+  in
+  check_bool "enough stratified draws" true (List.length programs >= 8);
+  List.iteri
+    (fun i p ->
+      check_placement ~bounds
+        (Printf.sprintf "random program %d" i)
+        (Datalog.Program.query ~name:"random" p)
+        ~syntactic:(syntactic_level p))
+    programs
+
+let test_placement_wall () =
+  placement_wall_zoo ();
+  placement_wall_programs ()
+
+(* A program's two placements: comp-tc's fragment puts it at Mdisjoint,
+   and the bounded empirical level stays within that. *)
 let test_placement_of_program () =
   let p = Datalog.Program.parse Zoo.comp_tc_program in
-  let syntactic, empirical =
-    Hierarchy.placement_of_program ~bounds:small_bounds p
+  let syntactic = syntactic_level p in
+  let empirical =
+    Hierarchy.place_empirically ~bounds:small_bounds
+      (Datalog.Program.query ~name:"program" p)
   in
   check_bool "syntactic Mdisjoint" true (syntactic = Hierarchy.Domain_disjoint);
   check_bool "empirical within syntactic" true (Hierarchy.leq empirical syntactic)
@@ -211,7 +332,9 @@ let test_empirical_wrong_output_disagrees () =
   in
   let en =
     Empirical.detect_compiled ~name:"4-clique"
-      ~compiled:(Compile.compile_program ~level:Hierarchy.Monotone p)
+      ~compiled:
+        (Compile.compile ~level:Hierarchy.Monotone
+           (Datalog.Program.query ~name:"program" p))
       ~input:
         (Graph_gen.of_edges [ (1, 2); (1, 3); (1, 4); (2, 3); (2, 4); (3, 4) ])
       ()
@@ -286,6 +409,7 @@ let () =
           Alcotest.test_case "of_fragment" `Quick test_of_fragment;
           Alcotest.test_case "empirical" `Slow test_empirical_placement;
           Alcotest.test_case "program placement" `Slow test_placement_of_program;
+          Alcotest.test_case "placement wall" `Slow test_placement_wall;
         ] );
       ( "compile",
         [
