@@ -100,10 +100,12 @@ let jobs_term =
         & opt int (Parallel.Pool.default_jobs ())
         & info [ "jobs"; "j" ] ~docv:"N"
             ~doc:
-              "Worker domains for the parallel search paths (membership \
-               checking, model checking), at least 1. Defaults to the \
-               number of cores; 1 forces the sequential paths. Verdicts and \
-               certificates are independent of $(docv)."))
+              "Worker domains for the membership checker (the empirical \
+               placement included), the sweep driver and lint's per-file \
+               analysis, at least 1. Defaults to the number of cores; 1 \
+               runs them on the calling domain. The model checker always \
+               runs on one. Verdicts and certificates are independent of \
+               $(docv)."))
 
 let facts_term =
   Arg.(
@@ -251,9 +253,9 @@ let obs_term =
       value & flag
       & info [ "redact-timings" ]
           ~doc:
-            "In $(b,--profile) output, replace schedule-dependent numbers \
-             (durations, per-worker tallies) with '-' so the profile is \
-             byte-reproducible.")
+            "In $(b,--profile) output, replace the schedule-dependent \
+             numbers (durations) with '-' so the profile is \
+             byte-reproducible at every $(b,--jobs).")
   in
   let live =
     Arg.(
@@ -1096,7 +1098,7 @@ let explore_cmd =
       "model-checking every message order on a 2-node network (budget %d)...\n"
       budget;
     let verdict =
-      Network.Explore.check ~max_configs:budget ~jobs
+      Network.Explore.check ~max_configs:budget
         ~variant:compiled.Calm_core.Compile.variant ~policy
         ~transducer:compiled.Calm_core.Compile.transducer
         ~query:compiled.Calm_core.Compile.query ~input ()

@@ -141,11 +141,12 @@ let probe_group kind q (ord, (base, exts)) =
 (* Scan a per-base grouped (base, extensions) stream for a violation.
    Groups preserve pair enumeration order, so "first violation in group
    order, scanning within each group sequentially" is the first
-   violation in pair order. With [jobs > 1] the groups fan out across a
-   Domain pool; the search is cancelled as soon as any worker finds a
-   violation, but the reported violation is always the first one in
-   enumeration order, so certificates (and their shrunken forms) are
-   reproducible independently of [jobs]. *)
+   violation in pair order. The groups go through a pool of [jobs]
+   members (default 1, which spawns nothing and scans in order); the
+   search is cancelled as soon as any worker finds a violation, but the
+   reported violation is always the first one in enumeration order, so
+   certificates (and their shrunken forms) are reproducible
+   independently of [jobs]. *)
 let scan ?jobs kind q groups =
   (* Ordinal-tag the groups so the per-base series tick is the base's
      position in enumeration order, a schedule-independent coordinate. *)
@@ -153,35 +154,21 @@ let scan ?jobs kind q groups =
   let outcome =
     Observe.Profile.span_rooted [ "scan" ] @@ fun () ->
     Observe.Metrics.time m_scan (fun () ->
-        match jobs with
-        | Some j when j > 1 ->
-          (* Pair tallies live outside the pool's metric buffers: the
-             total is only read on [Exhausted], when every group has
-             completed, so the sum is independent of scheduling. *)
-          let pairs = Atomic.make 0 in
-          let probe group =
-            let scanned, v = probe_group kind q group in
-            (match v with
-            | None -> ignore (Atomic.fetch_and_add pairs scanned)
-            | Some _ -> ());
-            v
-          in
-          Parallel.Pool.with_pool ~jobs:j (fun pool ->
-              match Parallel.Pool.search pool probe groups with
-              | Parallel.Pool.Found v -> Violated v
-              | Parallel.Pool.Exhausted _ ->
-                No_violation { pairs = Atomic.get pairs })
-        | _ ->
-          let count = ref 0 in
-          let rec go s =
-            match s () with
-            | Seq.Nil -> No_violation { pairs = !count }
-            | Seq.Cons (group, rest) -> (
-              let scanned, v = probe_group kind q group in
-              count := !count + scanned;
-              match v with Some v -> Violated v | None -> go rest)
-          in
-          go groups)
+        (* Pair tallies live outside the pool's metric buffers: the total
+           is only read on [Exhausted], when every group has completed,
+           so the sum is independent of scheduling. *)
+        let pairs = Atomic.make 0 in
+        let probe group =
+          let scanned, v = probe_group kind q group in
+          if Option.is_none v then ignore (Atomic.fetch_and_add pairs scanned);
+          v
+        in
+        Parallel.Pool.with_pool ~jobs:(Option.value jobs ~default:1)
+          (fun pool ->
+            match Parallel.Pool.search pool probe groups with
+            | Parallel.Pool.Found v -> Violated v
+            | Parallel.Pool.Exhausted _ ->
+              No_violation { pairs = Atomic.get pairs }))
   in
   (match outcome with
   | No_violation { pairs } -> Observe.Metrics.incr ~by:pairs m_pairs

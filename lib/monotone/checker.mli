@@ -32,10 +32,11 @@ val check_exhaustive :
   Query.t -> outcome
 (** Tries every base over the (input) schema within bounds, and every
     admissible extension of it. [schema] defaults to the query's input
-    schema. With [jobs > 1] the per-base groups of probes fan out across
-    that many domains; the verdict — including the certificate and the
-    pair count — is identical to the sequential one, because the search
-    reports the first violation in enumeration order.
+    schema. The per-base groups of probes go through a
+    {!Parallel.Pool.search} of [jobs] members (default 1, which runs them
+    in order on the calling domain); the verdict — including the
+    certificate and the pair count — is the same at every [jobs],
+    because the search reports the first violation in enumeration order.
 
     The scan is grouped per base: [Q(base)] is evaluated once, the
     base's candidate facts are built once ({!Enumerate.candidates}, in

@@ -118,7 +118,7 @@ let system_facts variant policy network x a =
 
 (* The policy-aware system facts of one node depend on (node, A) alone,
    and A changes far less often than D: fair senders re-deliver what a
-   node already knows. The key is digested once, outside the lock. *)
+   node already knows. The key is digested once. *)
 type sys_key = { digest : int; node : Value.t; a : Value.Set.t }
 
 let sys_key node a =
@@ -149,7 +149,6 @@ type ctx = {
   recipients : int;
   all : Instance.t;  (* [all_shown] *)
   system : Instance.t System.t;  (* policy-aware [S] on (node, A) *)
-  lock : Mutex.t;  (* guards [system] *)
 }
 
 let prepare ~variant ~policy ~transducer ~input =
@@ -165,22 +164,20 @@ let prepare ~variant ~policy ~transducer ~input =
     recipients = List.length network - 1;
     all = all_shown variant network;
     system = System.create 64;
-    lock = Mutex.create ();
   }
 
 (* Without policy relations [S] is [Id] and [All], cheaper to build than
-   to look up. With them, two domains that miss on one key compute the
-   same facts. *)
+   to look up. *)
 let system ctx x a =
   let build () = system_facts_over ~all:ctx.all ctx.variant ctx.policy x a in
   if not ctx.variant.with_policy then build ()
   else
     let k = sys_key x a in
-    match Mutex.protect ctx.lock (fun () -> System.find_opt ctx.system k) with
+    match System.find_opt ctx.system k with
     | Some s -> s
     | None ->
       let s = build () in
-      Mutex.protect ctx.lock (fun () -> System.replace ctx.system k s);
+      System.replace ctx.system k s;
       s
 
 let react ctx ~node:x s1 delivered =

@@ -67,8 +67,8 @@ type ctx
     the transducer, the input distributed once by [Policy.dist], the
     [All] facts, and a table of the policy-aware system facts keyed on
     (node, [A]), filled as transitions meet new keys. The table is the
-    one mutable part and is guarded by a lock, so one context still
-    serves steps on several domains. *)
+    one mutable part and has no lock: a context serves one domain, and
+    every run, check and replay prepares its own. *)
 
 val prepare :
   variant:variant ->

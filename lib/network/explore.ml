@@ -13,14 +13,11 @@
    - each buffer's sends (buffer id ∪ sent) and single-fact consumptions
      (buffer id minus one fact);
    - each state's output restriction.
-   One lock guards every table, and the pool's domains share them: an
-   expansion (inspection and successors of one configuration) holds it
-   throughout and lets go only while a reaction miss runs the transducer
-   queries. No table outlives its [check]. A [Config.t] is built only
-   for a certificate.
+   The search runs on the calling domain, so the tables need no lock.
+   No table outlives its [check]. A [Config.t] is built only for a
+   certificate.
    BFS order, successor lists and the continuation rule decide every
-   verdict and counter. No id orders anything, so which domain interns a
-   value first changes none of them. *)
+   verdict and counter; no id orders anything. *)
 
 open Relational
 
@@ -100,15 +97,15 @@ exception Found of verdict
 
 (* Telemetry (all stable): BFS shape, not simulation detail. The inner
    what-if simulation (successor steps, fair-continuation replays) runs
-   under [Metrics.silenced]: which reactions hit the memo depends on how
-   the pool's domains interleave, so anything the transducer queries
-   record there would be jobs-dependent. What every execution shares is
-   the round-structured search itself, and that is what we count. *)
+   under [Metrics.silenced]: whether a reaction runs the transducer
+   queries or hits the memo depends on what the check met before, so
+   what the queries record there would count memo misses. What the
+   round-structured search itself does is what we count. *)
 let m_expanded = Observe.Metrics.counter "explore.expanded"
 let m_dedup = Observe.Metrics.counter "explore.dedup_hits"
 let m_frontier = Observe.Metrics.histogram "explore.frontier"
 
-let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
+let check ?(max_configs = 20_000) ?jobs:_ ~variant ~policy ~transducer ~query
     ~input () =
   let network = Policy.network policy in
   let start = Config.start network in
@@ -116,17 +113,10 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
   let n = Array.length nodes in
   let expected = Query.apply query input in
   let output = transducer.Transducer.schema.Transducer_schema.output in
-  (* Its one table is lock-guarded, so the parallel mode's domains share
-     it. *)
   let ctx = Config.prepare ~variant ~policy ~transducer ~input in
   let states = States.create () and supports = Supports.create () in
   let reactions = Triples.create 1024 and sends = Pairs.create 1024 in
   let singles = Ints.create 1024 and outputs = Ints.create 1024 in
-  let lock = Mutex.create () in
-  let unlocked f =
-    Mutex.unlock lock;
-    Fun.protect ~finally:(fun () -> Mutex.lock lock) f
-  in
   let empty = Supports.id supports Fact.Set.empty in
   let start =
     Array.init (2 * n) (fun k ->
@@ -155,19 +145,16 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
   (* Node [i] of [c] takes delivered support [d] and keeps buffer
      [rest]; [c] is updated in place. The transducer's components are
      queries, so a reaction is a pure function of its key, and only a
-     miss leaves the lock, to run them. Two domains that miss on one key
-     compute the same reaction, and interning gives its parts the same
-     ids. *)
+     miss runs them. *)
   let transition c i d rest =
     let key = (i, c.(i), d) in
     let state, sent =
       match Triples.find_opt reactions key with
       | Some r -> r
       | None ->
-        let state = States.value states c.(i)
-        and delivered = Supports.value supports d in
         let state, sent =
-          unlocked (fun () -> Config.react ctx ~node:nodes.(i) state delivered)
+          Config.react ctx ~node:nodes.(i) (States.value states c.(i))
+            (Supports.value supports d)
         in
         let sent = Instance.fold Fact.Set.add sent Fact.Set.empty in
         let r = (States.id states state, Supports.id supports sent) in
@@ -276,71 +263,51 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
       | Some missing -> Some (Stuck { config = to_config c; missing })
       | None -> None)
   in
-  (* Round-structured BFS, shared by both execution modes: expand the
-     whole frontier (output inspection, fair-continuation check,
-     successor computation — the expensive part), then a cheap
-     sequential merge dedups successors and checks the budget in exactly
-     the order the frontier was expanded. The parallel mode only swaps
-     the expansion mapper for [Pool.map], so verdicts, certificate
-     configs, visited counts — and the [explore.*] metrics — are
-     identical under any [jobs]. *)
-  let bfs mapper =
-    let visited = Visited.create 4096 in
-    Visited.replace visited start ();
-    let frontier = ref [ start ] in
-    (* Per-depth trajectory: both the frontier sample and the wave's
-       dedup count happen in the sequential merge, so the series is
-       identical under any [jobs]. *)
-    let depth = ref 0 in
-    try
-      while !frontier <> [] do
-        Observe.Metrics.observe m_frontier
-          (float_of_int (List.length !frontier));
-        if Observe.Series.is_enabled () then
-          Observe.Series.sample "explore.frontier" ~tick:!depth
-            (float_of_int (List.length !frontier));
-        let expanded =
-          mapper
-            (fun c ->
-              Observe.Metrics.silenced (fun () ->
-                  Mutex.protect lock (fun () -> (inspect c, successors c))))
-            !frontier
-        in
-        let wave_dedup = ref 0 in
-        let next = ref [] in
-        List.iter
-          (fun (verdict, succs) ->
-            if Visited.length visited > max_configs then
-              raise
-                (Found (Out_of_budget { configs = Visited.length visited }));
-            Observe.Metrics.incr m_expanded;
-            (match verdict with Some v -> raise (Found v) | None -> ());
-            List.iter
-              (fun c ->
-                if Visited.mem visited c then begin
-                  Observe.Metrics.incr m_dedup;
-                  incr wave_dedup
-                end
-                else begin
-                  Visited.replace visited c ();
-                  next := c :: !next
-                end)
-              succs)
-          expanded;
-        if Observe.Series.is_enabled () then
-          Observe.Series.sample "explore.dedup" ~tick:!depth
-            (float_of_int !wave_dedup);
-        incr depth;
-        frontier := List.rev !next
-      done;
-      Consistent { configs = Visited.length visited }
-    with Found v -> v
+  (* Round-structured BFS: each round expands its frontier in order
+     (output inspection, fair-continuation check, successors) and merges
+     each configuration's successors into the visited set before the
+     next one, checking the budget first. The order of the frontier thus
+     fixes the verdict, its certificate, the visited count and the
+     [explore.*] metrics, and so does the per-depth series. *)
+  let visited = Visited.create 4096 in
+  Visited.replace visited start ();
+  let expand c =
+    if Visited.length visited > max_configs then
+      raise (Found (Out_of_budget { configs = Visited.length visited }));
+    Observe.Metrics.incr m_expanded;
+    Observe.Metrics.silenced (fun () ->
+        match inspect c with Some v -> raise (Found v) | None -> successors c)
   in
-  match jobs with
-  | Some j when j > 1 ->
-    Parallel.Pool.with_pool ~jobs:j (fun pool ->
-        bfs (fun f frontier -> Parallel.Pool.map pool f frontier))
-  | _ -> bfs List.map
+  let rec bfs depth = function
+    | [] -> Consistent { configs = Visited.length visited }
+    | frontier ->
+      let width = float_of_int (List.length frontier) in
+      Observe.Metrics.observe m_frontier width;
+      if Observe.Series.is_enabled () then
+        Observe.Series.sample "explore.frontier" ~tick:depth width;
+      let dedup = ref 0 in
+      let merge next c =
+        if Visited.mem visited c then begin
+          Observe.Metrics.incr m_dedup;
+          incr dedup;
+          next
+        end
+        else begin
+          Visited.replace visited c ();
+          c :: next
+        end
+      in
+      let next =
+        List.fold_left
+          (fun next c -> List.fold_left merge next (expand c))
+          [] frontier
+      in
+      if Observe.Series.is_enabled () then
+        Observe.Series.sample "explore.dedup" ~tick:depth
+          (float_of_int !dedup);
+      bfs (depth + 1) (List.rev next)
+  in
+  try bfs 0 [ start ] with Found v -> v
 
 let verdict_to_string = function
   | Consistent { configs } ->

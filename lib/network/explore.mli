@@ -36,12 +36,16 @@ val check :
   query:Query.t ->
   input:Instance.t ->
   unit -> verdict
-(** [max_configs] defaults to 20_000. With [jobs > 1] each BFS round's
-    frontier is expanded on a Domain pool (inspection and successor
-    computation per config), and a sequential replay of the round merges
-    dedup sets and checks the budget in the sequential pop order — so
-    the verdict, its certificate configuration, and the visited-config
-    counts are identical to the sequential run's.
+(** [max_configs] defaults to 20_000. [jobs] is accepted for existing
+    callers and ignored: the round-structured BFS runs on the calling
+    domain, because the interning and memo tables its domains would
+    share made a parallel expansion slower than a sequential one (on a
+    2-vCPU machine the two-fact win-move cell took 7.0 s on two domains
+    and 5.8 s on one). Each round expands its
+    frontier in order and merges each configuration's successors, after
+    a budget check, before expanding the next, so the frontier order
+    fixes the verdict, its certificate configuration, the visited count
+    and the [explore.*] counters.
 
     Exploration deduplicates
     configurations after abstracting message buffers to their supports
@@ -59,14 +63,11 @@ val check :
     int, so a configuration is an array of ids, and memoises on those ids
     each node's reaction ({!Config.react}) on (node, state, delivered
     support), each buffer's sends and single-fact consumptions, and each
-    state's output restriction. One lock guards every table and the
-    pool's domains share them: expanding a configuration holds the lock,
-    except while a reaction miss runs the transducer queries. No table
-    outlives the check, and a {!Config.t} is built only for a
-    certificate. The reaction memo relies on the
-    transducer's components being queries, that is, functions of the
-    visible instance [D] alone (see {!Transducer}): a component that kept
-    hidden state or read anything besides its argument would be replayed
-    from the memo rather than re-run. *)
+    state's output restriction. No table outlives the check, and a
+    {!Config.t} is built only for a certificate. The reaction memo
+    relies on the transducer's components being queries, that is,
+    functions of the visible instance [D] alone (see {!Transducer}): a
+    component that kept hidden state or read anything besides its
+    argument would be replayed from the memo rather than re-run. *)
 
 val verdict_to_string : verdict -> string

@@ -570,13 +570,11 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
     quiesced;
   }
 
-(* Run a batch of independent (label, policy, scheduler) sweep cells,
-   optionally fanning them across a Domain pool. Each cell owns its RNG
-   state (seeded per scheduler) and its own trace collector, so cells are
-   independent and the result list is identical to the sequential one, in
-   the same order — events included: earlier versions silently dropped
-   tracing in parallel mode; now every cell traces into a private
-   collector and the merged list carries each cell's events. *)
+(* Run a batch of independent (label, policy, scheduler) sweep cells
+   through a pool of [jobs] members (default 1, which spawns nothing).
+   Each cell owns its RNG state (seeded per scheduler) and its own trace
+   collector, so cells are independent and the result list is the same
+   at every [jobs], in cell order, each cell's events included. *)
 let sweep ?jobs ?faults ?max_rounds ?heartbeat ~variant ~transducer ~input
     cells =
   let run_cell (label, policy, scheduler) =
@@ -590,11 +588,8 @@ let sweep ?jobs ?faults ?max_rounds ?heartbeat ~variant ~transducer ~input
     in
     (label, result, Trace.events tracer)
   in
-  match jobs with
-  | Some j when j > 1 ->
-    Parallel.Pool.with_pool ~jobs:j (fun pool ->
-        Parallel.Pool.map pool run_cell cells)
-  | _ -> List.map run_cell cells
+  Parallel.Pool.with_pool ~jobs:(Option.value jobs ~default:1) (fun pool ->
+      Parallel.Pool.map pool run_cell cells)
 
 let heartbeat_prefix ?tracer ?(max_steps = 200) ?(heartbeat = 0.) ~variant
     ~policy ~transducer ~input ~node () =

@@ -87,14 +87,12 @@ val sweep :
   input:Instance.t ->
   (string * Policy.t * scheduler) list ->
   (string * result * Trace.event list) list
-(** Run a batch of independent (label, policy, scheduler) sweep cells,
-    fanning them across [jobs] domains when [jobs > 1]. Each cell seeds
-    its own RNG and traces into a {e private} collector, so the result
-    list — events included — is identical to the sequential one and in
-    the same order. (Earlier versions dropped traces silently in
-    parallel mode; per-cell collectors restore them under any [jobs].)
-    Metrics recorded during each cell's run are merged back in cell
-    order by {!Parallel.Pool.map}, so stable metric snapshots are
+(** Run a batch of independent (label, policy, scheduler) sweep cells
+    through a {!Parallel.Pool.map} of [jobs] members (default 1). Each
+    cell seeds its own RNG and traces into a {e private} collector, so
+    the result list — events included — is the same at every [jobs]
+    and in cell order. Metrics recorded during each cell's run are
+    merged back in cell order, so stable metric snapshots are
     [jobs]-independent too. Series recorded during a cell get a
     [cell=<label>] label (see {!Observe.Series.with_label}), keeping
     parallel cells' trajectories distinct; [faults] (one plan for every

@@ -11,8 +11,10 @@ type handle = {
   name : string;
   labels : (string * string) list;
   kind : kind;
-  stable : bool;
 }
+
+(* Timings are the one schedule-dependent kind. *)
+let is_stable kind = kind <> Timing
 
 (* ------------------------------------------------------------------ *)
 (* The global intern table: a metric identity is (name, labels, kind),
@@ -26,15 +28,14 @@ let interned : (string * (string * string) list * kind, handle) Hashtbl.t =
 let registered : handle list ref = ref []
 let next_id = ref 0
 
-let register ?(labels = []) ?(stable = true) kind name =
+let register ?(labels = []) kind name =
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
-  let stable = stable && kind <> Timing in
   Mutex.lock intern_lock;
   let h =
     match Hashtbl.find_opt interned (name, labels, kind) with
     | Some h -> h
     | None ->
-      let h = { id = !next_id; name; labels; kind; stable } in
+      let h = { id = !next_id; name; labels; kind } in
       incr next_id;
       Hashtbl.add interned (name, labels, kind) h;
       registered := h :: !registered;
@@ -43,10 +44,10 @@ let register ?(labels = []) ?(stable = true) kind name =
   Mutex.unlock intern_lock;
   h
 
-let counter ?labels ?stable name = register ?labels ?stable Counter name
-let gauge ?labels ?stable name = register ?labels ?stable Gauge name
-let histogram ?labels ?stable name = register ?labels ?stable Histogram name
-let timing ?labels name = register ?labels ~stable:false Timing name
+let counter ?labels name = register ?labels Counter name
+let gauge ?labels name = register ?labels Gauge name
+let histogram ?labels name = register ?labels Histogram name
+let timing ?labels name = register ?labels Timing name
 
 (* ------------------------------------------------------------------ *)
 (* Log-bucketed value histograms (HDR-style).
@@ -210,7 +211,7 @@ let merge_into dst src =
       | Some s ->
         let h =
           (* ids are dense; find the handle to size dst's array. *)
-          { id; name = ""; labels = []; kind = Counter; stable = true }
+          { id; name = ""; labels = []; kind = Counter }
         in
         let d = cell_of dst h in
         let was_empty = d.count = 0 in
@@ -287,7 +288,7 @@ let snapshot ?(stable_only = false) t =
   let rows =
     List.filter_map
       (fun (h : handle) ->
-        if stable_only && not h.stable then None
+        if stable_only && not (is_stable h.kind) then None
         else if h.id >= Array.length t.cells then None
         else
           match t.cells.(h.id) with
@@ -299,7 +300,7 @@ let snapshot ?(stable_only = false) t =
                 name = h.name;
                 labels = h.labels;
                 kind = h.kind;
-                stable = h.stable;
+                stable = is_stable h.kind;
                 count = c.count;
                 sum = c.sum;
                 vmin = c.vmin;
@@ -420,8 +421,7 @@ let pp_profile ?(redact_timings = false) ppf t =
         (kind_to_string r.kind) (value r))
     stable;
   if volatile <> [] then begin
-    Format.fprintf ppf "== profile: timings and per-worker tallies \
-                        (schedule-dependent) ==@.";
+    Format.fprintf ppf "== profile: timings (schedule-dependent) ==@.";
     List.iter
       (fun r ->
         Format.fprintf ppf "  %-*s %-9s %s@." width (key r)

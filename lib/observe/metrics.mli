@@ -14,9 +14,9 @@
        into per-task collectors which the pool merges back {e in input
        order} (and, for cancelled searches, only up to the winning index),
        so stable aggregates cannot observe scheduling. Wall-clock
-       measurements and per-worker tallies are inherently
-       schedule-dependent; they are registered as {e volatile} and
-       excluded from stable snapshots and equality.}
+       timings are the one schedule-dependent kind: they are
+       {e volatile} and excluded from stable snapshots and equality.
+       Counters, gauges and histograms are always stable.}
     {- {b Zero plumbing on hot paths.} Instrumented code records into an
        ambient per-domain collector ({!with_current}); handles are
        interned once at module initialization, so a hit on a hot path is a
@@ -32,14 +32,13 @@ type handle
 
 (** {1 Registering metrics} *)
 
-val counter : ?labels:(string * string) list -> ?stable:bool -> string -> handle
-(** Monotonically increasing integer total. [stable] defaults to [true]. *)
+val counter : ?labels:(string * string) list -> string -> handle
+(** Monotonically increasing integer total. *)
 
-val gauge : ?labels:(string * string) list -> ?stable:bool -> string -> handle
+val gauge : ?labels:(string * string) list -> string -> handle
 (** Last-written value. *)
 
-val histogram :
-  ?labels:(string * string) list -> ?stable:bool -> string -> handle
+val histogram : ?labels:(string * string) list -> string -> handle
 (** Distribution: count, sum, min, max, plus a log-bucketed value
     histogram supporting {!quantile} readout. Buckets are HDR-style —
     base-2 octaves split into equal mantissa sub-buckets — so a value's
@@ -102,7 +101,7 @@ type row = {
   name : string;
   labels : (string * string) list;  (** sorted by label key *)
   kind : kind;
-  stable : bool;
+  stable : bool;    (** every kind but {!Timing} *)
   count : int;      (** counter total, or number of observations *)
   sum : float;
   vmin : float;     (** [nan] when count = 0 *)
@@ -137,12 +136,13 @@ val render_stable : t -> string
 
 val to_json : t -> Json.t
 (** [{ "schema": "calm-metrics/v1", "metrics": [...], "volatile": [...] }];
-    the [metrics] section holds the stable rows. *)
+    the [metrics] section holds the stable rows, [volatile] the
+    timings. *)
 
 val pp_profile :
   ?redact_timings:bool -> Format.formatter -> t -> unit
-(** Human profile tables: stable metrics, then volatile/timing rows. With
-    [redact_timings] every schedule-dependent number is replaced by ["-"]
-    so the output is reproducible (used by the golden fixture). *)
+(** Human profile tables: stable metrics, then timings. With
+    [redact_timings] every duration is replaced by ["-"], so the output
+    is byte-identical across [jobs] (used by the golden fixtures). *)
 
 val kind_to_string : kind -> string

@@ -2,29 +2,30 @@
 
    The pool owns [jobs - 1] worker domains parked on a condition
    variable; the owning domain participates in every parallel region, so
-   a [jobs = 1] pool spawns nothing and degenerates to the sequential
-   code path. Parallel regions are generation-numbered: [run] publishes
-   a body, bumps the generation, and every worker executes the body
+   a [jobs = 1] pool spawns nothing and [search] takes its sequential
+   path. Parallel regions are generation-numbered: [run] publishes a
+   body, bumps the generation, and every worker executes the body
    exactly once per generation before parking again. Only [Domain],
    [Mutex], and [Condition] are used.
 
-   Both combinators are deterministic: [map] preserves input order and,
-   when the function raises, re-raises the exception of the *first*
-   raising element in input order; [search] returns the first hit in
+   [search] is the one fan-out path: it returns the first hit in
    enumeration order even though later elements may be probed
-   concurrently. Determinism rests on one invariant: indices are issued
-   contiguously and an issued element is always processed to completion,
-   so when the winning event at index i is recorded, every index below i
-   has been issued and will report before the joins complete.
+   concurrently, and [map] is [search] over the indexed elements with a
+   probe that never hits, so it keeps input order and re-raises the
+   exception of the first raising element. Determinism rests on one
+   invariant: indices are issued contiguously and an issued element is
+   always processed to completion, so when the winning event at index i
+   is recorded, every index below i has been issued and will report
+   before the joins complete.
 
    Telemetry: each task runs with its own Observe.Metrics collector, and
-   the combinators merge those buffers back into the caller's ambient
-   collector in input order — for [search], only the buffers of indices
-   up to and including the winning event. A parallel run therefore
-   commits exactly the metric recordings the sequential scan would have
-   made, which is what lets stable metrics be byte-identical across
-   [jobs]. Wall-clock spans and per-worker task tallies are recorded
-   directly into the root collector as volatile metrics. *)
+   [search] merges those buffers back into the caller's ambient
+   collector in input order, only the buffers of indices up to and
+   including the winning event. A parallel run therefore commits exactly
+   the metric recordings the sequential scan would have made, which is
+   what lets stable metrics be byte-identical across [jobs]. The pool
+   records no metric of its own: each member's share of a region is one
+   [pool.region] span on its sink track. *)
 
 type t = {
   jobs : int;
@@ -41,41 +42,14 @@ type t = {
 let default_jobs () = Domain.recommended_domain_count ()
 let jobs t = t.jobs
 
-(* Volatile pool telemetry: schedule-dependent by nature, so recorded
-   straight into the root collector and excluded from stable snapshots. *)
-let m_worker_tasks w =
-  Observe.Metrics.counter ~stable:false
-    ~labels:[ ("worker", string_of_int w) ]
-    "pool.worker_tasks"
-
-let m_worker_busy w =
-  Observe.Metrics.timing
-    ~labels:[ ("worker", string_of_int w) ]
-    "pool.worker_busy"
-
-(* Also volatile: although their values are deterministic when the pool
-   is used (first hit in enumeration order; total fan-out), whether the
-   pool is used at all depends on [jobs] — the checkers bypass it on
-   their sequential paths — so these rows cannot appear in a snapshot
-   that must be byte-identical across [jobs]. *)
-let m_map_tasks = Observe.Metrics.counter ~stable:false "pool.map_tasks"
-let m_search_cancel_index =
-  Observe.Metrics.gauge ~stable:false "pool.search_cancel_index"
-
 (* This domain's worker number within the current pool: 0 for the owner,
    1..jobs-1 for spawned workers. *)
 let worker_id : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
-let run_tasks_on_root f =
-  (* Worker-side bookkeeping must bypass the ambient task buffer (which
-     may be discarded), so it targets the root collector explicitly. *)
-  let w = Domain.DLS.get worker_id in
-  let busy = m_worker_busy w in
+let region body =
   Observe.Sink.span ~cat:"pool"
-    ~args:[ ("worker", Observe.Json.Int w) ]
-    "pool.region"
-    (fun () -> Observe.Metrics.with_current Observe.Metrics.root
-        (fun () -> Observe.Metrics.time busy f))
+    ~args:[ ("worker", Observe.Json.Int (Domain.DLS.get worker_id)) ]
+    "pool.region" body
 
 let worker t i =
   Domain.DLS.set worker_id i;
@@ -90,7 +64,7 @@ let worker t i =
       let gen = t.generation in
       let body = Option.get t.body in
       Mutex.unlock t.mutex;
-      (try run_tasks_on_root body with _ -> ());
+      (try region body with _ -> ());
       Mutex.lock t.mutex;
       t.active <- t.active - 1;
       if t.active = 0 then Condition.broadcast t.work_done;
@@ -100,7 +74,14 @@ let worker t i =
   in
   loop 0
 
-let create ?jobs () =
+let shutdown t =
+  Mutex.lock t.mutex;
+  t.stopped <- true;
+  Condition.broadcast t.work_ready;
+  Mutex.unlock t.mutex;
+  List.iter Domain.join t.domains
+
+let with_pool ?jobs f =
   let jobs =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
@@ -119,132 +100,25 @@ let create ?jobs () =
   in
   t.domains <-
     List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
-  t
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stopped <- true;
-  Condition.broadcast t.work_ready;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.domains;
-  t.domains <- []
-
-let with_pool ?jobs f =
-  let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Run [body] on every member of the pool (workers + the calling domain)
    and return once all have finished. [body] must be exception-safe: a
-   worker swallows anything it raises, so the combinators below funnel
-   failures through shared state instead. *)
+   worker swallows anything it raises, so [search] funnels failures
+   through shared state instead. *)
 let run t body =
-  if t.domains = [] then body ()
-  else begin
-    Mutex.lock t.mutex;
-    t.body <- Some body;
-    t.generation <- t.generation + 1;
-    t.active <- List.length t.domains;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.mutex;
-    (try run_tasks_on_root body with e -> (
-       (* Wait for the workers even on an owner-side failure, otherwise a
-          second region could start while they still run the old body. *)
-       Mutex.lock t.mutex;
-       while t.active > 0 do Condition.wait t.work_done t.mutex done;
-       Mutex.unlock t.mutex;
-       raise e));
-    Mutex.lock t.mutex;
-    while t.active > 0 do Condition.wait t.work_done t.mutex done;
-    Mutex.unlock t.mutex
-  end
-
-(* Order-preserving parallel map. Equivalent to [List.map f xs],
-   including on raising [f]: the exception of the first raising element
-   (in input order) is re-raised. Task metric buffers are merged back in
-   input order, up to and including the first raising element — exactly
-   the recordings the sequential [List.map] would have committed. *)
-let map t f xs =
-  Observe.Metrics.incr ~by:(List.length xs) m_map_tasks;
-  if t.domains = [] then List.map f xs
-  else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    let out = Array.make n None in
-    let bufs = Array.make n None in
-    (* Per-task series buffers mirror the metric buffers (only when the
-       recorder is on — otherwise tasks skip the allocation entirely and
-       sampling is gated off anyway). *)
-    let use_series = Observe.Series.is_enabled () in
-    let sbufs = Array.make n None in
-    let m = Mutex.create () in
-    let next = ref 0 in
-    let err = ref None in
-    let take () =
-      Mutex.lock m;
-      let r =
-        let past_err =
-          match !err with Some (j, _) -> !next > j | None -> false
-        in
-        if past_err || !next >= n then None
-        else begin
-          let i = !next in
-          incr next;
-          Some i
-        end
-      in
-      Mutex.unlock m;
-      r
-    in
-    let record_err i e =
-      Mutex.lock m;
-      (match !err with
-      | Some (j, _) when j <= i -> ()
-      | _ -> err := Some (i, e));
-      Mutex.unlock m
-    in
-    let caller = Observe.Metrics.current () in
-    let caller_series = Observe.Series.current () in
-    run t (fun () ->
-        let rec go () =
-          match take () with
-          | None -> ()
-          | Some i ->
-            let w = Domain.DLS.get worker_id in
-            Observe.Metrics.incr (m_worker_tasks w);
-            let buf = Observe.Metrics.create () in
-            bufs.(i) <- Some buf;
-            let task () =
-              if use_series then begin
-                let sbuf = Observe.Series.task_buffer () in
-                sbufs.(i) <- Some sbuf;
-                Observe.Series.with_current sbuf (fun () -> f arr.(i))
-              end
-              else f arr.(i)
-            in
-            (match Observe.Metrics.with_current buf task with
-            | y -> out.(i) <- Some y
-            | exception e -> record_err i e);
-            go ()
-        in
-        go ());
-    let commit_upto last =
-      for i = 0 to min last (n - 1) do
-        (match bufs.(i) with
-        | Some buf -> Observe.Metrics.merge_into caller buf
-        | None -> ());
-        match sbufs.(i) with
-        | Some sbuf -> Observe.Series.merge_into caller_series sbuf
-        | None -> ()
-      done
-    in
-    match !err with
-    | Some (j, e) ->
-      commit_upto j;
-      raise e
-    | None ->
-      commit_upto (n - 1);
-      Array.to_list (Array.map Option.get out)
-  end
+  Mutex.lock t.mutex;
+  t.body <- Some body;
+  t.generation <- t.generation + 1;
+  t.active <- List.length t.domains;
+  Condition.broadcast t.work_ready;
+  Mutex.unlock t.mutex;
+  (* Wait for the workers even on an owner-side failure, otherwise a
+     second region could start while they still run the old body. *)
+  Fun.protect (fun () -> region body) ~finally:(fun () ->
+      Mutex.lock t.mutex;
+      while t.active > 0 do Condition.wait t.work_done t.mutex done;
+      Mutex.unlock t.mutex)
 
 type 'b outcome =
   | Found of 'b
@@ -258,23 +132,14 @@ type 'b outcome =
    miss. Once a worker records an event at index i, no index above i is
    issued any more, so all other workers drain and stop. *)
 let search t f seq =
-  let sequential () =
-    let count = ref 0 in
-    let rec go s =
+  if t.domains = [] then
+    let rec go count s =
       match s () with
-      | Seq.Nil -> Exhausted !count
+      | Seq.Nil -> Exhausted count
       | Seq.Cons (x, rest) -> (
-        incr count;
-        match f x with
-        | Some b ->
-          Observe.Metrics.set m_search_cancel_index
-            (float_of_int (!count - 1));
-          Found b
-        | None -> go rest)
+        match f x with Some b -> Found b | None -> go (count + 1) rest)
     in
-    go seq
-  in
-  if t.domains = [] then sequential ()
+    go 0 seq
   else begin
     let m = Mutex.create () in
     let cur = ref seq in
@@ -330,8 +195,6 @@ let search t f seq =
           match take () with
           | None -> ()
           | Some (i, x, buf) ->
-            let w = Domain.DLS.get worker_id in
-            Observe.Metrics.incr (m_worker_tasks w);
             let task () =
               if use_series then begin
                 let sbuf = Observe.Series.task_buffer () in
@@ -362,7 +225,6 @@ let search t f seq =
     match !best with
     | Some (i, Ok b) ->
       commit_upto i;
-      Observe.Metrics.set m_search_cancel_index (float_of_int i);
       Found b
     | Some (i, Error e) ->
       commit_upto i;
@@ -371,3 +233,19 @@ let search t f seq =
       commit_upto (!next - 1);
       Exhausted !next
   end
+
+type never = |
+
+(* [search] with a probe that stores each result at its index and never
+   hits: the same issue order, the same first-exception rule and the
+   same in-order buffer commits as [List.map f xs]. *)
+let map t f xs =
+  let xs = Array.of_list xs in
+  let out = Array.make (Array.length xs) None in
+  let store (i, x) : never option =
+    out.(i) <- Some (f x);
+    None
+  in
+  match search t store (Array.to_seqi xs) with
+  | Found _ -> .
+  | Exhausted _ -> Array.to_list (Array.map Option.get out)

@@ -2,42 +2,35 @@
 
     A pool owns [jobs - 1] worker domains parked on a condition
     variable; the calling domain participates in every parallel region,
-    so a [jobs = 1] pool spawns nothing and both combinators degenerate
-    to their sequential counterparts. Built from [Domain], [Mutex], and
+    so a [jobs = 1] pool spawns nothing and both combinators run
+    sequentially on the calling domain. Built from [Domain], [Mutex], and
     [Condition] only.
 
-    Both combinators are {e deterministic}: their observable behaviour
-    (results, and which exception propagates) is independent of [jobs]
-    and of scheduling, which is what lets the checkers expose a [?jobs]
-    knob without perturbing verdicts or certificates.
+    {!search} is the one fan-out path, and {!map} is {!search} over the
+    indexed elements with a probe that never hits. Both are
+    {e deterministic}: their observable behaviour (results, and which
+    exception propagates) is independent of [jobs] and of scheduling,
+    which is what lets the checker and the sweep driver expose a
+    [?jobs] knob without perturbing verdicts or certificates.
 
     The same guarantee extends to telemetry: every task runs with its own
-    {!Observe.Metrics} buffer, and the combinators merge the buffers back
-    into the caller's ambient collector in input order — for {!search},
-    only up to the winning index — so {e stable} metrics recorded inside
-    tasks are byte-identical across [jobs]. The pool additionally records
-    volatile per-worker tallies ([pool.worker_tasks], [pool.worker_busy]),
-    the fan-out counter [pool.map_tasks], and the
-    [pool.search_cancel_index] gauge (the winning index of the last
-    search) — all volatile, since whether the pool runs at all depends on
-    [jobs] — and tags each worker's {!Observe.Sink} events with a
-    [worker-i] track. *)
+    {!Observe.Metrics} buffer, and the pool merges the buffers back into
+    the caller's ambient collector in input order, up to the winning
+    index of a search, so {e stable} metrics recorded inside tasks are
+    byte-identical across [jobs]. The pool records no metric of its own;
+    it tags each worker's {!Observe.Sink} events with a [worker-i] track
+    and wraps each member's share of a region in a [pool.region] span. *)
 
 type t
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-val create : ?jobs:int -> unit -> t
-(** Spawn a pool of [jobs] members (default {!default_jobs}; clamped to
-    at least 1): [jobs - 1] worker domains plus the calling domain. *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains. The pool must not be used after. *)
-
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down,
-    also on exceptions. *)
+(** [with_pool ~jobs f] spawns a pool of [jobs] members (default
+    {!default_jobs}; clamped to at least 1): [jobs - 1] worker domains
+    plus the calling domain. It runs [f] on the pool, then stops and
+    joins the workers, also on exceptions. *)
 
 val jobs : t -> int
 
@@ -45,7 +38,8 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map, equivalent to [List.map f xs] —
     including on raising [f]: the exception raised by the {e first}
     raising element in input order is re-raised (and the pool survives
-    for further use). *)
+    for further use). Task buffers commit like [List.map]'s recordings:
+    up to and including the first raising element, none after it. *)
 
 type 'b outcome =
   | Found of 'b        (** first hit in enumeration order *)

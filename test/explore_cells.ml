@@ -1,6 +1,6 @@
-(* The four cells of E19 (exhaustive model checking), shared by the
-   explorer walls: the jobs wall in test_parallel.ml and the
-   differential oracle in test_network.ml. *)
+(* The four cells of E19 (exhaustive model checking), checked by the
+   differential oracle in test_network.ml; test_parallel.ml's sweep
+   wall shares the network and the query. *)
 
 open Relational
 open Queries

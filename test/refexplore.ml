@@ -3,12 +3,13 @@
    test-only oracle in the style of [Reftransition]. Every successor and
    every fair-continuation round re-runs the four transducer queries
    through [Config.step], the visited set is a [Config.compare] tree, and
-   the sequential path keeps its continuation cache. The differential
+   fair continuations are cached per configuration. The differential
    wall in test_network.ml holds [Explore.check] to it: same verdict,
    certificate and [explore.*] counters.
 
-   The one departure from the original is that the verdict constructors
-   are [Explore]'s own, so the wall compares them directly. *)
+   The departures from the original are that the verdict constructors
+   are [Explore]'s own, so the wall compares them directly, and that the
+   parallel mode is gone, as it is from [Explore]. *)
 
 open Relational
 open Network
@@ -30,17 +31,15 @@ exception Found of verdict
 
 (* Telemetry (all stable): BFS shape, not simulation detail. The inner
    what-if simulation (successor steps, fair-continuation replays) runs
-   under [Metrics.silenced] — the sequential path caches continuations
-   while the parallel one recomputes them, so letting [Config.step]
-   record there would make [net.*] counts jobs-dependent. What both paths
-   share is the round-structured search itself, and that is what we
-   count. *)
+   under [Metrics.silenced], as it does in [Explore], whose memo decides
+   which steps run at all. What both share is the round-structured
+   search itself, and that is what we count. *)
 let m_expanded = Observe.Metrics.counter "explore.expanded"
 let m_dedup = Observe.Metrics.counter "explore.dedup_hits"
 let m_frontier = Observe.Metrics.histogram "explore.frontier"
 
-let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
-    ~input () =
+let check ?(max_configs = 20_000) ~variant ~policy ~transducer ~query ~input
+    () =
   let network = Policy.network policy in
   let expected = Query.apply query input in
   let schema = transducer.Transducer.schema in
@@ -61,7 +60,6 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
           config.Config.buffer;
     }
   in
-  (* Immutable, so the parallel mode's domains share it. *)
   let ctx = Config.prepare ~variant ~policy ~transducer ~input in
   let step config node deliver =
     canonical (fst (Config.step ctx config ~node ~deliver))
@@ -99,99 +97,77 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
     Value.Map.equal Instance.equal s1 s2
     && Value.Map.equal Fact.Set.equal b1 b2
   in
-  let final_outputs_uncached config =
-    let rec go prev c budget =
-      if budget = 0 then Config.outputs schema c
-      else
-        let c' = full_round c in
-        let snap = snapshot c' in
-        match prev with
-        | Some p when snapshot_equal p snap -> Config.outputs schema c'
-        | _ -> go (Some snap) c' (budget - 1)
-    in
-    go None config 200
-  in
   let final_outputs config =
     match Cmap.find_opt config !final_cache with
     | Some o -> o
     | None ->
-      let o = final_outputs_uncached config in
+      let rec go prev c budget =
+        if budget = 0 then Config.outputs schema c
+        else
+          let c' = full_round c in
+          let snap = snapshot c' in
+          match prev with
+          | Some p when snapshot_equal p snap -> Config.outputs schema c'
+          | _ -> go (Some snap) c' (budget - 1)
+      in
+      let o = go None config 200 in
       final_cache := Cmap.add config o !final_cache;
       o
   in
-  let inspect_with final config =
+  let inspect config =
     let out = Config.outputs schema config in
     match Instance.to_list (Instance.diff out expected) with
     | extra :: _ -> Some (Wrong_output { config; extra })
     | [] -> (
-      match Instance.to_list (Instance.diff expected (final config)) with
+      match Instance.to_list (Instance.diff expected (final_outputs config)) with
       | missing :: _ -> Some (Stuck { config; missing })
       | [] -> None)
   in
-  (* Round-structured BFS, shared by both execution modes: expand the
-     whole frontier (output inspection, fair-continuation check,
-     successor computation — the expensive part), then a cheap
-     sequential merge dedups successors and checks the budget in exactly
-     the order the frontier was expanded. The parallel mode only swaps
-     the expansion mapper for [Pool.map] (with the uncached continuation
-     check, since the cache is not shared across domains), so verdicts,
-     certificate configs, visited counts — and the [explore.*] metrics —
-     are identical under any [jobs]. *)
-  let bfs ~mapper ~inspect =
-    let start = Config.start network in
-    let visited = ref (Cset.singleton start) in
-    let frontier = ref [ start ] in
-    (* Per-depth trajectory: both the frontier sample and the wave's
-       dedup count happen in the sequential merge, so the series is
-       identical under any [jobs]. *)
-    let depth = ref 0 in
-    try
-      while !frontier <> [] do
-        Observe.Metrics.observe m_frontier
+  (* Round-structured BFS: expand the whole frontier (output inspection,
+     fair-continuation check, successor computation — the expensive
+     part), then a cheap merge dedups successors and checks the budget
+     in exactly the order the frontier was expanded. *)
+  let start = Config.start network in
+  let visited = ref (Cset.singleton start) in
+  let frontier = ref [ start ] in
+  let depth = ref 0 in
+  try
+    while !frontier <> [] do
+      Observe.Metrics.observe m_frontier (float_of_int (List.length !frontier));
+      if Observe.Series.is_enabled () then
+        Observe.Series.sample "explore.frontier" ~tick:!depth
           (float_of_int (List.length !frontier));
-        if Observe.Series.is_enabled () then
-          Observe.Series.sample "explore.frontier" ~tick:!depth
-            (float_of_int (List.length !frontier));
-        let expanded =
-          mapper
+      let expanded =
+        List.map
+          (fun c ->
+            Observe.Metrics.silenced (fun () -> (inspect c, successors c)))
+          !frontier
+      in
+      let wave_dedup = ref 0 in
+      let next = ref [] in
+      List.iter
+        (fun (verdict, succs) ->
+          if Cset.cardinal !visited > max_configs then
+            raise (Found (Out_of_budget { configs = Cset.cardinal !visited }));
+          Observe.Metrics.incr m_expanded;
+          (match verdict with Some v -> raise (Found v) | None -> ());
+          List.iter
             (fun c ->
-              Observe.Metrics.silenced (fun () -> (inspect c, successors c)))
-            !frontier
-        in
-        let wave_dedup = ref 0 in
-        let next = ref [] in
-        List.iter
-          (fun (verdict, succs) ->
-            if Cset.cardinal !visited > max_configs then
-              raise
-                (Found (Out_of_budget { configs = Cset.cardinal !visited }));
-            Observe.Metrics.incr m_expanded;
-            (match verdict with Some v -> raise (Found v) | None -> ());
-            List.iter
-              (fun c ->
-                if Cset.mem c !visited then begin
-                  Observe.Metrics.incr m_dedup;
-                  incr wave_dedup
-                end
-                else begin
-                  visited := Cset.add c !visited;
-                  next := c :: !next
-                end)
-              succs)
-          expanded;
-        if Observe.Series.is_enabled () then
-          Observe.Series.sample "explore.dedup" ~tick:!depth
-            (float_of_int !wave_dedup);
-        incr depth;
-        frontier := List.rev !next
-      done;
-      Consistent { configs = Cset.cardinal !visited }
-    with Found v -> v
-  in
-  match jobs with
-  | Some j when j > 1 ->
-    Parallel.Pool.with_pool ~jobs:j (fun pool ->
-        bfs
-          ~mapper:(fun f frontier -> Parallel.Pool.map pool f frontier)
-          ~inspect:(inspect_with final_outputs_uncached))
-  | _ -> bfs ~mapper:List.map ~inspect:(inspect_with final_outputs)
+              if Cset.mem c !visited then begin
+                Observe.Metrics.incr m_dedup;
+                incr wave_dedup
+              end
+              else begin
+                visited := Cset.add c !visited;
+                next := c :: !next
+              end)
+            succs)
+        expanded;
+      if Observe.Series.is_enabled () then
+        Observe.Series.sample "explore.dedup" ~tick:!depth
+          (float_of_int !wave_dedup);
+      incr depth;
+      frontier := List.rev !next
+    done;
+    Consistent { configs = Cset.cardinal !visited }
+  with Found v -> v

@@ -1414,8 +1414,7 @@ let prop_absence_matches_reference =
            (Refstrategies.Absence.complete absence_input d))
 
 (* ------------------------------------------------------------------ *)
-(* Differential wall: [Explore.check] at jobs 1 and 2 against the
-   reference explorer ([Refexplore]: no reaction memo, a
+(* Differential wall: [Explore.check] against the reference explorer ([Refexplore]: no reaction memo, a
    [Config.compare] visited set), on E19's four cells and on random tiny
    networks. Each side runs under a private collector, so the
    [explore.*] rows are compared along with the verdict. *)
@@ -1451,22 +1450,19 @@ let explore_disagreement ~max_configs ~variant ~policy ~transducer ~query
         Refexplore.check ~max_configs ~variant ~policy ~transducer ~query
           ~input ())
   in
-  List.find_map
-    (fun jobs ->
-      let verdict, rows =
-        explored (fun () ->
-            Explore.check ~max_configs ~jobs ~variant ~policy ~transducer
-              ~query ~input ())
-      in
-      if same_verdict ref_verdict verdict && rows = ref_rows then None
-      else
-        Some
-          (Printf.sprintf "jobs=%d: %s [%s], reference %s [%s]" jobs
-             (Explore.verdict_to_string verdict)
-             (String.concat "; " rows)
-             (Explore.verdict_to_string ref_verdict)
-             (String.concat "; " ref_rows)))
-    [ 1; 2 ]
+  let verdict, rows =
+    explored (fun () ->
+        Explore.check ~max_configs ~variant ~policy ~transducer ~query ~input
+          ())
+  in
+  if same_verdict ref_verdict verdict && rows = ref_rows then None
+  else
+    Some
+      (Printf.sprintf "%s [%s], reference %s [%s]"
+         (Explore.verdict_to_string verdict)
+         (String.concat "; " rows)
+         (Explore.verdict_to_string ref_verdict)
+         (String.concat "; " ref_rows))
 
 (* The reference needs ~12 s for the domain-request cell's 11,601
    configurations, so the live comparison cuts that cell at the
@@ -1490,29 +1486,24 @@ let test_explore_domain_request_exhaustive () =
   let transducer, query, input, variant, policy =
     List.assoc "domain-request/win-move" Explore_cells.cells
   in
-  List.iter
-    (fun jobs ->
-      let verdict, rows =
-        explored (fun () ->
-            Explore.check ~max_configs:60_000 ~jobs ~variant ~policy
-              ~transducer ~query ~input ())
-      in
-      check_bool
-        (Printf.sprintf "verdict at jobs=%d" jobs)
-        true
-        (same_verdict verdict (Explore.Consistent { configs = 11_601 }));
-      Alcotest.(check (list string))
-        (Printf.sprintf "explore rows at jobs=%d" jobs)
-        [
-          "explore.dedup_hits counter count=120525 sum=120525 min=nan \
-           max=nan last=nan";
-          "explore.expanded counter count=11601 sum=11601 min=nan max=nan \
-           last=nan";
-          "explore.frontier histogram count=15 sum=11601 min=1 max=2467 \
-           last=4 p50=384 p90=2304 p99=2304";
-        ]
-        rows)
-    [ 1; 2 ]
+  let verdict, rows =
+    explored (fun () ->
+        Explore.check ~max_configs:60_000 ~variant ~policy ~transducer ~query
+          ~input ())
+  in
+  check_bool "verdict" true
+    (same_verdict verdict (Explore.Consistent { configs = 11_601 }));
+  Alcotest.(check (list string))
+    "explore rows"
+    [
+      "explore.dedup_hits counter count=120525 sum=120525 min=nan max=nan \
+       last=nan";
+      "explore.expanded counter count=11601 sum=11601 min=nan max=nan \
+       last=nan";
+      "explore.frontier histogram count=15 sum=11601 min=1 max=2467 last=4 \
+       p50=384 p90=2304 p99=2304";
+    ]
+    rows
 
 (* A one-node counter: each transition adds C(k+1) to the largest C(k)
    it holds (C(0) first) up to C(target), and O(1), all that Q outputs,
@@ -1548,8 +1539,7 @@ let counter_case target =
 
 (* The continuation gives up after 200 rounds, as [Refexplore]'s does:
    at C(250) the start configuration is judged on the outputs it has
-   then, stuck with the same certificate and [explore.*] rows at jobs 1
-   and 2. At C(198), O(1) comes on round 200, just in time (checked
+   then, stuck with the same certificate and [explore.*] rows. At C(198), O(1) comes on round 200, just in time (checked
    without the reference, which would take ~1 s here). *)
 let test_explore_continuation_cap () =
   let net1 = Distributed.network_of_ints [ 1 ] in
@@ -1636,7 +1626,7 @@ let print_explore_case (strategy, query, variant, policy, n, facts, budget) =
     budget
 
 let prop_explore_matches_reference =
-  QCheck2.Test.make ~name:"explore = reference explore (jobs 1 and 2)"
+  QCheck2.Test.make ~name:"explore = reference explore"
     ~count:40 ~print:print_explore_case gen_explore_case
     (fun (strategy, query, variant, policy, n, facts, budget) ->
       let _, query, rel = List.nth explore_queries query in
@@ -1782,7 +1772,7 @@ let () =
         ] );
       ( "explore-oracle",
         [
-          Alcotest.test_case "E19 cells at jobs 1 and 2" `Slow
+          Alcotest.test_case "E19 cells" `Slow
             test_explore_oracle_e19;
           Alcotest.test_case "E19 domain-request exhaustive" `Slow
             test_explore_domain_request_exhaustive;

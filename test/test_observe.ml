@@ -176,20 +176,6 @@ let test_checker_metrics_jobs_invariant () =
         [ Classes.Plain; Classes.Distinct; Classes.Disjoint ])
     [ ("tc", Zoo.tc); ("comp-tc", Zoo.comp_tc); ("q-star-2", Zoo.q_star 2) ]
 
-let test_explore_metrics_jobs_invariant () =
-  let crossed = Graph_gen.of_edges [ (1, 2); (2, 1) ] in
-  let parity =
-    Network.Policy.make ~name:"parity" Graph_gen.schema net2 (fun f ->
-        match Fact.arg f 0 with
-        | Value.Int a when a mod 2 = 1 -> [ Value.Int 101 ]
-        | _ -> [ Value.Int 102 ])
-  in
-  assert_jobs_invariant "explore broadcast/comp-edges" (fun jobs ->
-      Network.Explore.check ~max_configs:60_000 ~jobs
-        ~variant:Network.Config.policy_aware ~policy:parity
-        ~transducer:(Strategies.Broadcast.transducer comp_edges)
-        ~query:comp_edges ~input:crossed ())
-
 (* ------------------------------------------------------------------ *)
 (* Exporters round-trip *)
 
@@ -455,8 +441,6 @@ let () =
             test_sweep_metrics_jobs_invariant;
           Alcotest.test_case "checker zoo metrics" `Slow
             test_checker_metrics_jobs_invariant;
-          Alcotest.test_case "explore metrics" `Quick
-            test_explore_metrics_jobs_invariant;
         ] );
       ( "exporters",
         [

@@ -1,11 +1,10 @@
 (* The parallel ≡ sequential test wall.
 
    Every parallel code path (Pool.map, Pool.search, the ?jobs paths of
-   the membership checker, the model checker, and the sweep driver) is
-   checked to agree verdict-for-verdict — certificates and counts
-   included — with the sequential path it replaces, at jobs ∈ {1, 2, 4}.
-   A regression test pins the determinism of the
-   first-violation-in-enumeration-order selection. *)
+   the membership checker and the sweep driver) is checked to agree
+   verdict-for-verdict — certificates and counts included — with the
+   sequential scan, at jobs ∈ {1, 2, 4}. A regression test pins the
+   determinism of the first-violation-in-enumeration-order selection. *)
 
 open Relational
 open Monotone
@@ -44,6 +43,35 @@ let prop_map_exceptions =
       in
       outcome (fun () -> Pool.with_pool ~jobs (fun p -> Pool.map p f xs))
       = outcome (fun () -> List.map f xs))
+
+(* What a raising map commits: each task adds its element to a counter
+   before it may raise, so the stable snapshot shows which tasks
+   committed. It must be List.map's: every task up to and including the
+   first raising element, none after it. *)
+let m_added = Observe.Metrics.counter "test.map_added"
+
+let prop_map_commits =
+  QCheck2.Test.make
+    ~name:"Pool.map commits like List.map (raising tasks)" ~count:60
+    QCheck2.Gen.(pair (int_range 2 9) (list (int_range 1 30)))
+    (fun (modulus, xs) ->
+      let f x =
+        Observe.Metrics.incr ~by:x m_added;
+        if x mod modulus = 0 then raise (Boom x) else x
+      in
+      let recorded map =
+        let buf = Observe.Metrics.create () in
+        let outcome =
+          Observe.Metrics.with_current buf (fun () ->
+              match map f xs with ys -> Ok ys | exception Boom i -> Error i)
+        in
+        (outcome, Observe.Metrics.render_stable buf)
+      in
+      let expected = recorded List.map in
+      List.for_all
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun p -> recorded (Pool.map p)) = expected)
+        job_counts)
 
 let test_map_pool_survives_exception () =
   (* A raising map must not poison the pool: the same pool keeps
@@ -167,38 +195,10 @@ let test_parallel_certificate_deterministic () =
       (Format.asprintf "%a" Classes.pp_violation (Shrink.shrink Zoo.comp_tc v))
 
 (* ------------------------------------------------------------------ *)
-(* Explore equivalence on the four E19 cells *)
+(* Sweep equivalence: the policy x scheduler grid *)
 
 let net2 = Explore_cells.net2
 let comp_edges = Explore_cells.comp_edges
-
-let verdict_equal a b =
-  let open Network.Explore in
-  match (a, b) with
-  | Consistent { configs = x }, Consistent { configs = y } -> x = y
-  | Wrong_output { extra = x; _ }, Wrong_output { extra = y; _ } ->
-    Fact.equal x y
-  | Stuck { missing = x; _ }, Stuck { missing = y; _ } -> Fact.equal x y
-  | Out_of_budget { configs = x }, Out_of_budget { configs = y } -> x = y
-  | _ -> false
-
-let test_explore_equivalence () =
-  List.iter
-    (fun (name, (transducer, query, input, variant, policy)) ->
-      let run ?jobs () =
-        Network.Explore.check ~max_configs:60_000 ?jobs ~variant ~policy
-          ~transducer ~query ~input ()
-      in
-      let seq = run () in
-      List.iter
-        (fun jobs ->
-          check_bool (Printf.sprintf "%s at jobs=%d" name jobs) true
-            (verdict_equal seq (run ~jobs ())))
-        job_counts)
-    Explore_cells.cells
-
-(* ------------------------------------------------------------------ *)
-(* Sweep equivalence: the policy x scheduler grid *)
 
 let test_netquery_sweep_equivalence () =
   let input = Graph_gen.of_edges [ (1, 2); (2, 3); (5, 1) ] in
@@ -268,7 +268,12 @@ let test_search_cancellation_deterministic () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_map_pure; prop_map_exceptions; prop_search_first_hit ]
+    [
+      prop_map_pure;
+      prop_map_exceptions;
+      prop_search_first_hit;
+      prop_map_commits;
+    ]
 
 let () =
   Alcotest.run "parallel"
@@ -291,11 +296,6 @@ let () =
             test_checker_random_equivalence;
           Alcotest.test_case "certificate determinism (10x)" `Slow
             test_parallel_certificate_deterministic;
-        ] );
-      ( "explore-wall",
-        [
-          Alcotest.test_case "E19 cells equivalence" `Slow
-            test_explore_equivalence;
         ] );
       ( "sweep-wall",
         [
