@@ -758,7 +758,7 @@ let e13_winmove_doubled () =
   Report.add_row t [ string_of_int trials; "8"; "14"; Report.cell_bool !ok ];
   Report.add_note t
     "the doubled evaluation iterates the connected SP-Datalog step \
-     W(x) :- Move(x,y), not P(y)";
+     Win(x) :- Move(x,y), not Prev_Win(y)";
   Report.print t
 
 (* ================================================================== *)

@@ -428,8 +428,9 @@ let classify_cmd =
          "place a program in the refined CALM hierarchy: its syntactic \
           level and the bounded scans' level (plain, then distinct, then \
           disjoint, up to the first class that holds); --profile prints \
-          the scans' attribution tree (scan → base → stage/probe → rule, \
-          with cache-hit / route / empty-before annotations), and \
+          the scans' attribution tree (scan → base → qbase/stage → \
+          fixpoint → rule, each base annotated with its cache-hit / route \
+          / empty-before probe counts), and \
           --record writes it as profile.json, profile.folded and the \
           profile track of trace.json")
     Term.(

@@ -19,42 +19,16 @@ let m_index_hits = Observe.Metrics.counter "eval.index_hits"
 let m_derived = Observe.Metrics.counter "eval.derived_facts"
 let m_rounds = Observe.Metrics.counter "eval.seminaive_rounds"
 let m_delta = Observe.Metrics.histogram "eval.delta_size"
-let m_fixpoint = Observe.Metrics.timing "eval.fixpoint"
 
-type stats = { mutable probes : int; mutable hits : int }
-
-(* Enumerate environments extending [env] satisfying the positive atoms;
-   atom number [idx] (if given) probes [delta] instead of the full
-   database. Each atom costs one index lookup plus a scan of the facts
-   agreeing with the bindings on its keyed positions. *)
-let rec satisfy stats plans which i n db delta env k =
-  if i = n then k env
-  else begin
-    let ap : Joindb.atom_plan = plans.(i) in
-    let source = if Some i = which then delta else db in
-    let key = Joindb.key_of_env env ap in
-    let candidates =
-      Joindb.probe source ap.pred ~arity:ap.arity
-        ~positions:ap.key_positions key
-    in
-    (match candidates with [] -> () | _ -> stats.hits <- stats.hits + 1);
-    List.iter
-      (fun f ->
-        stats.probes <- stats.probes + 1;
-        match Joindb.extend env ap f with
-        | None -> ()
-        | Some env' -> satisfy stats plans which (i + 1) n db delta env' k)
-      candidates
-  end
-
-(* Delta plumbing for the incremental (IVM) layer: enumerate the
-   valuations of a plan's positive body with a caller-chosen probe per
-   atom position. [probe i ap key emit] must call [emit] on every
-   candidate fact for atom [i] whose keyed positions equal [key]; the
-   IVM layer composes the handle's indexes and an insert's overlays
-   there (the Δ atom first, old ∪ grown behind it). Inequalities are
-   tested by [Joindb.extend] at the atom that binds them; negation stays
-   with the caller, which sees each complete valuation. *)
+(* The one join loop: enumerate the valuations of a plan's positive body
+   with a caller-chosen probe per atom position. [probe i ap key emit]
+   must call [emit] on every candidate fact for atom [i] whose keyed
+   positions equal [key]; the fixpoint probes the database (atom [which]
+   the round's delta) and counts, EXPLAIN counts per atom, and the IVM
+   layer composes the handle's indexes and an insert's overlays there
+   (the Δ atom first, old ∪ grown behind it). Inequalities are tested by
+   [Joindb.extend] at the atom that binds them; negation stays with the
+   caller, which sees each complete valuation. *)
 let iter_firings ~probe (p : Joindb.plan) k =
   let n = Array.length p.atoms in
   let rec go i env =
@@ -79,44 +53,46 @@ let rule_label (r : Ast.rule) =
     | ns -> ",!" ^ String.concat ",!" (preds ns))
 
 let derive_plan ~neg ~current ~db ~delta ~which (p : Joindb.plan) acc =
-  let profiling = Observe.Profile.is_enabled () in
-  let run () =
-    let out = ref acc in
-    let stats = { probes = 0; hits = 0 } in
-    let fired = ref 0 in
-    let n = Array.length p.atoms in
-    satisfy stats p.atoms which 0 n db delta Env.empty (fun env ->
-        if Joindb.checks_pass current neg env p.rule then begin
-          if profiling then incr fired;
-          out := Instance.add (Joindb.ground_atom env p.rule.head) !out
-        end);
-    if stats.probes > 0 then Observe.Metrics.incr ~by:stats.probes m_join_probes;
-    if stats.hits > 0 then Observe.Metrics.incr ~by:stats.hits m_index_hits;
-    (!out, !fired)
+  let out = ref acc and fired = ref 0 and probes = ref 0 and hits = ref 0 in
+  let probe i (ap : Joindb.atom_plan) key emit =
+    let source = match which with Some w when w = i -> delta | _ -> db in
+    match
+      Joindb.probe source ap.pred ~arity:ap.arity ~positions:ap.key_positions
+        key
+    with
+    | [] -> ()
+    | candidates ->
+      incr hits;
+      probes := !probes + List.length candidates;
+      List.iter emit candidates
   in
-  if not profiling then fst (run ())
+  let run () =
+    iter_firings ~probe p (fun env ->
+        if Joindb.checks_pass current neg env p.rule then begin
+          incr fired;
+          out := Instance.add (Joindb.ground_atom env p.rule.head) !out
+        end)
+  in
+  if not (Observe.Profile.is_enabled ()) then run ()
   else begin
     (* Per-rule ANALYZE, recorded only under [--profile]/[--record]:
        fired/derived/deduped are stable counters (summed per activation,
-       so byte-identical across --jobs by the pool's in-order merge);
-       the timing and the profile span stay volatile. *)
+       so byte-identical across --jobs by the pool's in-order merge); the
+       profile span's time stays volatile. *)
     let label = rule_label p.rule in
     let labels = [ ("rule", label) ] in
-    let out, fired =
-      Observe.Profile.span ("rule:" ^ label) (fun () ->
-          Observe.Metrics.time
-            (Observe.Metrics.timing ~labels "eval.rule_time")
-            run)
-    in
-    let derived = Instance.cardinal out - Instance.cardinal acc in
-    Observe.Metrics.incr ~by:fired
+    Observe.Profile.span ("rule:" ^ label) run;
+    let derived = Instance.cardinal !out - Instance.cardinal acc in
+    Observe.Metrics.incr ~by:!fired
       (Observe.Metrics.counter ~labels "eval.rule_fired");
     Observe.Metrics.incr ~by:derived
       (Observe.Metrics.counter ~labels "eval.rule_derived");
-    Observe.Metrics.incr ~by:(fired - derived)
-      (Observe.Metrics.counter ~labels "eval.rule_deduped");
-    out
-  end
+    Observe.Metrics.incr ~by:(!fired - derived)
+      (Observe.Metrics.counter ~labels "eval.rule_deduped")
+  end;
+  if !probes > 0 then Observe.Metrics.incr ~by:!probes m_join_probes;
+  if !hits > 0 then Observe.Metrics.incr ~by:!hits m_index_hits;
+  !out
 
 let derive_plans ?(neg = default_neg) plans j =
   let db = Joindb.of_instance j in
@@ -154,21 +130,20 @@ let seminaive ?(neg = default_neg) ?max_facts p i =
         over_idx 0 acc)
       Instance.empty plans
   in
-  Observe.Metrics.time m_fixpoint (fun () ->
-      let first = derive_plans ~neg plans i in
-      let rec go db delta =
-        guard max_facts db;
-        if Instance.is_empty delta then db
-        else begin
-          Observe.Metrics.incr m_rounds;
-          Observe.Metrics.observe m_delta
-            (float_of_int (Instance.cardinal delta));
-          let db' = Instance.union db delta in
-          let fresh = Instance.diff (step db' delta) db' in
-          go db' fresh
-        end
-      in
-      go i (Instance.diff first i))
+  Observe.Profile.span "fixpoint" @@ fun () ->
+  let first = derive_plans ~neg plans i in
+  let rec go db delta =
+    guard max_facts db;
+    if Instance.is_empty delta then db
+    else begin
+      Observe.Metrics.incr m_rounds;
+      Observe.Metrics.observe m_delta (float_of_int (Instance.cardinal delta));
+      let db' = Instance.union db delta in
+      let fresh = Instance.diff (step db' delta) db' in
+      go db' fresh
+    end
+  in
+  go i (Instance.diff first i)
 
 let stratified ?max_facts p i =
   match Stratify.stratify p with
@@ -220,31 +195,21 @@ let explain ?(neg = default_neg) p j =
       let lookups = Array.make n 0 and cands = Array.make n 0 in
       let vals = ref 0 and fired = ref 0 in
       let out = ref Instance.empty in
-      let rec go i env =
-        if i = n then begin
+      let probe i (ap : Joindb.atom_plan) key emit =
+        let candidates =
+          Joindb.probe db ap.pred ~arity:ap.arity ~positions:ap.key_positions
+            key
+        in
+        lookups.(i) <- lookups.(i) + 1;
+        cands.(i) <- cands.(i) + List.length candidates;
+        List.iter emit candidates
+      in
+      iter_firings ~probe pl (fun env ->
           incr vals;
           if Joindb.checks_pass j neg env pl.rule then begin
             incr fired;
             out := Instance.add (Joindb.ground_atom env pl.rule.head) !out
-          end
-        end
-        else begin
-          let ap = pl.atoms.(i) in
-          lookups.(i) <- lookups.(i) + 1;
-          let candidates =
-            Joindb.probe db ap.pred ~arity:ap.arity ~positions:ap.key_positions
-              (Joindb.key_of_env env ap)
-          in
-          cands.(i) <- cands.(i) + List.length candidates;
-          List.iter
-            (fun f ->
-              match Joindb.extend env ap f with
-              | None -> ()
-              | Some env' -> go (i + 1) env')
-            candidates
-        end
-      in
-      go 0 Env.empty;
+          end);
       let atom_reports =
         List.init n (fun i ->
             let ap = pl.atoms.(i) in

@@ -25,8 +25,9 @@ val seminaive :
   ?neg:(Instance.t -> Fact.t -> bool) ->
   ?max_facts:int ->
   Ast.program -> Instance.t -> Instance.t
-(** Least fixpoint by semi-naive (delta) iteration. Agrees with
-    {!Refeval.naive} on semi-positive programs (tested property).
+(** Least fixpoint by semi-naive (delta) iteration, timed by a
+    [fixpoint] profile span. Agrees with {!Refeval.naive} on
+    semi-positive programs (tested property).
     @raise Diverged if the fixpoint grows past [max_facts]. *)
 
 val stratified :
@@ -41,23 +42,26 @@ val iter_firings :
   probe:
     (int -> Joindb.atom_plan -> Value.t list -> (Fact.t -> unit) -> unit) ->
   Joindb.plan -> (Value.t Joindb.Env.t -> unit) -> unit
-(** Delta plumbing for {!Ivm}: enumerate complete valuations of a plan's
+(** The one join loop: enumerate complete valuations of a plan's
     positive body that pass the rule's inequalities, probing each atom
     position through a caller-supplied source. [probe i ap key emit] must
     pass every candidate fact for atom [i] whose keyed positions equal
-    [key] to [emit]; the caller composes the handle's indexes and the
-    overlays of an insert there. Each inequality is tested by
-    {!Joindb.extend} at the atom that binds it, so a valuation that
-    breaks one is never extended; negation checks are the caller's
-    responsibility ({!Joindb.checks_pass}). *)
+    [key] to [emit]. The fixpoint's probe reads the database (the round's
+    delta at one position) and counts [eval.join_probes] and
+    [eval.index_hits]; {!explain}'s counts lookups and candidates per
+    atom; {!Ivm} composes the handle's indexes and the overlays of an
+    insert there. Each inequality is tested by {!Joindb.extend} at the
+    atom that binds it, so a valuation that breaks one is never extended;
+    negation checks are the caller's responsibility
+    ({!Joindb.checks_pass}). *)
 
 (** {2 EXPLAIN ANALYZE}
 
     When profiling is enabled ({!Observe.Profile.is_enabled}), every rule
     activation additionally records stable per-rule counters
-    [eval.rule_fired] / [eval.rule_derived] / [eval.rule_deduped], a
-    volatile [eval.rule_time] timing, and a [rule:<label>] profile span —
-    all keyed by {!rule_label}. While profiling is off the evaluator pays
+    [eval.rule_fired] / [eval.rule_derived] / [eval.rule_deduped] and a
+    [rule:<label>] profile span, which times it — all keyed by
+    {!rule_label}. While profiling is off the evaluator pays
     a single atomic load per activation. *)
 
 val rule_label : Ast.rule -> string
@@ -87,8 +91,10 @@ val explain :
   Ast.program -> Instance.t -> rule_report list
 (** One instrumented derivation pass of every rule over the given
     database (pass the fixpoint to see the plans under their real
-    workload), with per-atom estimated-vs-actual candidate counts.
-    Deterministic for a given program and database. *)
+    workload), with per-atom estimated-vs-actual candidate counts. It
+    rides {!iter_firings} with a counting probe, so it reports on the
+    loop the fixpoint runs. Deterministic for a given program and
+    database. *)
 
 val pp_explain : Format.formatter -> rule_report list -> unit
 (** [calm plan]'s rendering: each rule, its per-atom access paths with

@@ -237,13 +237,10 @@ let seeded g s =
 (* The fallback: saturate [given ∪ adds] afresh, one [eval.ivm_applies]
    inside an [ivm.apply] span under profiling. *)
 let what_if h adds =
-  let run () =
-    Observe.Metrics.incr m_applies;
-    saturate h.compiled.strata
-      (List.fold_left (fun i f -> Instance.add f i) h.given adds)
-  in
-  if Observe.Profile.is_enabled () then Observe.Profile.span "ivm.apply" run
-  else run ()
+  Observe.Profile.span "ivm.apply" @@ fun () ->
+  Observe.Metrics.incr m_applies;
+  saturate h.compiled.strata
+    (List.fold_left (fun i f -> Instance.add f i) h.given adds)
 
 let lost h facts =
   let c = h.compiled in

@@ -22,14 +22,13 @@ let default_bounds = { dom_size = 3; fresh = 2; max_base = 4; max_ext = 2 }
    itself stops at its first in-group violation), making the values
    identical to the sequential scan's. The remaining stable rows are
    derived from the (deterministic) outcome; wall-clock goes to the
-   volatile [monotone.scan] timing. *)
+   [scan] profile span. *)
 let m_probes = Observe.Metrics.counter "monotone.probes"
 let m_pairs = Observe.Metrics.counter "monotone.pairs_scanned"
 let m_cache_hits = Observe.Metrics.counter "monotone.cache_hits"
 let m_ivm_hits = Observe.Metrics.counter "monotone.ivm_hits"
 let m_violations = Observe.Metrics.counter "monotone.violations"
 let m_cert_size = Observe.Metrics.histogram "monotone.counterexample_size"
-let m_scan = Observe.Metrics.timing "monotone.scan"
 
 (* What one group probes: every admissible extension of its base with
    at most [max_ext] facts, enumerated inside the group's task
@@ -47,25 +46,20 @@ type extensions =
    and each subset the kernel hands over goes straight to the staged
    probe as a {!Relational.Query.delta}. When [Q(base)] is empty no
    extension can lose a fact ([diff before after ⊆ before]), so nothing
-   is probed and, with profiling off, the group's pairs are counted as
-   [Σ C(n, s)] without being walked; under profiling each still gets
-   its span. Either way [monotone.probes]/[pairs_scanned] count every
+   is probed: the group's pairs are counted as [Σ C(n, s)] without being
+   walked. Either way [monotone.probes]/[pairs_scanned] count every
    admissible pair. *)
 (* Attribution paths are rooted ("scan/base/..."): probe_group runs on
    pool worker domains under [jobs > 1], whose ambient span stack is
    empty, so absolute paths are what makes the parallel profile
-   aggregate with the sequential one. *)
+   aggregate with the sequential one. The base span's self time is the
+   probe walk; its annotations count the group's probes by route, cache
+   hit or empty [Q(base)], once per group. *)
 let probe_group kind q (ord, (base, exts)) =
   Observe.Profile.span_rooted [ "scan"; "base" ] @@ fun () ->
   let series_on = Observe.Series.is_enabled () in
   let wall0 = if series_on then Unix.gettimeofday () else 0. in
   let route = Query.route q in
-  let route_name =
-    match route with
-    | Query.Witness -> "witness"
-    | Query.Ivm -> "ivm"
-    | Query.Eval -> "eval"
-  in
   let before =
     Observe.Profile.span_rooted [ "scan"; "base"; "qbase" ] (fun () ->
         Query.apply q base)
@@ -78,22 +72,8 @@ let probe_group kind q (ord, (base, exts)) =
           Classes.stage ~before kind q ~base)
   in
   let found = ref None in
-  let profiling = Observe.Profile.is_enabled () in
-  let first = ref true in
   let test d =
-    let verdict =
-      if profiling then
-        Observe.Profile.span_rooted [ "scan"; "base"; "probe" ] (fun () ->
-            if empty_fast then Observe.Profile.annot "empty_before"
-            else begin
-              Observe.Profile.annot route_name;
-              if not !first then Observe.Profile.annot "cache_hit"
-            end;
-            first := false;
-            probe d)
-      else probe d
-    in
-    match verdict with
+    match probe d with
     | Some v ->
       found := Some v;
       true
@@ -106,7 +86,7 @@ let probe_group kind q (ord, (base, exts)) =
       1
     | Admissible { schema; fresh; max_ext } ->
       let candidates = Enumerate.candidates kind ~base ~schema ~fresh in
-      if empty_fast && not profiling then
+      if empty_fast then
         Enumerate.subsets_count (Array.length candidates) max_ext
       else
         Enumerate.subsets_until candidates max_ext (fun facts ->
@@ -118,8 +98,16 @@ let probe_group kind q (ord, (base, exts)) =
   if scanned > 0 then begin
     Observe.Metrics.incr ~by:scanned m_probes;
     if scanned > 1 then Observe.Metrics.incr ~by:(scanned - 1) m_cache_hits;
-    if route = Query.Ivm && not empty_fast then
-      Observe.Metrics.incr ~by:scanned m_ivm_hits
+    if empty_fast then Observe.Profile.annot ~by:scanned "empty_before"
+    else begin
+      if route = Query.Ivm then Observe.Metrics.incr ~by:scanned m_ivm_hits;
+      Observe.Profile.annot ~by:scanned
+        (match route with
+        | Query.Witness -> "witness"
+        | Query.Ivm -> "ivm"
+        | Query.Eval -> "eval");
+      if scanned > 1 then Observe.Profile.annot ~by:(scanned - 1) "cache_hit"
+    end
   end;
   (* Per-base trajectory, tick = the base's ordinal in enumeration
      order: on the parallel path these land in the pool's per-task
@@ -153,22 +141,19 @@ let scan ?jobs kind q groups =
   let groups = Seq.mapi (fun i g -> (i, g)) groups in
   let outcome =
     Observe.Profile.span_rooted [ "scan" ] @@ fun () ->
-    Observe.Metrics.time m_scan (fun () ->
-        (* Pair tallies live outside the pool's metric buffers: the total
-           is only read on [Exhausted], when every group has completed,
-           so the sum is independent of scheduling. *)
-        let pairs = Atomic.make 0 in
-        let probe group =
-          let scanned, v = probe_group kind q group in
-          if Option.is_none v then ignore (Atomic.fetch_and_add pairs scanned);
-          v
-        in
-        Parallel.Pool.with_pool ~jobs:(Option.value jobs ~default:1)
-          (fun pool ->
-            match Parallel.Pool.search pool probe groups with
-            | Parallel.Pool.Found v -> Violated v
-            | Parallel.Pool.Exhausted _ ->
-              No_violation { pairs = Atomic.get pairs }))
+    (* Pair tallies live outside the pool's metric buffers: the total is
+       only read on [Exhausted], when every group has completed, so the
+       sum is independent of scheduling. *)
+    let pairs = Atomic.make 0 in
+    let probe group =
+      let scanned, v = probe_group kind q group in
+      if Option.is_none v then ignore (Atomic.fetch_and_add pairs scanned);
+      v
+    in
+    Parallel.Pool.with_pool ~jobs:(Option.value jobs ~default:1) (fun pool ->
+        match Parallel.Pool.search pool probe groups with
+        | Parallel.Pool.Found v -> Violated v
+        | Parallel.Pool.Exhausted _ -> No_violation { pairs = Atomic.get pairs })
   in
   (match outcome with
   | No_violation { pairs } -> Observe.Metrics.incr ~by:pairs m_pairs
@@ -274,13 +259,6 @@ let check_random ?(seed = 17) ?(trials = 500) ?(bounds = default_bounds)
 let ladder ?fresh ?bases ?(bounds = default_bounds) ?jobs kind ~max_i q =
   List.init max_i (fun k ->
       let i = k + 1 in
-      let m_bound =
-        Observe.Metrics.timing
-          ~labels:[ ("max_ext", string_of_int i) ]
-          "monotone.ladder_bound"
-      in
-      Observe.Metrics.time m_bound (fun () ->
-          match bases with
-          | Some bases -> check_on_bases ?fresh ~max_ext:i ?jobs kind q bases
-          | None ->
-            check_exhaustive ~bounds:{ bounds with max_ext = i } ?jobs kind q))
+      match bases with
+      | Some bases -> check_on_bases ?fresh ~max_ext:i ?jobs kind q bases
+      | None -> check_exhaustive ~bounds:{ bounds with max_ext = i } ?jobs kind q)

@@ -45,9 +45,17 @@ val check_exhaustive :
     against [Q(base)], in {!Enumerate.subsets_up_to}'s order. When
     [Q(base)] is empty the extensions are counted ([Σ C(n, s)],
     {!Enumerate.subsets_count}) but neither walked nor evaluated, since
-    an empty output cannot lose facts; under {!Observe.Profile} they are
-    walked so that each probe keeps its span. [monotone.cache_hits]
-    counts the probes after a group's first.
+    an empty output cannot lose facts. [monotone.cache_hits] counts the
+    probes after a group's first.
+
+    Under {!Observe.Profile} the scan takes the same path. It opens a
+    [scan] span, one [scan/base] span per group (with [qbase] and
+    [stage] under it) and none per probe, so the base span's self time
+    is the probe walk. Each base span is annotated once, with counts the
+    group already has: a group with a non-empty [Q(base)] adds its probe
+    count under its route ([witness], [ivm] or [eval]) and that count
+    minus one under [cache_hit]; an empty one adds its count under
+    [empty_before].
 
     When the query carries a maintenance function
     ({!Relational.Query.route} is [Ivm]), each group materializes

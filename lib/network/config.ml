@@ -58,7 +58,6 @@ let compare a b =
 type stats = {
   messages_sent : int;
   delivered : int;
-  new_state_facts : int;
   sent_facts : Instance.t;
   output_delta : Instance.t;
 }
@@ -236,8 +235,6 @@ let step ctx t ~node:x ~deliver =
     {
       messages_sent = Multiset.size snd_ms * ctx.recipients;
       delivered = Multiset.size deliver;
-      new_state_facts =
-        Instance.cardinal added + Instance.cardinal (Instance.diff s1 s2);
       sent_facts = snd;
       output_delta =
         Instance.restrict added

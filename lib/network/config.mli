@@ -47,7 +47,6 @@ val compare : t -> t -> int
 type stats = {
   messages_sent : int;      (** copies enqueued (fact × recipients) *)
   delivered : int;          (** message copies consumed *)
-  new_state_facts : int;    (** state facts added or removed *)
   sent_facts : Instance.t;  (** the message facts produced by [Q_snd] *)
   output_delta : Instance.t;  (** output facts new in this transition *)
 }

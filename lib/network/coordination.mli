@@ -17,7 +17,6 @@ type witness = {
 }
 
 val heartbeat_witness :
-  ?max_steps:int ->
   variant:Config.variant ->
   transducer:Transducer.t ->
   query:Query.t ->

@@ -47,8 +47,8 @@ let judge ~expected swept =
   let all_quiesced = List.for_all (fun (_, r) -> r.Run.quiesced) runs in
   { expected; runs; mismatches; all_quiesced }
 
-let check_traced ?(schedulers = default_schedulers) ?policies ?faults
-    ?max_rounds ?jobs ~variant ~transducer ~query ~input network =
+let check_traced ?(schedulers = default_schedulers) ?policies ?faults ?jobs
+    ~variant ~transducer ~query ~input network =
   let policies =
     match policies with
     | Some ps -> ps
@@ -56,14 +56,14 @@ let check_traced ?(schedulers = default_schedulers) ?policies ?faults
   in
   let expected = Query.apply query input in
   let swept =
-    Run.sweep ?jobs ?faults ?max_rounds ~variant ~transducer ~input
+    Run.sweep ?jobs ?faults ~variant ~transducer ~input
       (grid policies schedulers)
   in
   ( judge ~expected swept,
     List.map (fun (label, _r, events) -> (label, events)) swept )
 
-let check ?schedulers ?policies ?max_rounds ?jobs ~variant ~transducer ~query
-    ~input network =
+let check ?schedulers ?policies ?jobs ~variant ~transducer ~query ~input
+    network =
   fst
-    (check_traced ?schedulers ?policies ?max_rounds ?jobs ~variant ~transducer
-       ~query ~input network)
+    (check_traced ?schedulers ?policies ?jobs ~variant ~transducer ~query
+       ~input network)

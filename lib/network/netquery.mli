@@ -38,7 +38,6 @@ val judge :
 val check :
   ?schedulers:(string * Run.scheduler) list ->
   ?policies:Policy.t list ->
-  ?max_rounds:int ->
   ?jobs:int ->
   variant:Config.variant ->
   transducer:Transducer.t ->
@@ -56,7 +55,6 @@ val check_traced :
   ?schedulers:(string * Run.scheduler) list ->
   ?policies:Policy.t list ->
   ?faults:Fault.plan ->
-  ?max_rounds:int ->
   ?jobs:int ->
   variant:Config.variant ->
   transducer:Transducer.t ->

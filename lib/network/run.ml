@@ -33,7 +33,6 @@ let m_rounds = Observe.Metrics.counter "net.rounds"
 let m_round_output_delta = Observe.Metrics.histogram "net.round_output_delta"
 let m_quiescence_round = Observe.Metrics.gauge "net.quiescence_round"
 let m_heartbeat_steps = Observe.Metrics.counter "net.heartbeat_steps"
-let m_run = Observe.Metrics.timing "net.run"
 
 (* Per-round trajectory sampling (Series recorder, gated off by default):
    tick = stabilization round index, so points are keyed by a semantic
@@ -493,7 +492,9 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
       [ ("scheduler", Observe.Json.String (scheduler_label ?faults scheduler)) ]
     "net.run"
   @@ fun () ->
-  Observe.Metrics.time m_run @@ fun () ->
+  (* Rooted: sweep cells run on pool workers, whose ambient span path is
+     empty, so a cell's spans aggregate with the sequential run's. *)
+  Observe.Profile.span_rooted [ "net.run" ] @@ fun () ->
   let network = Policy.network policy in
   let schema = transducer.Transducer.schema in
   let counters =
@@ -575,25 +576,23 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
    Each cell owns its RNG state (seeded per scheduler) and its own trace
    collector, so cells are independent and the result list is the same
    at every [jobs], in cell order, each cell's events included. *)
-let sweep ?jobs ?faults ?max_rounds ?heartbeat ~variant ~transducer ~input
-    cells =
+let sweep ?jobs ?faults ?heartbeat ~variant ~transducer ~input cells =
   let run_cell (label, policy, scheduler) =
     let label = faults_label ?faults label in
     (* Label the cell's series so parallel cells keep distinct keys. *)
     Observe.Series.with_label ("cell", label) @@ fun () ->
     let tracer = Trace.collector () in
     let result =
-      run ~tracer ?faults ?max_rounds ?heartbeat ~variant ~policy ~transducer
-        ~input scheduler
+      run ~tracer ?faults ?heartbeat ~variant ~policy ~transducer ~input
+        scheduler
     in
     (label, result, Trace.events tracer)
   in
   Parallel.Pool.with_pool ~jobs:(Option.value jobs ~default:1) (fun pool ->
       Parallel.Pool.map pool run_cell cells)
 
-let heartbeat_prefix ?tracer ?(max_steps = 200) ?(heartbeat = 0.) ~variant
-    ~policy ~transducer ~input ~node () =
-  let hb = hb_start heartbeat in
+let heartbeat_prefix ?(max_steps = 200) ~variant ~policy ~transducer ~input
+    ~node () =
   let network = Policy.network policy in
   let counters =
     {
@@ -604,13 +603,14 @@ let heartbeat_prefix ?tracer ?(max_steps = 200) ?(heartbeat = 0.) ~variant
     }
   in
   let ctx = Config.prepare ~variant ~policy ~transducer ~input in
-  let rt = { ctx; network; counters; tracer; fault = None; adv = None } in
+  let rt =
+    { ctx; network; counters; tracer = None; fault = None; adv = None }
+  in
   let config0 = Config.start network in
   let rec go k config =
     if k >= max_steps then (config, false)
     else
       let config' = do_step rt config node (fun _ -> Multiset.empty) in
-      hb_tick hb "heartbeat step=%d/%d" (k + 1) max_steps;
       if Instance.equal (Config.state_of config' node) (Config.state_of config node)
       then (config', true)
       else go (k + 1) config'

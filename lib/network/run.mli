@@ -66,8 +66,12 @@ val run :
     then additionally gated on {!Fault.quiescent}, so [quiesced = true]
     means the run survived every fault {e and} stabilized afterwards.
     Absent [faults] and {!Fault.none} both run without fault state: the
-    result, trace and stable metrics are byte-identical; only the
-    [net.run] span's [scheduler] label differs (see {!scheduler_label}).
+    result, trace and stable metrics are byte-identical; only the event
+    sink's [net.run] span's [scheduler] label differs (see
+    {!scheduler_label}). The run is timed by a rooted [net.run]
+    {!Observe.Profile} span, so sweep cells on pool workers aggregate
+    with sequential runs; the sink's span of the same name keeps the real
+    start times that [trace.json]'s worker tracks need.
     [max_rounds] (default 500) bounds the stabilization phase; a result
     with [quiesced = false] hit the bound. [heartbeat] (seconds, default
     [0.] = off) prints a [\[hb\] round=… transitions=…] progress line on
@@ -80,7 +84,6 @@ val run :
 val sweep :
   ?jobs:int ->
   ?faults:Fault.plan ->
-  ?max_rounds:int ->
   ?heartbeat:float ->
   variant:Config.variant ->
   transducer:Transducer.t ->
@@ -101,9 +104,7 @@ val sweep :
     result list and in the series label alike. *)
 
 val heartbeat_prefix :
-  ?tracer:Trace.collector ->
   ?max_steps:int ->
-  ?heartbeat:float ->
   variant:Config.variant ->
   policy:Policy.t ->
   transducer:Transducer.t ->

@@ -2,9 +2,12 @@
 
     The scan's hot loops already record {e what} happened (probes, cache
     hits, derived facts); this module records {e where the time went}: a
-    tree of named spans (scan → base → stage/probe → rule) with per-span
-    visit counts, annotation counters (cache hit, witness vs eval route,
-    empty-before fast path), and monotonic timings.
+    tree of named spans (scan → base → qbase/stage → fixpoint → rule, or
+    net.run → fixpoint → rule) with per-span visit counts, annotation
+    counters (each scan base tallies its probes by route, cache hit and
+    empty [Q(base)] once), and wall-clock timings. Spans are the one
+    timer: every timed interval is a span, so a run with the profiler off
+    records no timing.
 
     Three properties shape the design:
 

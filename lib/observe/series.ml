@@ -14,7 +14,6 @@ type point = { tick : int; value : float }
 
 type series = {
   stable : bool;
-  auto : bool;
   mutable stride : int;
   mutable rev_points : point list;  (* newest first *)
   mutable n : int;
@@ -77,14 +76,13 @@ let downsample_series s =
   s.rev_points <- kept;
   s.n <- List.length kept
 
-let find_series t key ~stable ~auto =
+let find_series t key ~stable =
   match Hashtbl.find_opt t.tbl key with
   | Some s -> s
   | None ->
     let s =
       {
         stable;
-        auto;
         stride = 1;
         rev_points = [];
         n = 0;
@@ -99,7 +97,6 @@ let find_series t key ~stable ~auto =
 (* The one append path, shared by recording and merge replay, so both
    make identical keep/downsample decisions. Caller holds [t.lock]. *)
 let push t s ~wall ~tick value =
-  let tick = if s.auto then s.arrivals else tick in
   if s.arrivals = 0 then s.first_wall <- wall;
   s.last_wall <- wall;
   s.arrivals <- s.arrivals + 1;
@@ -124,7 +121,7 @@ let normalize_labels labels =
    sampling hot path calls it through this ref. *)
 let live_hook : (key -> series -> float -> unit) ref = ref (fun _ _ _ -> ())
 
-let record ?(labels = []) ?(stable = true) ~auto name ~tick value =
+let sample ?(labels = []) ?(stable = true) name ~tick value =
   if Atomic.get enabled then begin
     let t = current () in
     let labels = normalize_labels (labels @ Domain.DLS.get label_ctx) in
@@ -132,7 +129,7 @@ let record ?(labels = []) ?(stable = true) ~auto name ~tick value =
     let wall = Unix.gettimeofday () in
     Mutex.lock t.lock;
     let s =
-      try push t (find_series t key ~stable ~auto) ~wall ~tick value
+      try push t (find_series t key ~stable) ~wall ~tick value
       with e ->
         Mutex.unlock t.lock;
         raise e
@@ -140,12 +137,6 @@ let record ?(labels = []) ?(stable = true) ~auto name ~tick value =
     Mutex.unlock t.lock;
     !live_hook key s wall
   end
-
-let sample ?labels ?stable name ~tick value =
-  record ?labels ?stable ~auto:false name ~tick value
-
-let sample_auto ?labels ?stable name value =
-  record ?labels ?stable ~auto:true name ~tick:0 value
 
 (* ------------------------------------------------------------------ *)
 (* Merge *)
@@ -166,7 +157,7 @@ let merge_into dst src =
      List.iter
        (fun key ->
          let s = Hashtbl.find src.tbl key in
-         let d = find_series dst key ~stable:s.stable ~auto:s.auto in
+         let d = find_series dst key ~stable:s.stable in
          if s.stride > d.stride then begin
            d.stride <- s.stride;
            let kept = List.filter (fun p -> keeps d.stride p.tick) d.rev_points in

@@ -65,12 +65,6 @@ val sample :
     values, which are excluded from {!render_stable}. No-op when the
     recorder is disabled. *)
 
-val sample_auto :
-  ?labels:(string * string) list -> ?stable:bool -> string -> float -> unit
-(** Like {!sample} with the tick auto-assigned from the series' arrival
-    count. Auto ticks are renumbered on {!merge_into} replay, so
-    pool-buffered auto series reproduce the sequential numbering. *)
-
 val with_label : string * string -> (unit -> 'a) -> 'a
 (** Scope an extra label onto every sample recorded inside (e.g. the
     sweep labels each cell, keeping parallel cells' series distinct). *)

@@ -468,40 +468,20 @@ let winmove =
         (fun x acc -> Instance.add (Fact.make "Win" [ x ]) acc)
         won Instance.empty)
 
-(* The doubled-program evaluation of win-move: one connected SP-Datalog
-   step program, iterated. The step reads the previous round's win set as
-   an edb relation P, so each round is an honest stratified evaluation;
-   the OCaml loop plays the role of the program doubling. *)
+let winmove_program = "Win(x) :- Move(x,y), not Win(y)."
+
+(* The doubled-program evaluation of win-move (Section 7): the library's
+   construction, which iterates the connected SP-Datalog step
+   [Win(x) :- Move(x,y), not Prev_Win(y)], feeding each round's win set
+   back in as the edb relation [Prev_Win]. *)
 let winmove_doubled =
-  let step_program =
-    Datalog.Parser.parse_program "W(x) :- Move(x,y), not P(y)."
-  in
-  let rename from_rel to_rel i =
-    Instance.fold
-      (fun f acc ->
-        if Fact.rel f = from_rel then
-          Instance.add (Fact.make to_rel (Fact.args f)) acc
-        else acc)
-      i Instance.empty
-  in
+  let program = Datalog.Parser.parse_program winmove_program in
   Query.make ~name:"win-move-doubled" ~input:winmove_schema
     ~output:(Schema.of_list [ ("Win", 1) ])
     (fun i ->
-      let moves = Instance.restrict_rels i [ "Move" ] in
-      let step prev =
-        let input = Instance.union moves (rename "W" "P" prev) in
-        Instance.restrict_rels
-          (Datalog.Eval.stratified_exn step_program input)
-          [ "W" ]
-      in
-      let rec fix under over =
-        let under' = step over in
-        let over' = step under' in
-        if Instance.equal under under' && Instance.equal over over' then under
-        else fix under' over'
-      in
-      let under = fix Instance.empty (step Instance.empty) in
-      rename "W" "Win" under)
+      Instance.restrict_rels
+        (Datalog.Wellfounded.eval_via_doubling program i).true_facts
+        [ "Win" ])
 
 (* ------------------------------------------------------------------ *)
 (* Datalog sources *)
@@ -522,8 +502,6 @@ let example_51_p2 =
    D(x1) :- T(x1,x2,x3), T(y1,y2,y3), x1 != y1, x1 != y2, x1 != y3, x2 != \
    y1, x2 != y2, x2 != y3, x3 != y1, x3 != y2, x3 != y3.\n\
    O(x) :- Adom(x), not D(x)."
-
-let winmove_program = "Win(x) :- Move(x,y), not Win(y)."
 
 let undirected_rules =
   "U(x,y) :- E(x,y).\nU(x,y) :- E(y,x).\n"

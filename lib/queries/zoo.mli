@@ -64,11 +64,13 @@ val winmove : Query.t
 
 val winmove_doubled : Query.t
 (** Win-move computed by the "doubled program" approach the paper's
-    Section 7 alludes to: the alternating fixpoint is driven by repeated
-    stratified evaluation of the {e connected} SP-Datalog program
-    [W(x) ← Move(x,y), ¬P(y)], feeding each round's result back in as
-    relation [P] (underestimates at even rounds, overestimates at odd
-    ones). Agrees with {!winmove} on every input (experiment E13). *)
+    Section 7 alludes to: {!Datalog.Wellfounded.eval_via_doubling} on
+    {!winmove_program}, restricted to [Win]. The alternating fixpoint is
+    driven by repeated semi-positive evaluation of the {e connected}
+    SP-Datalog program [Win(x) ← Move(x,y), ¬Prev_Win(y)], feeding each
+    round's result back in as relation [Prev_Win] (underestimates at even
+    rounds, overestimates at odd ones). Agrees with {!winmove} on every
+    input (experiment E13). *)
 
 (* -- Datalog sources ------------------------------------------------ *)
 

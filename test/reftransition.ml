@@ -62,9 +62,6 @@ let transition ~(variant : Config.variant) ~policy ~transducer ~input
     {
       Config.messages_sent = Multiset.size snd_ms * List.length recipients;
       delivered = Multiset.size deliver;
-      new_state_facts =
-        Instance.cardinal (Instance.diff s2 s1)
-        + Instance.cardinal (Instance.diff s1 s2);
       sent_facts = snd;
       output_delta = Instance.diff out2 out1;
     }

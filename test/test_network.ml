@@ -1255,7 +1255,6 @@ let oracle_deliver kind seed buffer =
 let stats_equal (a : Config.stats) (b : Config.stats) =
   a.Config.messages_sent = b.Config.messages_sent
   && a.Config.delivered = b.Config.delivered
-  && a.Config.new_state_facts = b.Config.new_state_facts
   && Instance.equal a.Config.sent_facts b.Config.sent_facts
   && Instance.equal a.Config.output_delta b.Config.output_delta
 

@@ -8,7 +8,10 @@
       Chrome rendering validates as a trace-event document.
    3. The stable projection of a profile — span paths, visit counts,
       annotations, and the per-rule ANALYZE counters — is byte-identical
-      across --jobs 1/2/4, on held and violated (cancelled) scans.
+      across --jobs 1/2/4, on held and violated (cancelled) scans; and a
+      profiled scan changes nothing but the profile (same outcome, same
+      stable rows outside profile.* and eval.rule_*, base annotations
+      accounting for every probe).
    4. Span trees reconstruct with the recorded nesting, sanitized frame
       names, aggregated visit counts, and coverage fractions in [0,1].
    5. EXPLAIN reports are structurally sane: actual candidates never
@@ -247,6 +250,82 @@ let test_profile_jobs_invariant () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Profiling changes nothing but the profile: the profiled scan is the
+   unprofiled one, so its outcome and every stable row the profiler does
+   not own are equal, and the base span's annotations count every probe
+   (route, or empty Q(base)) once per group. *)
+
+let outcome_string = function
+  | Checker.No_violation { pairs } -> Printf.sprintf "holds on %d pairs" pairs
+  | Checker.Violated v -> Format.asprintf "%a" Classes.pp_violation v
+
+let unprofiled_rows () =
+  String.split_on_char '\n'
+    (Observe.Metrics.render_stable Observe.Metrics.root)
+  |> List.filter (fun l ->
+         not
+           (String.starts_with ~prefix:"profile." l
+           || String.starts_with ~prefix:"eval.rule_" l))
+
+let root_count name =
+  List.fold_left
+    (fun n (r : Observe.Metrics.row) ->
+      if r.name = name then n + r.count else n)
+    0
+    (Observe.Metrics.snapshot Observe.Metrics.root)
+
+let test_profiling_changes_nothing () =
+  let program =
+    Datalog.Program.query ~name:"comp-tc-prog"
+      (Datalog.Program.parse Zoo.comp_tc_program)
+  in
+  List.iter
+    (fun (name, q, kind) ->
+      List.iter
+        (fun jobs ->
+          let at what = Printf.sprintf "%s jobs=%d: %s" name jobs what in
+          Observe.Metrics.reset Observe.Metrics.root;
+          let plain =
+            outcome_string (Checker.check_exhaustive ~bounds:small ~jobs kind q)
+          in
+          let plain_rows = unprofiled_rows () in
+          let profiled =
+            profiled (fun () ->
+                outcome_string
+                  (Checker.check_exhaustive ~bounds:small ~jobs kind q))
+          in
+          check_str (at "outcome") plain profiled;
+          check_bool (at "stable rows outside the profile") true
+            (plain_rows = unprofiled_rows ());
+          let base_annots =
+            match
+              List.find_opt
+                (fun n -> n.Observe.Profile.path = [ "scan"; "base" ])
+                (Observe.Profile.flatten
+                   (Observe.Profile.spans Observe.Metrics.root))
+            with
+            | Some n -> n.Observe.Profile.annots
+            | None -> []
+          in
+          let routed =
+            List.fold_left
+              (fun acc (k, v) ->
+                if List.mem k [ "witness"; "ivm"; "eval"; "empty_before" ]
+                then acc + v
+                else acc)
+              0 base_annots
+          in
+          Alcotest.(check int)
+            (at "base annotations = monotone.probes")
+            (root_count "monotone.probes") routed)
+        [ 1; 2 ])
+    [
+      ("tc/plain", Zoo.tc, Classes.Plain);
+      ("comp-tc/distinct", Zoo.comp_tc, Classes.Distinct);
+      ("comp-tc-prog/disjoint", program, Classes.Disjoint);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* EXPLAIN: structural sanity of the plan reports *)
 
 let tc_rules =
@@ -311,6 +390,8 @@ let () =
         [
           Alcotest.test_case "profile fields across jobs" `Slow
             test_profile_jobs_invariant;
+          Alcotest.test_case "profiling changes nothing but the profile"
+            `Quick test_profiling_changes_nothing;
         ] );
       ( "explain",
         [ Alcotest.test_case "report sanity" `Quick test_explain_sanity ] );

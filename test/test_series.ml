@@ -193,31 +193,6 @@ let test_capacity_overflow () =
       r.Observe.Series.points
   | rs -> Alcotest.failf "expected one row, got %d" (List.length rs)
 
-(* Auto-tick series renumber on merge replay: two task buffers merged in
-   input order reproduce the sequential 0..n-1 numbering. *)
-let test_auto_tick_renumber () =
-  Observe.Series.enable ();
-  Fun.protect ~finally:Observe.Series.disable @@ fun () ->
-  let record vs =
-    let b = Observe.Series.task_buffer () in
-    Observe.Series.with_current b (fun () ->
-        List.iter (Observe.Series.sample_auto "a") vs);
-    b
-  in
-  let dst = Observe.Series.create () in
-  Observe.Series.merge_into dst (record [ 10.; 11.; 12. ]);
-  Observe.Series.merge_into dst (record [ 13.; 14. ]);
-  match Observe.Series.rows dst with
-  | [ r ] ->
-    check_str "ticks renumbered in arrival order" "0:10,1:11,2:12,3:13,4:14"
-      (String.concat ","
-         (List.map
-            (fun (p : Observe.Series.point) ->
-              Printf.sprintf "%d:%.0f" p.Observe.Series.tick
-                p.Observe.Series.value)
-            r.Observe.Series.points))
-  | rs -> Alcotest.failf "expected one row, got %d" (List.length rs)
-
 (* ------------------------------------------------------------------ *)
 (* Jobs-invariance wall: series and quantile-bearing metric renders *)
 
@@ -525,8 +500,6 @@ let () =
       ( "recorder",
         [
           Alcotest.test_case "capacity overflow" `Quick test_capacity_overflow;
-          Alcotest.test_case "auto ticks renumber on merge" `Quick
-            test_auto_tick_renumber;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_downsample_merge_commute ] );
