@@ -42,9 +42,15 @@ let read_file f =
   try In_channel.with_open_text f In_channel.input_all
   with Sys_error msg -> io_error "read" f msg
 
-let write_file f s =
-  try Out_channel.with_open_text f (fun oc -> Out_channel.output_string oc s)
+(* [lines] is written as it is read, so a long file is never held
+   whole. *)
+let write_lines f lines =
+  try
+    Out_channel.with_open_text f (fun oc ->
+        Seq.iter (Out_channel.output_string oc) lines)
   with Sys_error msg -> io_error "write" f msg
+
+let write_file f s = write_lines f (Seq.return s)
 
 (* The program source, possibly absent (commands with a --fixture mode
    validate its presence themselves). *)
@@ -735,12 +741,13 @@ let sweep_cmd =
             (Instance.cardinal r.Network.Run.outputs)
             (List.length events))
         results;
-      record_files obs (fun () ->
-          [
-            ( "traces.jsonl",
-              Network.Trace.sweep_to_jsonl
-                (List.map (fun (label, _, events) -> (label, events)) results) );
-          ]);
+      Option.iter
+        (fun dir ->
+          write_lines
+            (Filename.concat dir "traces.jsonl")
+            (Network.Trace.sweep_jsonl
+               (List.map (fun (label, _, events) -> (label, events)) results)))
+        obs.record;
       let expected =
         Observe.Metrics.silenced (fun () -> Query.apply query input)
       in

@@ -138,6 +138,16 @@ let rule ?(neg = []) ?(ineq = []) head pos =
 let rule_is_positive r = r.neg = []
 let rule_has_ineq r = r.ineq <> []
 
+let constants p =
+  let of_term acc = function Const c -> Value.Set.add c acc | Var _ -> acc in
+  let of_atom acc a = List.fold_left of_term acc a.terms in
+  List.fold_left
+    (fun acc r ->
+      let acc = List.fold_left of_atom (of_atom acc r.head) (r.pos @ r.neg) in
+      List.fold_left (fun acc (a, b) -> of_term (of_term acc a) b) acc r.ineq)
+    Value.Set.empty p
+  |> Value.Set.elements
+
 let schema_of p =
   let add_atom sg a =
     let ar = atom_arity a in

@@ -110,6 +110,11 @@ val rule_is_positive : rule -> bool
 
 val rule_has_ineq : rule -> bool
 
+val constants : program -> Value.t list
+(** The constants of the program's atoms (heads included) and
+    inequalities, ascending and without duplicates: the values a
+    program's query must fix ({!Relational.Query.field-constants}). *)
+
 val schema_of : program -> Schema.t
 (** [sch(P)]: minimal schema the program is over (invention slots counted).
     @raise Invalid_argument if a predicate is used with two arities. *)

@@ -112,7 +112,8 @@ let query ?max_facts ~name ~outputs p =
         let input = Ast.edb p in
         let output = Schema.restrict idb outputs in
         Ok
-          (Query.make ~name ~input ~output (fun i ->
+          (Query.make ~constants:(Ast.constants p) ~name ~input ~output
+             (fun i ->
                match eval_output ?max_facts ~outputs p i with
                | Ok out -> out
                | Error e -> invalid_arg ("Ilog.query: " ^ e)))

@@ -61,4 +61,6 @@ val query :
     The returned query raises [Invalid_argument] at evaluation time if the
     program diverges on an input (the paper leaves such outputs
     undefined). [Error] on static problems (unstratifiable, inconsistent
-    invention, output relation not derived or not weakly safe). *)
+    invention, output relation not derived or not weakly safe). The
+    query's {!Relational.Query.field-constants} are {!Ast.constants} of
+    the program. *)

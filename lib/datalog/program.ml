@@ -61,5 +61,5 @@ let query ~name t =
           fun (d : Query.delta) ->
             Instance.restrict_rels (Ivm.lost h d.Query.facts) t.outputs)
   in
-  Query.make ?maintain ~name ~input:(input_schema t) ~output:(output_schema t)
-    (run t)
+  Query.make ?maintain ~constants:(Ast.constants t.rules) ~name
+    ~input:(input_schema t) ~output:(output_schema t) (run t)

@@ -40,4 +40,6 @@ val query : name:string -> t -> Query.t
     materializes an {!Ivm} handle for the base once, and each probe
     returns the facts of [Q(base)] that Δ removes — {!Ivm.lost}
     restricted to the outputs — instead of re-running the engine on
-    [base ∪ Δ]. [Well_founded] programs evaluate per probe. *)
+    [base ∪ Δ]. [Well_founded] programs evaluate per probe. The query's
+    {!Relational.Query.field-constants} are {!Ast.constants} of the
+    rules. *)

@@ -15,91 +15,124 @@ type bounds = {
 
 let default_bounds = { dom_size = 3; fresh = 2; max_base = 4; max_ext = 2 }
 
-(* Telemetry. [monotone.probes] and [monotone.cache_hits] are
-   incremented inside the per-base group probe, so on the parallel path
-   they are committed through the pool's per-task buffers: only groups
-   at indices up to the winning counterexample count (the winning group
-   itself stops at its first in-group violation), making the values
-   identical to the sequential scan's. The remaining stable rows are
-   derived from the (deterministic) outcome; wall-clock goes to the
-   [scan] profile span. *)
+(* Telemetry. [monotone.probes], [monotone.cache_hits] and
+   [monotone.orbit_bases] (the bases counted because they do not lead
+   their orbit) are incremented inside the per-base group probe, so on
+   the parallel path they are committed through the pool's per-task
+   buffers: only groups at indices up to the winning counterexample
+   count (the winning group itself stops at its first in-group
+   violation), making the values identical to the sequential scan's.
+   The remaining stable rows are derived from the (deterministic)
+   outcome; wall-clock goes to the [scan] profile span. *)
 let m_probes = Observe.Metrics.counter "monotone.probes"
 let m_pairs = Observe.Metrics.counter "monotone.pairs_scanned"
 let m_cache_hits = Observe.Metrics.counter "monotone.cache_hits"
 let m_ivm_hits = Observe.Metrics.counter "monotone.ivm_hits"
+let m_orbit_bases = Observe.Metrics.counter "monotone.orbit_bases"
 let m_violations = Observe.Metrics.counter "monotone.violations"
 let m_cert_size = Observe.Metrics.histogram "monotone.counterexample_size"
 
 (* What one group probes: every admissible extension of its base with
    at most [max_ext] facts, enumerated inside the group's task
    ({!Enumerate.candidates}, then {!Enumerate.subsets_until}), or one
-   given extension (the random checker's draws). *)
+   given extension (the random checker's draws). [movable] is the part
+   of the value pool the query is generic under: a base that is not the
+   leader of its orbit under its permutations is counted, not probed.
+   It is empty for user-supplied bases, which are all probed. *)
 type extensions =
-  | Admissible of { schema : Schema.t; fresh : Value.t list; max_ext : int }
+  | Admissible of {
+      schema : Schema.t;
+      fresh : Value.t list;
+      max_ext : int;
+      movable : Value.Set.t;
+    }
   | Single of Query.delta
+
+(* How a group's pairs were tallied: walked through the staged probe, or
+   counted without one because [Q(base)] is empty or the base does not
+   lead its orbit. *)
+type tally = Probed | Empty_before | Orbit
 
 (* Probe one base's admissible extensions in pair order, stopping at the
    first violation. This is where the cross-probe cache lives: [Q(base)]
    is evaluated once per base rather than once per pair; every probe
-   after the first within a group is a cache hit. The candidates are
-   built here, so under [jobs > 1] on the worker that runs the group,
-   and each subset the kernel hands over goes straight to the staged
-   probe as a {!Relational.Query.delta}. When [Q(base)] is empty no
-   extension can lose a fact ([diff before after ⊆ before]), so nothing
-   is probed: the group's pairs are counted as [Σ C(n, s)] without being
-   walked. Either way [monotone.probes]/[pairs_scanned] count every
-   admissible pair. *)
+   after the first within a group is a cache hit. A walked group's
+   candidates are built here, so under [jobs > 1] on the worker that
+   runs the group, and each subset the kernel hands over goes straight
+   to the staged probe as a {!Relational.Query.delta}. Two kinds of
+   group are counted as [Σ C(n, s)] without being walked: a base that
+   is not its orbit's leader ({!Enumerate.is_leader}: its first
+   violation, if any, would come after its leader's, so it cannot hold
+   the scan's first one) is not even evaluated, and one whose [Q(base)]
+   is empty cannot lose a fact ([diff before after ⊆ before]). Either
+   way [monotone.probes]/[pairs_scanned] count every admissible pair. *)
 (* Attribution paths are rooted ("scan/base/..."): probe_group runs on
    pool worker domains under [jobs > 1], whose ambient span stack is
    empty, so absolute paths are what makes the parallel profile
    aggregate with the sequential one. The base span's self time is the
    probe walk; its annotations count the group's probes by route, cache
-   hit or empty [Q(base)], once per group. *)
+   hit, empty [Q(base)] or orbit, once per group. *)
 let probe_group kind q (ord, (base, exts)) =
   Observe.Profile.span_rooted [ "scan"; "base" ] @@ fun () ->
   let series_on = Observe.Series.is_enabled () in
   let wall0 = if series_on then Unix.gettimeofday () else 0. in
   let route = Query.route q in
-  let before =
-    Observe.Profile.span_rooted [ "scan"; "base"; "qbase" ] (fun () ->
-        Query.apply q base)
-  in
-  let empty_fast = Instance.is_empty before in
-  let probe =
-    if empty_fast then fun _ -> None
-    else
-      Observe.Profile.span_rooted [ "scan"; "base"; "stage" ] (fun () ->
-          Classes.stage ~before kind q ~base)
-  in
   let found = ref None in
-  let test d =
-    match probe d with
-    | Some v ->
-      found := Some v;
-      true
-    | None -> false
+  (* [Q(base)] and its staged probe; [None] when [Q(base)] is empty. *)
+  let staged () =
+    let before =
+      Observe.Profile.span_rooted [ "scan"; "base"; "qbase" ] (fun () ->
+          Query.apply q base)
+    in
+    if Instance.is_empty before then None
+    else
+      let probe =
+        Observe.Profile.span_rooted [ "scan"; "base"; "stage" ] (fun () ->
+            Classes.stage ~before kind q ~base)
+      in
+      Some
+        (fun d ->
+          match probe d with
+          | Some v ->
+            found := Some v;
+            true
+          | None -> false)
   in
-  let scanned =
+  let scanned, tally =
     match exts with
-    | Single d ->
-      ignore (test d);
-      1
-    | Admissible { schema; fresh; max_ext } ->
-      let candidates = Enumerate.candidates kind ~base ~schema ~fresh in
-      if empty_fast then
-        Enumerate.subsets_count (Array.length candidates) max_ext
+    | Single d -> (
+      match staged () with
+      | None -> (1, Empty_before)
+      | Some test ->
+        ignore (test d);
+        (1, Probed))
+    | Admissible { schema; fresh; max_ext; movable } -> (
+      let count () =
+        Enumerate.subsets_count
+          (Enumerate.candidate_count kind ~base ~schema ~fresh)
+          max_ext
+      in
+      if not (Enumerate.is_leader ~movable base) then (count (), Orbit)
       else
-        Enumerate.subsets_until candidates max_ext (fun facts ->
-            test (Query.delta_of_facts facts))
+        match staged () with
+        | None -> (count (), Empty_before)
+        | Some test ->
+          let candidates = Enumerate.candidates kind ~base ~schema ~fresh in
+          ( Enumerate.subsets_until candidates max_ext (fun facts ->
+                test (Query.delta_of_facts facts)),
+            Probed ))
   in
   (* Committed once per group rather than once per probe — the hot loop
      pays no registry hits — with totals byte-identical to the per-probe
      accounting, including a winning group's partial tally. *)
+  if tally = Orbit then Observe.Metrics.incr m_orbit_bases;
   if scanned > 0 then begin
     Observe.Metrics.incr ~by:scanned m_probes;
     if scanned > 1 then Observe.Metrics.incr ~by:(scanned - 1) m_cache_hits;
-    if empty_fast then Observe.Profile.annot ~by:scanned "empty_before"
-    else begin
+    match tally with
+    | Orbit -> Observe.Profile.annot ~by:scanned "orbit"
+    | Empty_before -> Observe.Profile.annot ~by:scanned "empty_before"
+    | Probed ->
       if route = Query.Ivm then Observe.Metrics.incr ~by:scanned m_ivm_hits;
       Observe.Profile.annot ~by:scanned
         (match route with
@@ -107,7 +140,6 @@ let probe_group kind q (ord, (base, exts)) =
         | Query.Ivm -> "ivm"
         | Query.Eval -> "eval");
       if scanned > 1 then Observe.Profile.annot ~by:(scanned - 1) "cache_hit"
-    end
   end;
   (* Per-base trajectory, tick = the base's ordinal in enumeration
      order: on the parallel path these land in the pool's per-task
@@ -167,13 +199,18 @@ let scan ?jobs kind q groups =
 
 (* Each group is one base with the description of its extensions; the
    group's task builds them ({!Enumerate.candidates} guarantees
-   admissibility per kind, so the probe skips re-checking). *)
+   admissibility per kind, so the probe skips re-checking) and decides
+   whether its base leads its orbit under the permutations of the value
+   pool that fix the query's constants. *)
 
 let check_exhaustive ?(bounds = default_bounds) ?schema ?jobs kind q =
   let schema = Option.value schema ~default:q.Query.input in
   let dom = Enumerate.value_pool bounds.dom_size in
   let fresh = Enumerate.fresh_pool bounds.fresh in
-  let exts = Admissible { schema; fresh; max_ext = bounds.max_ext } in
+  let movable =
+    Value.Set.diff (Value.Set.of_list dom) (Value.Set.of_list q.Query.constants)
+  in
+  let exts = Admissible { schema; fresh; max_ext = bounds.max_ext; movable } in
   let groups =
     Enumerate.instances schema ~dom ~max_facts:bounds.max_base
     |> Seq.map (fun base -> (base, exts))
@@ -184,7 +221,12 @@ let check_on_bases ?(fresh = default_bounds.fresh)
     ?(max_ext = default_bounds.max_ext) ?jobs kind q bases =
   let exts =
     Admissible
-      { schema = q.Query.input; fresh = Enumerate.fresh_pool fresh; max_ext }
+      {
+        schema = q.Query.input;
+        fresh = Enumerate.fresh_pool fresh;
+        max_ext;
+        movable = Value.Set.empty;
+      }
   in
   scan ?jobs kind q (List.to_seq bases |> Seq.map (fun base -> (base, exts)))
 

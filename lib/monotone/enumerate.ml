@@ -87,8 +87,58 @@ let instances schema ~dom ~max_facts =
   in
   Seq.map Instance.of_list (subsets_up_to facts max_facts)
 
+(* [base] is its orbit's leader unless some permutation of [movable]
+   maps it before itself in [instances]' order: for images of one size,
+   that order is the lexicographic order of ascending fact lists, which
+   is [Instance.compare]. An image depends only on where the base's own
+   movable values go, and every injection of those into [movable]
+   extends to a permutation of it, so the search tries the injections
+   alone: at most [|movable|! / (|movable| - k)!] of them for [k] moved
+   values, not [|movable|!]. *)
+let is_leader ~movable base =
+  let moved =
+    Value.Set.elements (Value.Set.inter (Instance.adom base) movable)
+  in
+  let images = Value.Set.elements movable in
+  let rec precedes h used = function
+    | [] -> Instance.compare (Homomorphism.apply h base) base < 0
+    | v :: rest ->
+      List.exists
+        (fun w ->
+          (not (Value.Set.mem w used))
+          && precedes (Value.Map.add v w h) (Value.Set.add w used) rest)
+        images
+  in
+  not (precedes Value.Map.empty Value.Set.empty moved)
+
+(* [Array.length (candidates ...)] without building them: a relation of
+   arity [k] has [n^k] facts over [n] values. The fresh values in
+   [adom base] are old ones. *)
+let candidate_count kind ~base ~schema ~fresh =
+  let base_dom = Instance.adom base in
+  let n_old = Value.Set.cardinal base_dom in
+  let n_new =
+    Value.Set.cardinal (Value.Set.diff (Value.Set.of_list fresh) base_dom)
+  in
+  let rec pow b k = if k = 0 then 1 else b * pow b (k - 1) in
+  let over n =
+    List.fold_left (fun acc (_, ar) -> acc + pow n ar) 0
+      (Schema.relations schema)
+  in
+  match (kind : Classes.kind) with
+  | Plain ->
+    over (n_old + n_new) - Instance.cardinal (Instance.restrict base schema)
+  | Distinct -> over (n_old + n_new) - over n_old
+  | Disjoint -> over n_new
+
+(* The kind's test reads a fact's arguments in place: a fact with a
+   value outside [adom base] is not in [base]. *)
 let candidates kind ~base ~schema ~fresh =
   let base_dom = Instance.adom base in
+  let old v = Value.Set.mem v base_dom in
+  let rec some_arg p f i =
+    i < Fact.arity f && (p (Fact.arg f i) || some_arg p f (i + 1))
+  in
   let pool =
     match (kind : Classes.kind) with
     | Disjoint -> Value.Set.of_list fresh
@@ -96,12 +146,8 @@ let candidates kind ~base ~schema ~fresh =
   in
   Schema.all_facts schema pool
   |> List.filter (fun f ->
-         (not (Instance.mem f base))
-         &&
          match kind with
-         | Classes.Plain -> true
-         | Classes.Distinct ->
-           not (Value.Set.subset (Fact.adom f) base_dom)
-         | Classes.Disjoint ->
-           Value.Set.is_empty (Value.Set.inter (Fact.adom f) base_dom))
+         | Classes.Plain -> not (Instance.mem f base)
+         | Classes.Distinct -> some_arg (fun v -> not (old v)) f 0
+         | Classes.Disjoint -> not (some_arg old f 0))
   |> List.sort Fact.compare |> Array.of_list

@@ -90,22 +90,18 @@ let to_jsonl evs =
 
 (* Deterministic multi-cell export: cells sorted by label, each cell's
    events in canonical causal order, so the bytes depend only on the
-   cells' contents — not on the pool scheduling that produced them. *)
-let sweep_to_jsonl cells =
-  let cells =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) cells
-  in
-  String.concat ""
-    (List.concat_map
-       (fun (label, evs) ->
-         List.map
-           (fun e ->
-             Observe.Json.to_string
-               (Observe.Json.Obj
-                  (("cell", Observe.Json.String label) :: json_fields e))
-             ^ "\n")
-           (canonical evs))
-       cells)
+   cells' contents — not on the pool scheduling that produced them. The
+   lines are built as they are read, so a writer holds one at a time. *)
+let sweep_jsonl cells =
+  List.sort (fun (a, _) (b, _) -> String.compare a b) cells
+  |> List.to_seq
+  |> Seq.flat_map (fun (label, evs) ->
+         List.to_seq (canonical evs)
+         |> Seq.map (fun e ->
+                Observe.Json.to_string
+                  (Observe.Json.Obj
+                     (("cell", Observe.Json.String label) :: json_fields e))
+                ^ "\n"))
 
 let event_of_json j =
   let open Observe.Json in

@@ -61,11 +61,13 @@ val of_jsonl : string -> (event list, string) result
 (** Parse {!to_jsonl} output (blank lines ignored). Traces written
     before the causal layer parse with empty stamps. *)
 
-val sweep_to_jsonl : (string * event list) list -> string
-(** Deterministic export of several labeled traces (e.g. sweep cells):
-    cells sorted by label, each cell's events in {!canonical} order,
-    each line carrying a ["cell"] field. Byte-identical across [--jobs]
-    for equal inputs. *)
+val sweep_jsonl : (string * event list) list -> string Seq.t
+(** Deterministic export of several labeled traces (e.g. sweep cells),
+    one JSONL line (newline included) per element: cells sorted by
+    label, each cell's events in {!canonical} order, each line carrying
+    a ["cell"] field. Byte-identical across [--jobs] for equal inputs.
+    Each line is built when the sequence is read, so a writer that
+    streams it holds one line at a time. *)
 
 val causal_schema : string
 (** ["calm-causal/v1"]. *)

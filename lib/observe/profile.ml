@@ -7,43 +7,90 @@ let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 let is_enabled () = Atomic.get enabled
 
-(* The ambient span path, deepest frame first, per domain. Worker
-   domains start empty — which is why pool-reachable sites must use
-   [span_rooted]. *)
-let ambient : string list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
-
 let sanitize frame =
   String.map
     (fun c ->
       match c with '/' | ';' | ' ' | '\n' | '\t' -> '_' | c -> c)
     frame
 
-let path_string rev_path = String.concat "/" (List.rev rev_path)
+(* A span path with its metric handles, interned once: a visit finds its
+   frame by the caller's frame names and records through handles built
+   on the first visit, instead of joining the path string and
+   re-registering its handles (a label sort and a hash under the intern
+   lock) every time. Frames form one trie per domain, keyed by the names
+   as given, so no domain touches another's frames and no lock is
+   taken. *)
+type frame = {
+  path : string;  (** sanitized frame names, root first, '/'-joined *)
+  span_h : Metrics.handle;
+  time_h : Metrics.handle;
+  mutable kids : (string * frame) list;
+  mutable annots : (string * Metrics.handle) list;
+}
 
-let record rev_path f =
-  let p = path_string rev_path in
-  Metrics.incr (Metrics.counter ~labels:[ ("path", p) ] "profile.span");
+let make_frame path =
+  {
+    path;
+    span_h = Metrics.counter ~labels:[ ("path", path) ] "profile.span";
+    time_h = Metrics.timing ~labels:[ ("path", path) ] "profile.time";
+    kids = [];
+    annots = [];
+  }
+
+let child parent name =
+  match List.assoc_opt name parent.kids with
+  | Some f -> f
+  | None ->
+    let name' = sanitize name in
+    let f =
+      make_frame
+        (if parent.path = "" then name' else parent.path ^ "/" ^ name')
+    in
+    parent.kids <- (name, f) :: parent.kids;
+    f
+
+(* This domain's trie, and its ambient frame: the root (path "") until a
+   span opens. Worker domains start at their own root — which is why
+   pool-reachable sites must use [span_rooted]. *)
+let roots : frame Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> make_frame "")
+
+let ambient : frame Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Domain.DLS.get roots)
+
+let record frame f =
+  Metrics.incr frame.span_h;
   let saved = Domain.DLS.get ambient in
-  Domain.DLS.set ambient rev_path;
+  Domain.DLS.set ambient frame;
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set ambient saved)
-    (fun () -> Metrics.time (Metrics.timing ~labels:[ ("path", p) ] "profile.time") f)
+    (fun () -> Metrics.time frame.time_h f)
 
 let span name f =
   if not (Atomic.get enabled) then f ()
-  else record (sanitize name :: Domain.DLS.get ambient) f
+  else record (child (Domain.DLS.get ambient) name) f
 
 let span_rooted path f =
   if not (Atomic.get enabled) then f ()
-  else record (List.rev_map sanitize path) f
+  else record (List.fold_left child (Domain.DLS.get roots) path) f
 
 let annot ?(by = 1) key =
-  if Atomic.get enabled then
-    let p = path_string (Domain.DLS.get ambient) in
-    Metrics.incr ~by
-      (Metrics.counter
-         ~labels:[ ("annot", sanitize key); ("path", p) ]
-         "profile.annot")
+  if Atomic.get enabled then begin
+    let frame = Domain.DLS.get ambient in
+    let h =
+      match List.assoc_opt key frame.annots with
+      | Some h -> h
+      | None ->
+        let h =
+          Metrics.counter
+            ~labels:[ ("annot", sanitize key); ("path", frame.path) ]
+            "profile.annot"
+        in
+        frame.annots <- (key, h) :: frame.annots;
+        h
+    in
+    Metrics.incr ~by h
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Reconstruction: metric rows -> span forest.                         *)

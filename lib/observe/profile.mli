@@ -4,8 +4,8 @@
     hits, derived facts); this module records {e where the time went}: a
     tree of named spans (scan → base → qbase/stage → fixpoint → rule, or
     net.run → fixpoint → rule) with per-span visit counts, annotation
-    counters (each scan base tallies its probes by route, cache hit and
-    empty [Q(base)] once), and wall-clock timings. Spans are the one
+    counters (each scan base tallies its probes by route, cache hit,
+    empty [Q(base)] or orbit once), and wall-clock timings. Spans are the one
     timer: every timed interval is a span, so a run with the profiler off
     records no timing.
 
@@ -24,7 +24,10 @@
        like any other metric — in input order, only up to a cancelled
        search's winning index — so the {e stable} projection of a
        profile (paths, counts, annotations) is byte-identical across
-       [--jobs 1/2/4] while timings stay volatile.}
+       [--jobs 1/2/4] while timings stay volatile. Each path's handles,
+       and each (path, annotation) handle, are interned on the first
+       visit in a per-domain trie, so a later visit registers
+       nothing.}
     {- {b Rooted paths across domains.} A span opened inside a pool task
        must aggregate with its sequential twin even though the worker
        domain never saw the enclosing spans. Instrumentation sites that

@@ -67,7 +67,7 @@ let permutations_of set =
         Value.Map.empty vals image)
     (perms vals)
 
-let random_permutation ~seed set =
+let random_permutation ?(avoid = Value.Set.empty) ~seed set =
   let st = Random.State.make [| seed |] in
   let vals = Array.of_list (Value.Set.elements set) in
   let n = Array.length vals in
@@ -86,7 +86,7 @@ let random_permutation ~seed set =
   else
     (* Move the set to fresh values entirely: a permutation of dom
        restricted to its action on [set]. *)
-    let fresh = Value.fresh_not_in set n in
+    let fresh = Value.fresh_not_in (Value.Set.union set avoid) n in
     List.fold_left2
       (fun h v w -> Value.Map.add v w h)
       Value.Map.empty (Array.to_list vals) fresh

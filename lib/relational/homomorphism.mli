@@ -30,7 +30,9 @@ val permutations_of : Value.Set.t -> mapping list
     genericity testing: a query [Q] is generic iff [Q(π I) = π (Q I)] for
     all permutations [π] of [dom]. *)
 
-val random_permutation : seed:int -> Value.Set.t -> mapping
+val random_permutation :
+  ?avoid:Value.Set.t -> seed:int -> Value.Set.t -> mapping
 (** A pseudo-random permutation of the given set (deterministic in the
     seed), extended with fresh images so it behaves like a permutation of
-    [dom] moving the set off itself half of the time. *)
+    [dom] moving the set off itself half of the time. The fresh images
+    avoid [avoid] (default empty) as well as the set. *)

@@ -8,14 +8,15 @@ type t = {
   name : string;
   input : Schema.t;
   output : Schema.t;
+  constants : Value.t list;
   eval : Instance.t -> Instance.t;
   witness :
     (base:Instance.t -> expected:Instance.t -> delta -> Fact.t option) option;
   maintain : (Instance.t -> delta -> Instance.t) option;
 }
 
-let make ?witness ?maintain ~name ~input ~output eval =
-  { name; input; output; eval; witness; maintain }
+let make ?witness ?maintain ?(constants = []) ~name ~input ~output eval =
+  { name; input; output; constants; eval; witness; maintain }
 
 let apply q i =
   let result = q.eval (Instance.restrict i q.input) in
@@ -70,11 +71,16 @@ let route q =
   | None, Some _ -> Ivm
   | None, None -> Eval
 
+(* Only the values outside [q.constants] move: the query is generic
+   under their pointwise stabiliser, not under every permutation. *)
 let check_generic ?(trials = 8) ?(seed = 42) q i =
-  let dom = Instance.adom i in
+  let fixed = Value.Set.of_list q.constants in
+  let dom = Value.Set.diff (Instance.adom i) fixed in
   let ok = ref true in
   for k = 0 to trials - 1 do
-    let pi = Homomorphism.random_permutation ~seed:(seed + k) dom in
+    let pi =
+      Homomorphism.random_permutation ~avoid:fixed ~seed:(seed + k) dom
+    in
     let lhs = apply q (Homomorphism.apply pi i) in
     let rhs = Homomorphism.apply pi (apply q i) in
     if not (Instance.equal lhs rhs) then ok := false

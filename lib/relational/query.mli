@@ -4,7 +4,15 @@
     schema to instances over an output schema. Genericity — commuting with
     every permutation of [dom] — cannot be checked once and for all, so
     {!check_generic} provides a randomized spot-check used by the test
-    suite. *)
+    suite.
+
+    A query that mentions a value (a Datalog program with the constant
+    [3] in an atom or an inequality) commutes only with the permutations
+    that fix that value. {!field-constants} lists such values, and the
+    query is taken to be generic under their pointwise stabiliser: the
+    exhaustive monotonicity scan probes one base per orbit of that group
+    and counts the others, so a wrong [constants] can hide a violation.
+    {!check_generic} moves only the values outside [constants]. *)
 
 type delta = { facts : Fact.t list; instance : Instance.t Lazy.t }
 (** An extension presented as a delta against some base: the raw fact
@@ -21,6 +29,10 @@ type t = {
   name : string;
   input : Schema.t;
   output : Schema.t;
+  constants : Value.t list;
+      (** The values the query mentions: it commutes with every
+          permutation of [dom] that fixes each of them, and need not
+          with the others. [[]] for a fully generic query. *)
   eval : Instance.t -> Instance.t;
   witness :
     (base:Instance.t -> expected:Instance.t -> delta -> Fact.t option) option;
@@ -49,8 +61,10 @@ type t = {
 val make :
   ?witness:(base:Instance.t -> expected:Instance.t -> delta -> Fact.t option) ->
   ?maintain:(Instance.t -> delta -> Instance.t) ->
+  ?constants:Value.t list ->
   name:string -> input:Schema.t -> output:Schema.t ->
   (Instance.t -> Instance.t) -> t
+(** [constants] defaults to [[]]. *)
 
 val apply : t -> Instance.t -> Instance.t
 (** Restricts the input to the input schema, evaluates, and checks the
@@ -83,4 +97,6 @@ val route : t -> route
 
 val check_generic : ?trials:int -> ?seed:int -> t -> Instance.t -> bool
 (** [check_generic q i] verifies [Q(π I) = π (Q I)] for randomly chosen
-    permutations [π] of [adom I] (extended with fresh values). *)
+    permutations [π] of [adom I] minus [q.constants] (extended with fresh
+    values that are not constants either), so every [π] fixes the
+    query's constants. *)

@@ -614,6 +614,22 @@ let test_ilog_invention_as_join_value () =
     check_bool "has (1,2)" true (Instance.mem (fact "O" [ 1; 2 ]) out)
   | Error e -> Alcotest.fail e
 
+(* A program's query names the constants of its atoms and inequalities,
+   exactly: the exhaustive scan takes the query to be generic under the
+   permutations that fix them, and under no others. *)
+let test_query_constants () =
+  let src = "T(x,y) :- E(x,y), not E(x,5). O(x) :- T(x,y), y != 7." in
+  let values = Alcotest.(list (testable Value.pp Value.equal)) in
+  Alcotest.check values "Program.query" [ v 5; v 7 ]
+    (Program.query ~name:"c" (Program.parse ~outputs:[ "O" ] src))
+      .Query.constants;
+  (match Ilog.query ~name:"c" ~outputs:[ "O" ] (Parser.parse_program src) with
+  | Ok q -> Alcotest.check values "Ilog.query" [ v 5; v 7 ] q.Query.constants
+  | Error e -> Alcotest.fail e);
+  Alcotest.check values "no constants" []
+    (Program.query ~name:"tc" (Program.parse ~outputs:[ "T" ] tc_src))
+      .Query.constants
+
 (* ------------------------------------------------------------------ *)
 (* Dependency graph export *)
 
@@ -1206,6 +1222,7 @@ let () =
           Alcotest.test_case "weakly safe" `Quick test_ilog_weakly_safe;
           Alcotest.test_case "join on invented" `Quick
             test_ilog_invention_as_join_value;
+          Alcotest.test_case "query constants" `Quick test_query_constants;
         ] );
       ("depgraph", [ Alcotest.test_case "dot export" `Quick test_depgraph ]);
       ( "points-of-order",

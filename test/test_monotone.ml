@@ -111,6 +111,62 @@ let test_extensions_admissible () =
         (List.equal Instance.equal reference (List.rev !kernel)))
     [ Classes.Plain; Classes.Distinct; Classes.Disjoint ]
 
+(* The non-walked groups are counted by [candidate_count]: it must be the
+   length of the array the walked ones build, also when the fresh list
+   repeats a base value or the base has facts outside the schema. *)
+let test_candidate_count () =
+  let sg = Schema.of_list [ ("E", 2); ("V", 1) ] in
+  let bases =
+    Enumerate.instances sg ~dom:(Enumerate.value_pool 3) ~max_facts:2
+    |> Seq.map (Instance.add (Fact.make "W" [ Value.Int 1 ]))
+    |> List.of_seq
+  in
+  List.iter
+    (fun fresh ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun base ->
+              check_int
+                (Printf.sprintf "%s %s" (Classes.kind_to_string kind)
+                   (Instance.to_string base))
+                (Array.length
+                   (Enumerate.candidates kind ~base ~schema:sg ~fresh))
+                (Enumerate.candidate_count kind ~base ~schema:sg ~fresh))
+            bases)
+        [ Classes.Plain; Classes.Distinct; Classes.Disjoint ])
+    [ Enumerate.fresh_pool 2; [ Value.Int 2; Value.Int 9 ] ]
+
+(* A base leads its orbit exactly when it is the least of its images
+   under every permutation of the movable values (here all of them, or
+   all but the constant 3), each permutation tried in full. *)
+let test_is_leader () =
+  let dom = Enumerate.value_pool 4 in
+  let bases =
+    List.of_seq (Enumerate.instances Graph_gen.schema ~dom ~max_facts:3)
+  in
+  List.iter
+    (fun (fixed, orbits) ->
+      let movable =
+        Value.Set.diff (Value.Set.of_list dom) (Value.Set.of_list fixed)
+      in
+      let perms = Homomorphism.permutations_of movable in
+      let least b =
+        List.for_all
+          (fun pi -> Instance.compare b (Homomorphism.apply pi b) <= 0)
+          perms
+      in
+      let leaders =
+        List.filter
+          (fun b ->
+            let l = Enumerate.is_leader ~movable b in
+            check_bool (Instance.to_string b) (least b) l;
+            l)
+          bases
+      in
+      check_int "orbits" orbits (List.length leaders))
+    [ ([], 44); ([ Value.Int 3 ], 141) ]
+
 let test_pool_sizes () =
   check_int "empty pool" 0 (List.length (Enumerate.value_pool 0));
   List.iter
@@ -1056,6 +1112,139 @@ let test_kernel_wall_programs () =
         kinds)
     queries
 
+(* One base per orbit ({!Enumerate.is_leader}) against the reference,
+   which probes every base. At dom 4 most bases are not their orbit's
+   leader, so the counted groups must add up to the reference's probes
+   and the leaders alone must reach its first violation. *)
+let e1_zoo =
+  [
+    ("tc", Zoo.tc);
+    ("comp-tc", Zoo.comp_tc);
+    ("win-move", Zoo.winmove);
+    ("triangles-unless-2-disjoint", Zoo.triangles_unless_two_disjoint);
+  ]
+
+let test_orbit_wall_zoo () =
+  let bounds = { Checker.dom_size = 4; fresh = 2; max_base = 3; max_ext = 2 } in
+  List.iter
+    (fun (name, q) ->
+      List.iter
+        (fun kind ->
+          let name = name ^ " dom 4 " ^ Classes.kind_to_string kind in
+          check_against_reference name
+            (Refscan.check_exhaustive ~bounds kind q)
+            (fun ~jobs -> Checker.check_exhaustive ~bounds ~jobs kind q))
+        kinds)
+    e1_zoo
+
+(* Programs whose inequalities have constant sides ({!Random_program}'s
+   [~ineqs]): their queries are generic only under the permutations
+   that fix those constants, so a group that also moved them would skip
+   bases that lead their true orbits. Only draws with negation and a
+   constant in the pool are kept: a positive program never violates, and
+   a constant outside the pool fixes nothing the scan permutes. *)
+let test_orbit_wall_constants () =
+  let bounds = { Checker.dom_size = 3; fresh = 1; max_base = 2; max_ext = 1 } in
+  let pool = Value.Set.of_list (Enumerate.value_pool bounds.dom_size) in
+  let rules =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 32 |]) ~n:100
+      (Random_program.program ~ineqs:(1, 2)
+         ~negatable:[ "A"; "B"; "P"; "Q" ] ~rules:(1, 4) ())
+  in
+  let queries =
+    List.filter_map
+      (fun rules ->
+        match program_query rules with
+        | q
+          when List.exists (fun (r : Datalog.Ast.rule) -> r.neg <> []) rules
+               && List.exists
+                    (fun c -> Value.Set.mem c pool)
+                    q.Query.constants ->
+          Some q
+        | _ -> None
+        | exception Invalid_argument _ -> None)
+      rules
+  in
+  let cases =
+    List.concat_map
+      (fun q ->
+        List.map
+          (fun kind -> (q, kind, Refscan.check_exhaustive ~bounds kind q))
+          kinds)
+      queries
+  in
+  let violating =
+    List.filter (fun (_, _, (o, _)) -> Checker.is_violation o) cases
+  in
+  check_bool "enough draws with negation and a constant in the pool" true
+    (List.length queries >= 12);
+  check_bool "some verdicts violated" true (List.length violating >= 3);
+  List.iteri
+    (fun i (q, kind, reference) ->
+      let name =
+        Printf.sprintf "constant program %d %s" (i / 3)
+          (Classes.kind_to_string kind)
+      in
+      check_against_reference name reference (fun ~jobs ->
+          Checker.check_exhaustive ~bounds ~jobs kind q))
+    cases
+
+(* The named case: only its constant 3 keeps {E(1,3)} the leader of its
+   orbit. A group that moved 3 would map it to {E(1,2)}, skip it, and
+   report a later pair. *)
+let test_orbit_constant_case () =
+  let q =
+    Datalog.Program.query ~name:"not-E33"
+      (Datalog.Program.parse "O(x,y) :- E(x,y), not E(3,3).")
+  in
+  check_bool "constants = [3]" true (q.Query.constants = [ Value.Int 3 ]);
+  let bounds = { Checker.default_bounds with Checker.dom_size = 3 } in
+  check_against_reference "not-E33 plain"
+    (Refscan.check_exhaustive ~bounds Classes.Plain q)
+    (fun ~jobs -> Checker.check_exhaustive ~bounds ~jobs Classes.Plain q);
+  match Checker.check_exhaustive ~bounds Classes.Plain q with
+  | Checker.Violated v ->
+    check_bool "I = {E(1,3)}" true
+      (Instance.equal v.Classes.base (Graph_gen.of_edges [ (1, 3) ]));
+    check_bool "J = {E(3,3)}" true
+      (Instance.equal v.Classes.extension (Graph_gen.of_edges [ (3, 3) ]))
+  | Checker.No_violation _ -> Alcotest.fail "not-E33: expected a violation"
+
+(* The premise of the orbit reduction: every zoo query the paper-claim
+   tables E1, E2 and E21 or the check benchmarks scan is generic with no
+   constants, on random instances of its schema. *)
+let test_scanned_queries_generic () =
+  let programs =
+    [
+      ("tc-prog", Datalog.Program.parse ~outputs:[ "T" ] Zoo.tc_program);
+      ("comp-tc-prog", Datalog.Program.parse Zoo.comp_tc_program);
+      ("p1-prog", Datalog.Program.parse Zoo.example_51_p1);
+    ]
+  in
+  let queries =
+    e1_zoo
+    @ [
+        ("q-star-2", Zoo.q_star 2);
+        ("q-clique-3", Zoo.q_clique 3);
+        ("q-duplicate-2", Zoo.q_duplicate 2);
+      ]
+    @ List.map (fun (name, p) -> (name, Datalog.Program.query ~name p)) programs
+  in
+  let st = Random.State.make [| 32 |] in
+  List.iter
+    (fun (name, q) ->
+      check_bool (name ^ ": no constants") true (q.Query.constants = []);
+      for _ = 1 to 20 do
+        let i =
+          Checker.random_instance st q.Query.input
+            ~dom:(Enumerate.value_pool 5) ~max_facts:8
+        in
+        check_bool
+          (Printf.sprintf "%s generic on %s" name (Instance.to_string i))
+          true (Query.check_generic q i)
+      done)
+    queries
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1086,6 +1275,8 @@ let () =
           Alcotest.test_case "extensions admissible" `Quick
             test_extensions_admissible;
           Alcotest.test_case "pool sizes" `Quick test_pool_sizes;
+          Alcotest.test_case "candidate count" `Quick test_candidate_count;
+          Alcotest.test_case "orbit leaders" `Quick test_is_leader;
         ] );
       ( "theorem-3.1",
         [
@@ -1150,6 +1341,14 @@ let () =
             test_kernel_wall_bases;
           Alcotest.test_case "programs against the reference" `Slow
             test_kernel_wall_programs;
+          Alcotest.test_case "orbits: E1 zoo at dom 4" `Slow
+            test_orbit_wall_zoo;
+          Alcotest.test_case "orbits: programs with constants" `Slow
+            test_orbit_wall_constants;
+          Alcotest.test_case "orbits: not E(3,3)" `Quick
+            test_orbit_constant_case;
+          Alcotest.test_case "orbits: scanned queries are generic" `Quick
+            test_scanned_queries_generic;
         ] );
       ( "shrink-ladder",
         [

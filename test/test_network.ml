@@ -1075,7 +1075,9 @@ let test_sweep_traces_jobs_identical () =
     let results =
       Run.sweep ~jobs ~variant:Config.policy_aware ~transducer ~input cells
     in
-    Trace.sweep_to_jsonl (List.map (fun (l, _, ev) -> (l, ev)) results)
+    String.concat ""
+      (List.of_seq
+         (Trace.sweep_jsonl (List.map (fun (l, _, ev) -> (l, ev)) results)))
   in
   let baseline = jsonl 1 in
   check_bool "export nonempty" true (String.length baseline > 0);

@@ -361,7 +361,8 @@ let test_validate_causal () =
 let test_validate_traces () =
   let events = tc_trace () in
   let validate = Observe.Schema_check.validate_traces_jsonl in
-  (match validate (Network.Trace.sweep_to_jsonl [ ("a", events); ("b", events) ]) with
+  let jsonl cells = String.concat "" (List.of_seq (Network.Trace.sweep_jsonl cells)) in
+  (match validate (jsonl [ ("a", events); ("b", events) ]) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "real sweep traces rejected: %s" m);
   check_bool "line without a cell rejected" true

@@ -326,6 +326,18 @@ let test_query_non_generic_detected () =
   check_bool "constant test caught" false
     (Query.check_generic non_generic (inst [ edge 7 2; edge 2 3 ]))
 
+(* The same query names its constant: it is generic under the
+   permutations that fix 7, and those are all [check_generic] tries. *)
+let test_query_generic_under_constants () =
+  let q = { non_generic with Query.constants = [ v 7 ] } in
+  check_bool "generic once 7 is fixed" true
+    (Query.check_generic q (inst [ edge 7 2; edge 2 3 ]));
+  check_bool "built with ~constants" true
+    (Query.check_generic
+       (Query.make ~constants:[ v 7 ] ~name:"likes-7" ~input:graph_schema
+          ~output:graph_schema non_generic.Query.eval)
+       (inst [ edge 7 2; edge 2 3; edge 7 7 ]))
+
 (* ------------------------------------------------------------------ *)
 (* Io + Dot *)
 
@@ -626,6 +638,8 @@ let () =
           Alcotest.test_case "genericity holds" `Quick test_query_generic;
           Alcotest.test_case "genericity violated" `Quick
             test_query_non_generic_detected;
+          Alcotest.test_case "genericity under constants" `Quick
+            test_query_generic_under_constants;
         ] );
       ( "io-dot",
         [
