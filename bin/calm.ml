@@ -194,7 +194,7 @@ let load_program ~outputs src =
   Datalog.Program.make ~outputs ~semantics rules
 
 (* ------------------------------------------------------------------ *)
-(* Observability plumbing: --record / --profile / --live.
+(* Observability plumbing: --record / --profile / --heartbeat.
 
    The wrapper resets the root collector, runs the command body, and
    then prints or writes what was asked for. --record DIR arms every
@@ -202,7 +202,9 @@ let load_program ~outputs src =
    file set below into DIR; commands add their own files with
    {!record_files}. Stable metrics are jobs-independent (see
    lib/observe/metrics.mli); --redact-timings makes --profile output
-   reproducible too. *)
+   reproducible too. No command prints a timing of its own: durations
+   are --profile spans, so without --profile stdout is a function of
+   the inputs. *)
 
 let record_term =
   Arg.(
@@ -231,7 +233,6 @@ type obs = {
   record : string option;
   profile : bool;
   redact_timings : bool;
-  live : bool;
   heartbeat : float;
 }
 
@@ -263,49 +264,33 @@ let obs_term =
              numbers (durations) with '-' so the profile is \
              byte-reproducible at every $(b,--jobs).")
   in
-  let live =
-    Arg.(
-      value & flag
-      & info [ "live" ]
-          ~doc:
-            "Enable the time-series recorder and print live \
-             rate/quantile/ETA progress lines to stderr at the \
-             $(b,--heartbeat) cadence.")
-  in
   let heartbeat =
     Arg.(
       value
       & opt float 5.
       & info [ "heartbeat" ] ~docv:"SECS"
           ~doc:
-            "Cadence (seconds) of progress output: plain [hb] lines \
-             during network stabilization, and [live] lines when \
-             $(b,--live) is set. 0 disables the plain heartbeat.")
+            "Cadence (seconds) of the [hb] progress lines that network \
+             stabilization prints to stderr. 0 disables them.")
   in
-  let mk record profile redact_timings live heartbeat =
-    { record; profile; redact_timings; live; heartbeat }
+  let mk record profile redact_timings heartbeat =
+    { record; profile; redact_timings; heartbeat }
   in
-  Term.(
-    const mk $ record_term $ profile $ redact_timings $ live $ heartbeat)
+  Term.(const mk $ record_term $ profile $ redact_timings $ heartbeat)
 
 let with_observability obs f =
   Option.iter make_record_dir obs.record;
   let recording = obs.record <> None in
-  let series = recording || obs.live in
   Observe.Metrics.reset Observe.Metrics.root;
-  if recording then Observe.Sink.enable Observe.Sink.default;
-  if recording || obs.profile then Observe.Profile.enable ();
-  if series then begin
+  if recording then begin
+    Observe.Sink.enable Observe.Sink.default;
     Observe.Series.reset Observe.Series.root;
-    Observe.Series.enable ();
-    if obs.live then Observe.Series.set_live obs.heartbeat
+    Observe.Series.enable ()
   end;
+  if recording || obs.profile then Observe.Profile.enable ();
   let finish () =
     Observe.Profile.disable ();
-    if series then begin
-      Observe.Series.disable ();
-      Observe.Series.set_live 0.
-    end;
+    Observe.Series.disable ();
     let root = Observe.Metrics.root in
     let json j = Observe.Json.to_string_pretty j ^ "\n" in
     record_files obs (fun () ->
@@ -403,9 +388,7 @@ let classify_cmd =
       (Calm_core.Hierarchy.transducer_model syntactic)
       (Calm_core.Hierarchy.datalog_fragment syntactic);
     let q = Datalog.Program.query ~name:"program" program in
-    let t0 = Unix.gettimeofday () in
     let empirical = Calm_core.Hierarchy.place_empirically ~bounds ~jobs q in
-    let wall = Unix.gettimeofday () -. t0 in
     print_placement empirical (Calm_core.Hierarchy.Bounded bounds);
     (* Timings are schedule-dependent, so redacted output leaves this
        line out. *)
@@ -414,10 +397,9 @@ let classify_cmd =
         (fun scan ->
           Printf.printf
             "attribution: %.1f%% of the %.3fs scan wall time is attributed \
-             to named (base, stage, rule) spans (%.3fs total placement \
-             wall)\n"
+             to named (base, stage, rule) spans\n"
             (100. *. Observe.Profile.coverage scan)
-            scan.Observe.Profile.total_s wall)
+            scan.Observe.Profile.total_s)
         (List.find_opt
            (fun n -> n.Observe.Profile.path = [ "scan" ])
            (Observe.Profile.spans Observe.Metrics.root));
@@ -467,21 +449,15 @@ let check_cmd =
       with_observability obs @@ fun () ->
       let program = load_program ~outputs src in
       let q = Datalog.Program.query ~name:"program" program in
-      let t0 = Unix.gettimeofday () in
-      let outcome = Monotone.Checker.check_exhaustive ~bounds ~jobs kind q in
-      let wall = Unix.gettimeofday () -. t0 in
-      match outcome with
+      match Monotone.Checker.check_exhaustive ~bounds ~jobs kind q with
       | Monotone.Checker.No_violation { pairs } ->
         Printf.printf
           "%s-monotonicity holds on all %d admissible pairs within bounds\n"
           (Monotone.Classes.kind_to_string kind)
           pairs;
-        Printf.printf "checked in %.3fs (%.0f pairs/s)\n" wall
-          (float_of_int pairs /. Float.max wall 1e-9);
         0
       | Monotone.Checker.Violated v ->
         Format.printf "%a@." Monotone.Classes.pp_violation v;
-        Printf.printf "violated after %.3fs\n" wall;
         2
     in
     if code <> 0 then exit code
@@ -618,13 +594,11 @@ let run_cmd =
       let tracer =
         Option.map (fun _ -> Network.Trace.collector ()) obs.record
       in
-      let t0 = Unix.gettimeofday () in
       let result =
         Network.Run.run ?tracer ?faults ~heartbeat:obs.heartbeat
           ~variant:compiled.Calm_core.Compile.variant ~policy
           ~transducer:compiled.Calm_core.Compile.transducer ~input sched
       in
-      let wall = Unix.gettimeofday () -. t0 in
       Printf.printf
         "policy=%s scheduler=%s quiesced=%b rounds=%d transitions=%d \
          messages=%d deliveries=%d\n"
@@ -633,10 +607,6 @@ let run_cmd =
         result.Network.Run.quiesced result.Network.Run.rounds
         result.Network.Run.transitions result.Network.Run.messages_sent
         result.Network.Run.deliveries;
-      Printf.printf "wall=%.3fs rate=%.0f deliveries/s (%.0f transitions/s)\n"
-        wall
-        (float_of_int result.Network.Run.deliveries /. Float.max wall 1e-9)
-        (float_of_int result.Network.Run.transitions /. Float.max wall 1e-9);
       Printf.printf "output (%d facts): %s\n"
         (Instance.cardinal result.Network.Run.outputs)
         (Instance.to_string result.Network.Run.outputs);
@@ -651,7 +621,6 @@ let run_cmd =
             in
             Printf.printf "distributed output matches centralized: %b\n"
               correct;
-            let t0 = Unix.gettimeofday () in
             (match
                Network.Coordination.heartbeat_witness
                  ~variant:compiled.Calm_core.Compile.variant
@@ -659,17 +628,11 @@ let run_cmd =
                  ~input network
              with
             | Some w ->
-              let wall = Unix.gettimeofday () -. t0 in
-              let beats =
-                w.Network.Coordination.result.Network.Run.transitions
-              in
               Printf.printf
                 "coordination-freeness witness: node %s, %d heartbeats, 0 \
                  messages read\n"
                 (Value.to_string w.Network.Coordination.node)
-                beats;
-              Printf.printf "witness search: %.3fs (%.0f heartbeats/s)\n" wall
-                (float_of_int beats /. Float.max wall 1e-9)
+                w.Network.Coordination.result.Network.Run.transitions
             | None -> print_endline "no heartbeat witness found");
             correct)
       in

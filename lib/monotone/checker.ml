@@ -74,8 +74,6 @@ type tally = Probed | Empty_before | Orbit
    hit, empty [Q(base)] or orbit, once per group. *)
 let probe_group kind q (ord, (base, exts)) =
   Observe.Profile.span_rooted [ "scan"; "base" ] @@ fun () ->
-  let series_on = Observe.Series.is_enabled () in
-  let wall0 = if series_on then Unix.gettimeofday () else 0. in
   let route = Query.route q in
   let found = ref None in
   (* [Q(base)] and its staged probe; [None] when [Q(base)] is empty. *)
@@ -144,17 +142,16 @@ let probe_group kind q (ord, (base, exts)) =
   (* Per-base trajectory, tick = the base's ordinal in enumeration
      order: on the parallel path these land in the pool's per-task
      buffers and only groups up to the winning index commit, so the
-     stable series match the sequential scan's byte for byte. The wall
-     sample is volatile (schedule-dependent); it feeds the live line's
-     probes/sec, never the stable snapshot. *)
-  if series_on then begin
-    Observe.Series.sample "monotone.base_probes" ~tick:ord
+     series match the sequential scan's byte for byte. Each scan's ticks
+     start at 0, so the class label keeps the scans of one placement
+     chain apart; it is passed here rather than scoped around the scan
+     because pool workers do not see the caller's label context. *)
+  if Observe.Series.is_enabled () then begin
+    let labels = [ ("class", Classes.kind_to_string kind) ] in
+    Observe.Series.sample ~labels "monotone.base_probes" ~tick:ord
       (float_of_int scanned);
-    (match !found with
-    | Some _ -> Observe.Series.sample "monotone.base_violation" ~tick:ord 1.
-    | None -> ());
-    Observe.Series.sample ~stable:false "monotone.base_wall" ~tick:ord
-      (Unix.gettimeofday () -. wall0)
+    if Option.is_some !found then
+      Observe.Series.sample ~labels "monotone.base_violation" ~tick:ord 1.
   end;
   (scanned, !found)
 

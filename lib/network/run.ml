@@ -57,18 +57,17 @@ let sample_round ~fault config ~round ~delta ~deliveries =
         (float_of_int (Fault.crashes_pending st))
   end
 
-(* Plain heartbeat: a progress line on stderr every [cadence] seconds
-   (0 = off). With [--live] the Series recorder additionally emits
-   rate/quantile/ETA lines computed from the sampled buffers. *)
+(* Heartbeat: a progress line on stderr every [cadence] seconds
+   (0 = off). *)
 type hb = { cadence : float; mutable last : float }
 
-let hb_start cadence = { cadence; last = Unix.gettimeofday () }
+let hb_start cadence = { cadence; last = Observe.Metrics.now () }
 
 let hb_tick hb fmt =
   Printf.ksprintf
     (fun line ->
       if hb.cadence > 0. then begin
-        let now = Unix.gettimeofday () in
+        let now = Observe.Metrics.now () in
         if now -. hb.last >= hb.cadence then begin
           hb.last <- now;
           Printf.eprintf "[hb] %s\n%!" line
@@ -526,9 +525,6 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
         config0
     | Adversarial { steps } -> adversarial_phase rt steps config0
   in
-  if Observe.Series.is_enabled () then
-    Observe.Series.set_target "net.round_output_delta"
-      (float_of_int max_rounds);
   let hb = hb_start heartbeat in
   let rec stabilize rounds prev prev_out config =
     if rounds >= max_rounds then (config, rounds, false)

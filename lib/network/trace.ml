@@ -26,7 +26,8 @@ type collector = event list ref
 
 let collector () = ref []
 
-(* The JSON fields of an event, shared by the JSONL exports. *)
+(* The JSON fields of an event, shared by the causal document and the
+   sweep's JSONL export. *)
 let json_fields e =
   let facts fs = Observe.Json.List (List.map (fun f -> Observe.Json.String (Fact.to_string f)) fs) in
   [
@@ -79,15 +80,6 @@ let canonical evs =
         if c <> 0 then c else compare a.index b.index)
     evs
 
-(* JSONL: one compact object per event. Facts are serialized through
-   [Fact.to_string]/[Fact.of_string], which round-trip for non-Skolem
-   values (Skolem values have no parseable syntax). *)
-let event_to_json e = Observe.Json.Obj (json_fields e)
-
-let to_jsonl evs =
-  String.concat ""
-    (List.map (fun e -> Observe.Json.to_string (event_to_json e) ^ "\n") evs)
-
 (* Deterministic multi-cell export: cells sorted by label, each cell's
    events in canonical causal order, so the bytes depend only on the
    cells' contents — not on the pool scheduling that produced them. The
@@ -102,132 +94,6 @@ let sweep_jsonl cells =
                   (Observe.Json.Obj
                      (("cell", Observe.Json.String label) :: json_fields e))
                 ^ "\n"))
-
-let event_of_json j =
-  let open Observe.Json in
-  let field name =
-    match member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "trace event: missing field %S" name)
-  in
-  let ( let* ) = Result.bind in
-  let* index =
-    let* v = field "index" in
-    match v with Int i -> Ok i | _ -> Error "trace event: index not an int"
-  in
-  let* node =
-    let* v = field "node" in
-    match v with
-    | String s -> Ok (Value.of_string s)
-    | _ -> Error "trace event: node not a string"
-  in
-  (* Causal fields default to the empty stamp so that pre-causal traces
-     still parse. *)
-  let* lamport =
-    match member "lamport" j with
-    | None -> Ok 0
-    | Some (Int i) -> Ok i
-    | Some _ -> Error "trace event: lamport not an int"
-  in
-  let* vector =
-    match member "vector" j with
-    | None -> Ok []
-    | Some (Obj kvs) ->
-      (try
-         Ok
-           (List.map
-              (function
-                | (n, Int k) -> (Value.of_string n, k)
-                | _ -> invalid_arg "component not an int")
-              kvs)
-       with Invalid_argument m ->
-         Error (Printf.sprintf "trace event: bad vector: %s" m))
-    | Some _ -> Error "trace event: vector not an object"
-  in
-  let* origins =
-    match member "origins" j with
-    | None -> Ok []
-    | Some (List l) ->
-      (try
-         Ok
-           (List.map
-              (function
-                | List [ String f; Int idx ] -> (Fact.of_string f, idx)
-                | _ -> invalid_arg "not a [fact, index] pair")
-              l)
-       with Invalid_argument m ->
-         Error (Printf.sprintf "trace event: bad origins: %s" m))
-    | Some _ -> Error "trace event: origins not a list"
-  in
-  let facts name =
-    let* v = field name in
-    match v with
-    | List l ->
-      (try
-         Ok
-           (List.map
-              (function
-                | String s -> Fact.of_string s
-                | _ -> invalid_arg "not a string")
-              l)
-       with Invalid_argument m ->
-         Error (Printf.sprintf "trace event: bad %s: %s" name m))
-    | _ -> Error (Printf.sprintf "trace event: %s not a list" name)
-  in
-  let* delivered = facts "delivered" in
-  let* sent = facts "sent" in
-  let* output_delta = facts "output_delta" in
-  (* Fault annotations default to the failure-free values so pre-fault
-     traces parse unchanged. *)
-  let* dup =
-    match member "dup" j with
-    | None -> Ok 1
-    | Some (Int d) when d >= 1 -> Ok d
-    | Some _ -> Error "trace event: dup not a positive int"
-  in
-  let* restart =
-    match member "restart" j with
-    | None -> Ok false
-    | Some (Bool b) -> Ok b
-    | Some _ -> Error "trace event: restart not a bool"
-  in
-  let* injected =
-    match member "injected" j with
-    | None -> Ok []
-    | Some (List l) ->
-      (try
-         Ok
-           (List.map
-              (function
-                | String s -> Fact.of_string s
-                | _ -> invalid_arg "not a string")
-              l)
-       with Invalid_argument m ->
-         Error (Printf.sprintf "trace event: bad injected: %s" m))
-    | Some _ -> Error "trace event: injected not a list"
-  in
-  Ok
-    {
-      index; node; lamport; vector; origins; delivered; sent; output_delta;
-      dup; restart; injected;
-    }
-
-let of_jsonl s =
-  let lines =
-    String.split_on_char '\n' s
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-      match Observe.Json.of_string l with
-      | Error m -> Error m
-      | Ok j -> (
-        match event_of_json j with
-        | Error m -> Error m
-        | Ok e -> go (e :: acc) rest))
-  in
-  go [] lines
 
 (* ------------------------------------------------------------------ *)
 (* calm-causal/v1 *)
@@ -244,7 +110,11 @@ let to_causal_json ~network evs =
              (List.map
                 (fun n -> Observe.Json.String (Value.to_string n))
                 network) );
-         ("events", Observe.Json.List (List.map event_to_json (canonical evs)));
+         ( "events",
+           Observe.Json.List
+             (List.map
+                (fun e -> Observe.Json.Obj (json_fields e))
+                (canonical evs)) );
        ])
 
 (* ------------------------------------------------------------------ *)

@@ -27,8 +27,7 @@ type event = {
           (at-least-once redelivery) *)
 }
 (** The fault annotations serialize only when non-default, so
-    failure-free exports are byte-identical to pre-fault ones, and
-    pre-fault traces parse with failure-free annotations. *)
+    failure-free exports are byte-identical to pre-fault ones. *)
 
 val stamp : event -> Causal.stamp
 (** The event's causal stamp, for {!Causal.hb} / {!Causal.concurrent}. *)
@@ -51,15 +50,6 @@ val canonical : event list -> event list
     equal-clock events are pairwise concurrent, so this refines the
     causal order deterministically — the stable tie-break that makes
     exports byte-identical across [--jobs]. *)
-
-val to_jsonl : event list -> string
-(** One compact JSON object per line. Facts are serialized with
-    {!Fact.to_string}; the encoding round-trips through {!of_jsonl} for
-    non-Skolem values. *)
-
-val of_jsonl : string -> (event list, string) result
-(** Parse {!to_jsonl} output (blank lines ignored). Traces written
-    before the causal layer parse with empty stamps. *)
 
 val sweep_jsonl : (string * event list) list -> string Seq.t
 (** Deterministic export of several labeled traces (e.g. sweep cells),

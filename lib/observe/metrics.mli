@@ -61,7 +61,8 @@ val time : handle -> (unit -> 'a) -> 'a
     it raises (the duration is recorded either way). *)
 
 val now : unit -> float
-(** The clock used by {!time} and by the event {!Sink}: seconds, from
+(** The one wall clock of the library and the CLI, used by {!time}, the
+    event {!Sink} and the network run's [\[hb\]] cadence: seconds, from
     [Unix.gettimeofday]. *)
 
 (** {1 Collectors} *)

@@ -13,15 +13,9 @@ let default_capacity = 512
 type point = { tick : int; value : float }
 
 type series = {
-  stable : bool;
   mutable stride : int;
   mutable rev_points : point list;  (* newest first *)
   mutable n : int;
-  mutable arrivals : int;
-  (* Wall clocks of the first/last arrival: volatile, never exported in
-     stable renderings — they only feed the live flight recorder. *)
-  mutable first_wall : float;
-  mutable last_wall : float;
 }
 
 type key = string * (string * string) list
@@ -76,30 +70,17 @@ let downsample_series s =
   s.rev_points <- kept;
   s.n <- List.length kept
 
-let find_series t key ~stable =
+let find_series t key =
   match Hashtbl.find_opt t.tbl key with
   | Some s -> s
   | None ->
-    let s =
-      {
-        stable;
-        stride = 1;
-        rev_points = [];
-        n = 0;
-        arrivals = 0;
-        first_wall = nan;
-        last_wall = nan;
-      }
-    in
+    let s = { stride = 1; rev_points = []; n = 0 } in
     Hashtbl.add t.tbl key s;
     s
 
 (* The one append path, shared by recording and merge replay, so both
    make identical keep/downsample decisions. Caller holds [t.lock]. *)
-let push t s ~wall ~tick value =
-  if s.arrivals = 0 then s.first_wall <- wall;
-  s.last_wall <- wall;
-  s.arrivals <- s.arrivals + 1;
+let push t s ~tick value =
   if keeps s.stride tick then begin
     (match s.rev_points with
     | p :: rest when p.tick = tick ->
@@ -111,31 +92,21 @@ let push t s ~wall ~tick value =
     while s.n > t.capacity do
       downsample_series s
     done
-  end;
-  s
+  end
 
 let normalize_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
-(* Forward declaration dance for the live recorder (defined below): the
-   sampling hot path calls it through this ref. *)
-let live_hook : (key -> series -> float -> unit) ref = ref (fun _ _ _ -> ())
-
-let sample ?(labels = []) ?(stable = true) name ~tick value =
+let sample ?(labels = []) name ~tick value =
   if Atomic.get enabled then begin
     let t = current () in
     let labels = normalize_labels (labels @ Domain.DLS.get label_ctx) in
-    let key = (name, labels) in
-    let wall = Unix.gettimeofday () in
     Mutex.lock t.lock;
-    let s =
-      try push t (find_series t key ~stable) ~wall ~tick value
-      with e ->
-        Mutex.unlock t.lock;
-        raise e
-    in
-    Mutex.unlock t.lock;
-    !live_hook key s wall
+    (try push t (find_series t (name, labels)) ~tick value
+     with e ->
+       Mutex.unlock t.lock;
+       raise e);
+    Mutex.unlock t.lock
   end
 
 (* ------------------------------------------------------------------ *)
@@ -157,7 +128,7 @@ let merge_into dst src =
      List.iter
        (fun key ->
          let s = Hashtbl.find src.tbl key in
-         let d = find_series dst key ~stable:s.stable in
+         let d = find_series dst key in
          if s.stride > d.stride then begin
            d.stride <- s.stride;
            let kept = List.filter (fun p -> keeps d.stride p.tick) d.rev_points in
@@ -165,12 +136,7 @@ let merge_into dst src =
            d.n <- List.length kept
          end;
          List.iter
-           (fun p ->
-             let wall =
-               if Float.is_nan s.last_wall then Unix.gettimeofday ()
-               else s.last_wall
-             in
-             ignore (push dst d ~wall ~tick:p.tick p.value))
+           (fun p -> push dst d ~tick:p.tick p.value)
            (List.rev s.rev_points))
        keys
    with e ->
@@ -194,26 +160,18 @@ let reset t =
 type row = {
   name : string;
   labels : (string * string) list;
-  stable : bool;
   stride : int;
   points : point list;  (* arrival order *)
 }
 
-let rows ?(stable_only = false) t =
+let rows t =
   Mutex.lock t.lock;
   let out =
     Hashtbl.fold
       (fun (name, labels) (s : series) acc ->
-        if stable_only && not s.stable then acc
-        else if s.rev_points = [] then acc
+        if s.rev_points = [] then acc
         else
-          {
-            name;
-            labels;
-            stable = s.stable;
-            stride = s.stride;
-            points = List.rev s.rev_points;
-          }
+          { name; labels; stride = s.stride; points = List.rev s.rev_points }
           :: acc)
       t.tbl []
   in
@@ -251,7 +209,7 @@ let render_stable t =
               (List.map
                  (fun p -> Printf.sprintf "%d:%s" p.tick (num p.value))
                  r.points))))
-    (rows ~stable_only:true t);
+    (rows t);
   Buffer.contents b
 
 let to_jsonl t =
@@ -269,7 +227,7 @@ let to_jsonl t =
                 ( "labels",
                   Json.Obj
                     (List.map (fun (k, v) -> (k, Json.String v)) r.labels) );
-                ("stable", Json.Bool r.stable);
+                ("stable", Json.Bool true);
                 ("stride", Json.Int r.stride);
                 ( "points",
                   Json.List
@@ -281,93 +239,3 @@ let to_jsonl t =
       Buffer.add_char b '\n')
     (rows t);
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Live flight recorder *)
-
-type live = {
-  llock : Mutex.t;
-  mutable cadence : float;
-  mutable last_emit : float;
-  mutable out : out_channel;
-  targets : (string, float) Hashtbl.t;
-}
-
-let live =
-  {
-    llock = Mutex.create ();
-    cadence = 0.;
-    last_emit = 0.;
-    out = stderr;
-    targets = Hashtbl.create 4;
-  }
-
-let live_on = Atomic.make false
-
-let set_live ?(out = stderr) cadence =
-  Mutex.lock live.llock;
-  live.cadence <- cadence;
-  live.out <- out;
-  live.last_emit <- 0.;
-  Mutex.unlock live.llock;
-  Atomic.set live_on (cadence > 0.)
-
-let set_target name total =
-  Mutex.lock live.llock;
-  if total > 0. then Hashtbl.replace live.targets name total
-  else Hashtbl.remove live.targets name;
-  Mutex.unlock live.llock
-
-(* Quantiles of the buffered values by sorting — the live line is
-   human-oriented and schedule-dependent by nature, so unlike the
-   Metrics buckets it needs no merge-exactness. *)
-let buffer_quantile sorted p =
-  match Array.length sorted with
-  | 0 -> nan
-  | n ->
-    let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
-let live_line (name, labels) s =
-  let values =
-    Array.of_list (List.map (fun p -> p.value) s.rev_points)
-  in
-  Array.sort compare values;
-  let span = s.last_wall -. s.first_wall in
-  let rate =
-    if span > 0. then float_of_int (s.arrivals - 1) /. span else nan
-  in
-  let eta =
-    match Hashtbl.find_opt live.targets name with
-    | Some total when rate > 0. && float_of_int s.arrivals < total ->
-      Printf.sprintf "%.1fs" ((total -. float_of_int s.arrivals) /. rate)
-    | _ -> "-"
-  in
-  let last =
-    match s.rev_points with [] -> nan | p :: _ -> p.value
-  in
-  Printf.sprintf
-    "[live] %s%s n=%d last=%s p50=%s p90=%s p99=%s rate=%s/s eta=%s"
-    name (label_string labels) s.arrivals (num last)
-    (num (buffer_quantile values 0.50))
-    (num (buffer_quantile values 0.90))
-    (num (buffer_quantile values 0.99))
-    (if Float.is_nan rate then "-" else Printf.sprintf "%.1f" rate)
-    eta
-
-let () =
-  live_hook :=
-    fun key s wall ->
-      if Atomic.get live_on then begin
-        Mutex.lock live.llock;
-        let due = wall -. live.last_emit >= live.cadence in
-        if due then live.last_emit <- wall;
-        let line = if due then Some (live_line key s) else None in
-        Mutex.unlock live.llock;
-        match line with
-        | Some l ->
-          output_string live.out (l ^ "\n");
-          flush live.out
-        | None -> ()
-      end
-

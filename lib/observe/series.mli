@@ -4,7 +4,9 @@
     {!Metrics} answers "how much, in total" — this module records the
     trajectory: one {e point} per (series, labels, tick), where the tick
     is a semantic coordinate of the run (stabilization round, BFS depth,
-    base ordinal, apply ordinal), never a wall clock. Three constraints
+    base ordinal), never a wall clock, and the value is a count, never
+    a duration (durations are {!Profile} spans). So every series is
+    stable: a deterministic function of the run. Three constraints
     shape it:
 
     {ol
@@ -15,7 +17,7 @@
        units on the {!Parallel.Pool} record into per-task buffers
        ({!task_buffer}: unbounded, so they keep every raw point), and
        the pool replays those buffers into the caller's recorder in
-       input order — so a stable series is byte-identical across job
+       input order — so every series is byte-identical across job
        counts, exactly like stable metrics.}
     {- {b Bounded memory.} Each series keeps at most [capacity] points.
        On overflow the stride doubles and only points with
@@ -53,17 +55,11 @@ val task_buffer : unit -> t
 (** {1 Recording} *)
 
 val sample :
-  ?labels:(string * string) list ->
-  ?stable:bool ->
-  string ->
-  tick:int ->
-  float ->
-  unit
+  ?labels:(string * string) list -> string -> tick:int -> float -> unit
 (** Record one point of the ambient recorder's series at an explicit
-    tick. Sampling the same tick again overwrites (last write wins).
-    [stable] defaults to [true]; pass [false] for wall-clock-derived
-    values, which are excluded from {!render_stable}. No-op when the
-    recorder is disabled. *)
+    tick. Sampling the same tick again overwrites (last write wins), so
+    work that restarts its ticks (one scan after another) labels its
+    samples apart. No-op when the recorder is disabled. *)
 
 val with_label : string * string -> (unit -> 'a) -> 'a
 (** Scope an extra label onto every sample recorded inside (e.g. the
@@ -90,34 +86,20 @@ type point = { tick : int; value : float }
 type row = {
   name : string;
   labels : (string * string) list;  (** sorted by label key *)
-  stable : bool;
   stride : int;
   points : point list;  (** arrival order *)
 }
 
-val rows : ?stable_only:bool -> t -> row list
+val rows : t -> row list
 (** Non-empty series sorted by (name, labels). *)
 
 val render_stable : t -> string
-(** Canonical one-line-per-series text of the stable rows — compared
+(** Canonical one-line-per-series text of every row — compared
     byte-for-byte across [jobs] by the determinism wall. *)
 
 val to_jsonl : t -> string
 (** The [calm-series/v1] JSONL export: a [{"schema":"calm-series/v1"}]
     header line, then one JSON object per series with
     [series]/[labels]/[stable]/[stride]/[points] ([[tick, value]]
-    pairs). Validated by {!Schema_check.validate_series_jsonl}. *)
-
-(** {1 Live flight recorder} *)
-
-val set_live : ?out:out_channel -> float -> unit
-(** Enable periodic progress lines: whenever a sample lands and at least
-    [cadence] seconds passed since the last emission, print one
-    [\[live\] series n=… last=… p50=… p90=… p99=… rate=…/s eta=…] line
-    for the series that fired (rate and quantiles from the buffered
-    points, ETA against {!set_target} when one is set). A cadence of 0
-    (the default state) disables emission. *)
-
-val set_target : string -> float -> unit
-(** Expected total number of samples for a series name, used for the
-    live line's ETA; non-positive clears the target. *)
+    pairs); [stable] is always [true]. Validated by
+    {!Schema_check.validate_series_jsonl}. *)

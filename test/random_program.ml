@@ -8,47 +8,51 @@
 
    [~ineqs:(lo, hi)] draws between [lo] and [hi] inequalities per rule
    instead, each side a positive atom's variable or, one time in four, a
-   constant 0–4; both sides may be the same variable ([x != x]). Without
-   it the draws are the ones every earlier caller saw. *)
+   constant 0–4; both sides may be the same variable ([x != x]).
+   [~consts:true] likewise makes each argument of an atom (positive,
+   negated or head) a constant 0–4 one time in four; when no positive
+   argument is a variable, the other arguments are constants too.
+   Without these the draws are the ones every earlier caller saw. *)
 
 open Datalog
 
-let var_atom p t1 t2 = Ast.atom p [ Ast.Var t1; Ast.Var t2 ]
-
 (* [negatable] lists the predicates a negated atom may use; [[]] draws
    positive rules. *)
-let rule ?ineqs ~negatable () =
+let rule ?ineqs ?(consts = false) ~negatable () =
   let open QCheck2.Gen in
-  let vars = [ "x"; "y"; "z" ] in
+  let const =
+    map (fun n -> Ast.Const (Relational.Value.Int n)) (int_range 0 4)
+  in
+  let arg term = if consts then frequency [ (3, term); (1, const) ] else term in
+  let atom preds term =
+    let* p = oneofl preds in
+    let* t1 = arg term in
+    let* t2 = arg term in
+    return (Ast.atom p [ t1; t2 ])
+  in
   let* npos = int_range 1 3 in
   let* pos =
     list_size (return npos)
-      (let* p = oneofl [ "A"; "B"; "P"; "Q" ] in
-       let* t1 = oneofl vars in
-       let* t2 = oneofl vars in
-       return (var_atom p t1 t2))
+      (atom [ "A"; "B"; "P"; "Q" ]
+         (map (fun v -> Ast.Var v) (oneofl [ "x"; "y"; "z" ])))
   in
-  let pvar = oneofl (List.concat_map Ast.vars_of_atom pos) in
-  let* h1 = pvar in
-  let* h2 = pvar in
+  let var =
+    match List.concat_map Ast.vars_of_atom pos with
+    | [] -> const
+    | vs -> map (fun v -> Ast.Var v) (oneofl vs)
+  in
+  let* h1 = arg var in
+  let* h2 = arg var in
   let* hp = oneofl [ "P"; "Q" ] in
   let* neg =
     match negatable with
     | [] -> return []
-    | preds ->
-      list_size (int_range 0 2)
-        (let* p = oneofl preds in
-         let* t1 = pvar in
-         let* t2 = pvar in
-         return (var_atom p t1 t2))
+    | preds -> list_size (int_range 0 2) (atom preds var)
   in
-  let var = map (fun v -> Ast.Var v) pvar in
   let (lo, hi), side =
     match ineqs with
     | None -> ((0, 1), var)
-    | Some range ->
-      let const n = Ast.Const (Relational.Value.Int n) in
-      (range, frequency [ (3, var); (1, map const (int_range 0 4)) ])
+    | Some range -> (range, frequency [ (3, var); (1, const) ])
   in
   let* ineq =
     list_size (int_range lo hi)
@@ -56,11 +60,11 @@ let rule ?ineqs ~negatable () =
        let* t2 = side in
        return (t1, t2))
   in
-  return { Ast.head = var_atom hp h1 h2; pos; neg; ineq }
+  return { Ast.head = Ast.atom hp [ h1; h2 ]; pos; neg; ineq }
 
 (* Between [lo] and [hi] rules. *)
-let program ?ineqs ~negatable ~rules:(lo, hi) () =
-  QCheck2.Gen.(list_size (int_range lo hi) (rule ?ineqs ~negatable ()))
+let program ?ineqs ?consts ~negatable ~rules:(lo, hi) () =
+  QCheck2.Gen.(list_size (int_range lo hi) (rule ?ineqs ?consts ~negatable ()))
 
 (* A drawn program with every head predicate as an output.
    @raise Invalid_argument when it does not stratify. *)

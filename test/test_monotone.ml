@@ -1137,19 +1137,24 @@ let test_orbit_wall_zoo () =
         kinds)
     e1_zoo
 
-(* Programs whose inequalities have constant sides ({!Random_program}'s
-   [~ineqs]): their queries are generic only under the permutations
-   that fix those constants, so a group that also moved them would skip
-   bases that lead their true orbits. Only draws with negation and a
-   constant in the pool are kept: a positive program never violates, and
-   a constant outside the pool fixes nothing the scan permutes. *)
+(* Programs with constants: 100 draws whose inequalities have constant
+   sides ({!Random_program}'s [~ineqs]) and 100 whose atoms have
+   constant arguments ([~consts]). Their queries are generic only under
+   the permutations that fix those constants, so a group that also
+   moved them would skip bases that lead their true orbits. Only draws
+   with negation and a constant in the pool are kept: a positive
+   program never violates, and a constant outside the pool fixes
+   nothing the scan permutes. *)
 let test_orbit_wall_constants () =
   let bounds = { Checker.dom_size = 3; fresh = 1; max_base = 2; max_ext = 1 } in
   let pool = Value.Set.of_list (Enumerate.value_pool bounds.dom_size) in
+  let draws gen =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 32 |]) ~n:100 gen
+  in
+  let negatable = [ "A"; "B"; "P"; "Q" ] in
   let rules =
-    QCheck2.Gen.generate ~rand:(Random.State.make [| 32 |]) ~n:100
-      (Random_program.program ~ineqs:(1, 2)
-         ~negatable:[ "A"; "B"; "P"; "Q" ] ~rules:(1, 4) ())
+    draws (Random_program.program ~ineqs:(1, 2) ~negatable ~rules:(1, 4) ())
+    @ draws (Random_program.program ~consts:true ~negatable ~rules:(1, 4) ())
   in
   let queries =
     List.filter_map
@@ -1177,8 +1182,8 @@ let test_orbit_wall_constants () =
     List.filter (fun (_, _, (o, _)) -> Checker.is_violation o) cases
   in
   check_bool "enough draws with negation and a constant in the pool" true
-    (List.length queries >= 12);
-  check_bool "some verdicts violated" true (List.length violating >= 3);
+    (List.length queries >= 40);
+  check_bool "some verdicts violated" true (List.length violating >= 8);
   List.iteri
     (fun i (q, kind, reference) ->
       let name =

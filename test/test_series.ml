@@ -9,7 +9,8 @@
       sequential ones.
    2. Series trajectories are byte-identical across jobs 1/2/4 — on a
       held scan, a witness (violated) scan, and a faulty sweep — and
-      downsampling commutes with merging.
+      downsampling commutes with merging. The scans of one placement
+      chain keep one row per class, each from tick 0.
    3. Bench wall clocks survive export → report ingestion bit-exactly;
       non-finite values cannot enter a report (printer emits null,
       loader rejects crafted infinities).
@@ -250,6 +251,50 @@ let test_faulty_sweep_series_jobs_invariant () =
         ~transducer:(Strategies.Broadcast.transducer Zoo.tc)
         ~input cells)
 
+(* The placement chain scans plain, then distinct, then disjoint, and
+   each scan's base ordinals start at 0: the class label keeps the three
+   trajectories apart, where one unlabelled key would restart its ticks
+   with each scan and let the distinct scan's violation overwrite the
+   plain one's at the same tick. comp-TC violates M and Mdistinct and
+   holds for Mdisjoint. *)
+let test_placement_chain_series () =
+  List.iter
+    (fun jobs ->
+      Observe.Series.reset Observe.Series.root;
+      Observe.Series.enable ();
+      Fun.protect ~finally:Observe.Series.disable (fun () ->
+          ignore (Calm_core.Hierarchy.place_empirically ~jobs Zoo.comp_tc));
+      let rows name =
+        List.filter
+          (fun (r : Observe.Series.row) -> r.name = name)
+          (Observe.Series.rows Observe.Series.root)
+      in
+      let classes name =
+        List.map
+          (fun (r : Observe.Series.row) ->
+            Option.value (List.assoc_opt "class" r.labels) ~default:"-")
+          (rows name)
+      in
+      let at = Printf.sprintf "jobs=%d: %s" jobs in
+      Alcotest.(check (list string))
+        (at "one base_probes row per scan")
+        [ "M"; "Mdisjoint"; "Mdistinct" ]
+        (classes "monotone.base_probes");
+      Alcotest.(check (list string))
+        (at "one base_violation row per violated scan")
+        [ "M"; "Mdistinct" ]
+        (classes "monotone.base_violation");
+      List.iter
+        (fun (r : Observe.Series.row) ->
+          let ticks =
+            List.map (fun (p : Observe.Series.point) -> p.tick) r.points
+          in
+          check_int (at "first tick") 0 (List.hd ticks);
+          check_bool (at "ticks increase") true
+            (List.sort_uniq compare ticks = ticks))
+        (rows "monotone.base_probes"))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Float round-trip: bench wall clocks are bit-exact through export →
    report ingestion, and non-finite values cannot enter a report. *)
@@ -314,8 +359,7 @@ let test_series_jsonl_validate () =
             ~labels:[ ("cell", "rr") ]
             ~tick
             (float_of_int (tick * 2)))
-        [ 0; 1; 2 ];
-      Observe.Series.sample ~stable:false "scan.wall" ~tick:0 0.25);
+        [ 0; 1; 2 ]);
   let doc = Observe.Series.to_jsonl t in
   (match Observe.Schema_check.validate_series_jsonl doc with
   | Ok () -> ()
@@ -509,6 +553,8 @@ let () =
             test_scan_series_jobs_invariant;
           Alcotest.test_case "faulty sweep series across jobs" `Quick
             test_faulty_sweep_series_jobs_invariant;
+          Alcotest.test_case "placement chain: one row per class" `Quick
+            test_placement_chain_series;
         ] );
       ( "roundtrip",
         List.map QCheck_alcotest.to_alcotest [ prop_wall_roundtrip ]
