@@ -194,17 +194,16 @@ let load_program ~outputs src =
   Datalog.Program.make ~outputs ~semantics rules
 
 (* ------------------------------------------------------------------ *)
-(* Observability plumbing: --record / --profile / --heartbeat.
+(* Observability plumbing: --record / --profile / --redact-timings.
 
    The wrapper resets the root collector, runs the command body, and
    then prints or writes what was asked for. --record DIR arms every
-   recorder (event sink, span profiler, series) and writes the fixed
-   file set below into DIR; commands add their own files with
-   {!record_files}. Stable metrics are jobs-independent (see
-   lib/observe/metrics.mli); --redact-timings makes --profile output
-   reproducible too. No command prints a timing of its own: durations
-   are --profile spans, so without --profile stdout is a function of
-   the inputs. *)
+   recorder (span profiler, series) and writes the fixed file set below
+   into DIR; commands add their own files with {!record_files}. Stable
+   metrics are jobs-independent (see lib/observe/metrics.mli);
+   --redact-timings makes --profile output reproducible too. No command
+   prints a timing of its own: durations are --profile spans, so without
+   --profile stdout is a function of the inputs. *)
 
 let record_term =
   Arg.(
@@ -216,9 +215,10 @@ let record_term =
            (created if missing; files are overwritten): metrics.json \
            (calm-metrics/v1), profile.json (calm-profile/v1), \
            profile.folded (folded stacks, self-time in µs), series.jsonl \
-           (calm-series/v1) and trace.json (Chrome trace_event: the event \
-           sink plus the span tree on its profile track). Stable metrics, \
-           series and span counts are independent of $(b,--jobs).")
+           (calm-series/v1) and trace.json (Chrome trace_event: the span \
+           tree as a flame chart). Stable metrics, series, span counts \
+           and trace.json up to its timings are independent of \
+           $(b,--jobs).")
 
 (* The directory exists before the command runs, so a bad path fails
    before any work. *)
@@ -233,7 +233,6 @@ type obs = {
   record : string option;
   profile : bool;
   redact_timings : bool;
-  heartbeat : float;
 }
 
 (* Write the [(name, contents)] files into the record directory, if
@@ -264,26 +263,14 @@ let obs_term =
              numbers (durations) with '-' so the profile is \
              byte-reproducible at every $(b,--jobs).")
   in
-  let heartbeat =
-    Arg.(
-      value
-      & opt float 5.
-      & info [ "heartbeat" ] ~docv:"SECS"
-          ~doc:
-            "Cadence (seconds) of the [hb] progress lines that network \
-             stabilization prints to stderr. 0 disables them.")
-  in
-  let mk record profile redact_timings heartbeat =
-    { record; profile; redact_timings; heartbeat }
-  in
-  Term.(const mk $ record_term $ profile $ redact_timings $ heartbeat)
+  let mk record profile redact_timings = { record; profile; redact_timings } in
+  Term.(const mk $ record_term $ profile $ redact_timings)
 
 let with_observability obs f =
   Option.iter make_record_dir obs.record;
   let recording = obs.record <> None in
   Observe.Metrics.reset Observe.Metrics.root;
   if recording then begin
-    Observe.Sink.enable Observe.Sink.default;
     Observe.Series.reset Observe.Series.root;
     Observe.Series.enable ()
   end;
@@ -300,11 +287,8 @@ let with_observability obs f =
           ("profile.folded", Observe.Profile.to_folded root);
           ("series.jsonl", Observe.Series.to_jsonl Observe.Series.root);
           ( "trace.json",
-            Observe.Sink.to_chrome
-              (Observe.Sink.events Observe.Sink.default
-              @ Observe.Profile.to_chrome_events root) );
+            Observe.Sink.to_chrome (Observe.Profile.to_chrome_events root) );
         ]);
-    Observe.Sink.disable Observe.Sink.default;
     if obs.profile then begin
       Format.printf "%a@?"
         (Observe.Metrics.pp_profile ~redact_timings:obs.redact_timings)
@@ -595,7 +579,7 @@ let run_cmd =
         Option.map (fun _ -> Network.Trace.collector ()) obs.record
       in
       let result =
-        Network.Run.run ?tracer ?faults ~heartbeat:obs.heartbeat
+        Network.Run.run ?tracer ?faults
           ~variant:compiled.Calm_core.Compile.variant ~policy
           ~transducer:compiled.Calm_core.Compile.transducer ~input sched
       in
@@ -690,7 +674,7 @@ let sweep_cmd =
         Network.Netquery.grid policies Network.Netquery.default_schedulers
       in
       let results =
-        Network.Run.sweep ~jobs ?faults ~heartbeat:obs.heartbeat
+        Network.Run.sweep ~jobs ?faults
           ~variant:compiled.Calm_core.Compile.variant
           ~transducer:compiled.Calm_core.Compile.transducer ~input cells
       in

@@ -24,8 +24,9 @@ let strategy_for (level : Hierarchy.level) q =
 (* The coordinated complement of the coordination-free strategies:
    queries outside Mdisjoint have none (that is the paper's point), but
    the barrier strategy still computes them — at the price of the
-   heard-from-all-nodes cut that {!Network.Detect} observes. It needs no
-   policy relations: the original model of Ameloot et al. suffices. *)
+   heard-from-all-nodes cut that {!Network.Provenance.coordinated}
+   observes. It needs no policy relations: the original model of Ameloot
+   et al. suffices. *)
 let coordinated q =
   {
     level = Hierarchy.Beyond;

@@ -4,7 +4,6 @@ type policy_verdict = {
   label : string;
   correct : bool;
   quiesced : bool;
-  report : Network.Detect.report;
   coordinated : bool;
 }
 
@@ -39,15 +38,13 @@ let detect_compiled ?network ?policies ?schedulers ?faults ?jobs ~name
   let runs =
     List.map2
       (fun (label, r) (_, events) ->
-        let report = Network.Detect.analyze ~network events in
         {
           label;
           correct =
             Instance.equal r.Network.Run.outputs
               verdict.Network.Netquery.expected;
           quiesced = r.Network.Run.quiesced;
-          report;
-          coordinated = report.Network.Detect.coordinated;
+          coordinated = Network.Provenance.coordinated ~network events;
         })
       verdict.Network.Netquery.runs traces
   in

@@ -4,14 +4,15 @@
     For each query, compile it ({!Compile.compile}: its
     hierarchy-level strategy, or the coordinated barrier when [Beyond]),
     run it over a battery of policies × schedulers with causal tracing,
-    and ask {!Network.Detect} whether each correct, quiescent run shows
-    a heard-from-all-nodes cut. A query is {e observed coordination-free}
-    when some such run has no cut — matching the existential
-    quantification over policies and runs in the paper's Definition 3 —
-    and the verdict must agree with the static claim: observed-free iff
-    the static level is within Mdisjoint. A coordination-free level also
-    promises the right output on every run (Theorems 4.3/4.4), so a
-    single wrong run under it is a disagreement too.
+    and ask {!Network.Provenance.coordinated} whether each correct,
+    quiescent run shows a heard-from-all-nodes cut. A query is
+    {e observed coordination-free} when some such run has no cut —
+    matching the existential quantification over policies and runs in
+    the paper's Definition 3 — and the verdict must agree with the
+    static claim: observed-free iff the static level is within
+    Mdisjoint. A coordination-free level also promises the right output
+    on every run (Theorems 4.3/4.4), so a single wrong run under it is a
+    disagreement too.
 
     Win-move is the "sometimes" case (Zinn–Green–Ludäscher): under good
     domain-guided policies (everything co-located, or fully replicated)
@@ -24,8 +25,7 @@ type policy_verdict = {
   label : string;           (** "<policy>/<scheduler>" *)
   correct : bool;           (** run output = Q(I) *)
   quiesced : bool;
-  report : Network.Detect.report;
-  coordinated : bool;       (** [report.coordinated] *)
+  coordinated : bool;       (** {!Network.Provenance.coordinated} *)
 }
 
 type entry = {

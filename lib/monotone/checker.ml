@@ -32,21 +32,18 @@ let m_orbit_bases = Observe.Metrics.counter "monotone.orbit_bases"
 let m_violations = Observe.Metrics.counter "monotone.violations"
 let m_cert_size = Observe.Metrics.histogram "monotone.counterexample_size"
 
-(* What one group probes: every admissible extension of its base with
-   at most [max_ext] facts, enumerated inside the group's task
-   ({!Enumerate.candidates}, then {!Enumerate.subsets_until}), or one
-   given extension (the random checker's draws). [movable] is the part
-   of the value pool the query is generic under: a base that is not the
-   leader of its orbit under its permutations is counted, not probed.
-   It is empty for user-supplied bases, which are all probed. *)
-type extensions =
-  | Admissible of {
-      schema : Schema.t;
-      fresh : Value.t list;
-      max_ext : int;
-      movable : Value.Set.t;
-    }
-  | Single of Query.delta
+(* What every group of a scan probes: each admissible extension of its
+   base with at most [max_ext] facts, enumerated inside the group's task
+   ({!Enumerate.candidates}, then {!Enumerate.subsets_until}). [movable]
+   is the part of the value pool the query is generic under: a base that
+   is not the leader of its orbit under its permutations is counted, not
+   probed. It is empty for user-supplied bases, which are all probed. *)
+type extensions = {
+  schema : Schema.t;
+  fresh : Value.t list;
+  max_ext : int;
+  movable : Value.Set.t;
+}
 
 (* How a group's pairs were tallied: walked through the staged probe, or
    counted without one because [Q(base)] is empty or the base does not
@@ -72,53 +69,36 @@ type tally = Probed | Empty_before | Orbit
    aggregate with the sequential one. The base span's self time is the
    probe walk; its annotations count the group's probes by route, cache
    hit, empty [Q(base)] or orbit, once per group. *)
-let probe_group kind q (ord, (base, exts)) =
+let probe_group kind q { schema; fresh; max_ext; movable } (ord, base) =
   Observe.Profile.span_rooted [ "scan"; "base" ] @@ fun () ->
   let route = Query.route q in
   let found = ref None in
-  (* [Q(base)] and its staged probe; [None] when [Q(base)] is empty. *)
-  let staged () =
-    let before =
-      Observe.Profile.span_rooted [ "scan"; "base"; "qbase" ] (fun () ->
-          Query.apply q base)
-    in
-    if Instance.is_empty before then None
-    else
-      let probe =
-        Observe.Profile.span_rooted [ "scan"; "base"; "stage" ] (fun () ->
-            Classes.stage ~before kind q ~base)
-      in
-      Some
-        (fun d ->
-          match probe d with
-          | Some v ->
-            found := Some v;
-            true
-          | None -> false)
+  let count () =
+    Enumerate.subsets_count
+      (Enumerate.candidate_count kind ~base ~schema ~fresh)
+      max_ext
   in
   let scanned, tally =
-    match exts with
-    | Single d -> (
-      match staged () with
-      | None -> (1, Empty_before)
-      | Some test ->
-        ignore (test d);
-        (1, Probed))
-    | Admissible { schema; fresh; max_ext; movable } -> (
-      let count () =
-        Enumerate.subsets_count
-          (Enumerate.candidate_count kind ~base ~schema ~fresh)
-          max_ext
+    if not (Enumerate.is_leader ~movable base) then (count (), Orbit)
+    else
+      let before =
+        Observe.Profile.span_rooted [ "scan"; "base"; "qbase" ] (fun () ->
+            Query.apply q base)
       in
-      if not (Enumerate.is_leader ~movable base) then (count (), Orbit)
+      if Instance.is_empty before then (count (), Empty_before)
       else
-        match staged () with
-        | None -> (count (), Empty_before)
-        | Some test ->
-          let candidates = Enumerate.candidates kind ~base ~schema ~fresh in
-          ( Enumerate.subsets_until candidates max_ext (fun facts ->
-                test (Query.delta_of_facts facts)),
-            Probed ))
+        let probe =
+          Observe.Profile.span_rooted [ "scan"; "base"; "stage" ] (fun () ->
+              Classes.stage ~before kind q ~base)
+        in
+        let candidates = Enumerate.candidates kind ~base ~schema ~fresh in
+        ( Enumerate.subsets_until candidates max_ext (fun facts ->
+              match probe (Query.delta_of_facts facts) with
+              | Some v ->
+                found := Some v;
+                true
+              | None -> false),
+          Probed )
   in
   (* Committed once per group rather than once per probe — the hot loop
      pays no registry hits — with totals byte-identical to the per-probe
@@ -155,8 +135,8 @@ let probe_group kind q (ord, (base, exts)) =
   end;
   (scanned, !found)
 
-(* Scan a per-base grouped (base, extensions) stream for a violation.
-   Groups preserve pair enumeration order, so "first violation in group
+(* Scan a stream of bases for a violation, one group per base. Groups
+   preserve pair enumeration order, so "first violation in group
    order, scanning within each group sequentially" is the first
    violation in pair order. The groups go through a pool of [jobs]
    members (default 1, which spawns nothing and scans in order); the
@@ -164,10 +144,10 @@ let probe_group kind q (ord, (base, exts)) =
    reported violation is always the first one in enumeration order, so
    certificates (and their shrunken forms) are reproducible
    independently of [jobs]. *)
-let scan ?jobs kind q groups =
+let scan ?jobs kind q exts bases =
   (* Ordinal-tag the groups so the per-base series tick is the base's
      position in enumeration order, a schedule-independent coordinate. *)
-  let groups = Seq.mapi (fun i g -> (i, g)) groups in
+  let groups = Seq.mapi (fun i base -> (i, base)) bases in
   let outcome =
     Observe.Profile.span_rooted [ "scan" ] @@ fun () ->
     (* Pair tallies live outside the pool's metric buffers: the total is
@@ -175,7 +155,7 @@ let scan ?jobs kind q groups =
        sum is independent of scheduling. *)
     let pairs = Atomic.make 0 in
     let probe group =
-      let scanned, v = probe_group kind q group in
+      let scanned, v = probe_group kind q exts group in
       if Option.is_none v then ignore (Atomic.fetch_and_add pairs scanned);
       v
     in
@@ -194,106 +174,31 @@ let scan ?jobs kind q groups =
          + Instance.cardinal v.Classes.extension)));
   outcome
 
-(* Each group is one base with the description of its extensions; the
-   group's task builds them ({!Enumerate.candidates} guarantees
-   admissibility per kind, so the probe skips re-checking) and decides
-   whether its base leads its orbit under the permutations of the value
-   pool that fix the query's constants. *)
-
-let check_exhaustive ?(bounds = default_bounds) ?schema ?jobs kind q =
-  let schema = Option.value schema ~default:q.Query.input in
+(* Each group's task builds its base's extensions ({!Enumerate.candidates}
+   guarantees admissibility per kind, so the probe skips re-checking)
+   and decides whether its base leads its orbit under the permutations
+   of the value pool that fix the query's constants. *)
+let check_exhaustive ?(bounds = default_bounds) ?jobs kind q =
+  let schema = q.Query.input in
   let dom = Enumerate.value_pool bounds.dom_size in
   let fresh = Enumerate.fresh_pool bounds.fresh in
   let movable =
     Value.Set.diff (Value.Set.of_list dom) (Value.Set.of_list q.Query.constants)
   in
-  let exts = Admissible { schema; fresh; max_ext = bounds.max_ext; movable } in
-  let groups =
-    Enumerate.instances schema ~dom ~max_facts:bounds.max_base
-    |> Seq.map (fun base -> (base, exts))
-  in
-  scan ?jobs kind q groups
+  scan ?jobs kind q
+    { schema; fresh; max_ext = bounds.max_ext; movable }
+    (Enumerate.instances schema ~dom ~max_facts:bounds.max_base)
 
 let check_on_bases ?(fresh = default_bounds.fresh)
     ?(max_ext = default_bounds.max_ext) ?jobs kind q bases =
-  let exts =
-    Admissible
-      {
-        schema = q.Query.input;
-        fresh = Enumerate.fresh_pool fresh;
-        max_ext;
-        movable = Value.Set.empty;
-      }
-  in
-  scan ?jobs kind q (List.to_seq bases |> Seq.map (fun base -> (base, exts)))
-
-let random_instance st schema ~dom ~max_facts =
-  let dom = Array.of_list dom in
-  let pick () = dom.(Random.State.int st (Array.length dom)) in
-  let n = Random.State.int st (max_facts + 1) in
-  let rels = Array.of_list (Schema.relations schema) in
-  if Array.length rels = 0 then Instance.empty
-  else
-    List.init n (fun _ ->
-        let name, ar = rels.(Random.State.int st (Array.length rels)) in
-        Fact.make name (List.init ar (fun _ -> pick ())))
-    |> Instance.of_list
-
-(* A random admissible extension: for Distinct each fact gets at least one
-   fresh value; for Disjoint, only fresh values. *)
-let random_extension st kind schema ~base ~fresh ~max_size =
-  let base_vals = Value.Set.elements (Instance.adom base) in
-  let fresh = Array.of_list fresh in
-  let pick_fresh () = fresh.(Random.State.int st (Array.length fresh)) in
-  let pick_any () =
-    let n_old = List.length base_vals in
-    let k = Random.State.int st (n_old + Array.length fresh) in
-    if k < n_old then List.nth base_vals k else pick_fresh ()
-  in
-  let n = 1 + Random.State.int st max_size in
-  let rels = Array.of_list (Schema.relations schema) in
-  if Array.length rels = 0 then Instance.empty
-  else
-    List.init n (fun _ ->
-        let name, ar = rels.(Random.State.int st (Array.length rels)) in
-        let args =
-          match (kind : Classes.kind) with
-          | Plain -> List.init ar (fun _ -> pick_any ())
-          | Disjoint -> List.init ar (fun _ -> pick_fresh ())
-          | Distinct ->
-            let forced = Random.State.int st ar in
-            List.init ar (fun i ->
-                if i = forced then pick_fresh () else pick_any ())
-        in
-        Fact.make name args)
-    |> Instance.of_list
-    |> fun i -> Instance.diff i base
-
-let check_random ?(seed = 17) ?(trials = 500) ?(bounds = default_bounds)
-    ?schema ?jobs kind q =
-  let schema = Option.value schema ~default:q.Query.input in
-  let st = Random.State.make [| seed |] in
-  let dom = Enumerate.value_pool bounds.dom_size in
-  let fresh = Enumerate.fresh_pool bounds.fresh in
-  (* Singleton groups: random bases repeat too rarely to cache across,
-     and drawing from [st] must stay in the outer sequence, which the
-     pool forces under its lock in enumeration order. The extension is
-     materialized eagerly here for the same reason. *)
-  let groups =
-    Seq.init trials (fun _ ->
-        let base = random_instance st schema ~dom ~max_facts:bounds.max_base in
-        let extension =
-          random_extension st kind schema ~base ~fresh
-            ~max_size:bounds.max_ext
-        in
-        (base, extension))
-    |> Seq.filter (fun (base, extension) ->
-           (not (Instance.is_empty extension))
-           && Classes.admissible kind ~base ~extension)
-    |> Seq.map (fun (base, extension) ->
-           (base, Single (Query.delta_of_instance extension)))
-  in
-  scan ?jobs kind q groups
+  scan ?jobs kind q
+    {
+      schema = q.Query.input;
+      fresh = Enumerate.fresh_pool fresh;
+      max_ext;
+      movable = Value.Set.empty;
+    }
+    (List.to_seq bases)
 
 let ladder ?fresh ?bases ?(bounds = default_bounds) ?jobs kind ~max_i q =
   List.init max_i (fun k ->

@@ -1,5 +1,5 @@
-(** Bounded-exhaustive and randomized membership checking for the
-    monotonicity classes.
+(** Bounded-exhaustive membership checking for the monotonicity
+    classes.
 
     A [Violated] outcome is a certificate: the violating pair is concrete
     and recheckable. A [No_violation] outcome is evidence up to the bounds
@@ -15,8 +15,8 @@
     the certificate and every count are those of the scan that probes
     every base. A query that is not generic under that group, such as
     one that tests a value it does not list in [constants], can have a
-    violation this scan misses. {!check_on_bases} and {!check_random}
-    probe every base they are given. *)
+    violation this scan misses. {!check_on_bases} probes every base it
+    is given. *)
 
 open Relational
 
@@ -39,13 +39,11 @@ val default_bounds : bounds
     empirical placement of a compiled program all default to it. *)
 
 val check_exhaustive :
-  ?bounds:bounds -> ?schema:Schema.t -> ?jobs:int -> Classes.kind ->
-  Query.t -> outcome
-(** Tries every base over the (input) schema within bounds, and every
-    admissible extension of it. [schema] defaults to the query's input
-    schema. The per-base groups of probes go through a
-    {!Parallel.Pool.search} of [jobs] members (default 1, which runs them
-    in order on the calling domain); the verdict — including the
+  ?bounds:bounds -> ?jobs:int -> Classes.kind -> Query.t -> outcome
+(** Tries every base over the query's input schema within bounds, and
+    every admissible extension of it. The per-base groups of probes go
+    through a {!Parallel.Pool.search} of [jobs] members (default 1, which
+    runs them in order on the calling domain); the verdict — including the
     certificate and the pair count — is the same at every [jobs],
     because the search reports the first violation in enumeration order.
 
@@ -90,17 +88,6 @@ val check_on_bases :
     the interesting bases are known (e.g. the paper's counterexample
     constructions) and full enumeration would be too wide. Every base
     given is probed. *)
-
-val random_instance :
-  Random.State.t -> Schema.t -> dom:Value.t list -> max_facts:int ->
-  Instance.t
-
-val check_random :
-  ?seed:int -> ?trials:int -> ?bounds:bounds -> ?schema:Schema.t ->
-  ?jobs:int -> Classes.kind -> Query.t -> outcome
-(** Randomized pairs: random base, random admissible extension. The pair
-    stream is drawn from the seeded RNG in enumeration order even under
-    [jobs > 1], so the verdict does not depend on [jobs]. *)
 
 val ladder :
   ?fresh:int -> ?bases:Instance.t list -> ?bounds:bounds -> ?jobs:int ->

@@ -55,6 +55,38 @@ let compare a b =
   let c = Value.Map.compare Instance.compare a.state b.state in
   if c <> 0 then c else Value.Map.compare Multiset.compare a.buffer b.buffer
 
+(* The two fault rewrites, shared by the faulty run and the replay of
+   its trace. *)
+let restart t ~node ~injected =
+  {
+    state = Value.Map.add node Instance.empty t.state;
+    buffer =
+      Value.Map.update node
+        (fun b ->
+          Some
+            (List.fold_left
+               (fun b f -> Multiset.add f b)
+               (Option.value b ~default:Multiset.empty)
+               injected))
+        t.buffer;
+  }
+
+let duplicate t ~node ~sent ~copies =
+  if copies <= 1 || sent = [] then t
+  else
+    let extra =
+      List.fold_left
+        (fun m f -> Multiset.add ~copies:(copies - 1) f m)
+        Multiset.empty sent
+    in
+    {
+      t with
+      buffer =
+        Value.Map.mapi
+          (fun y b -> if Value.equal y node then b else Multiset.union b extra)
+          t.buffer;
+    }
+
 type stats = {
   messages_sent : int;
   delivered : int;

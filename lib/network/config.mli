@@ -44,6 +44,19 @@ val compare : t -> t -> int
     compares configurations as arrays of interned ids and builds a [t]
     only for a certificate. *)
 
+val restart : t -> node:Value.t -> injected:Fact.t list -> t
+(** A crash and restart of [node]: its state is wiped and each fact of
+    [injected] (the redeliveries its {!Fault} plan logged) joins its
+    buffer once. {!Run} applies it when a crash is due and
+    {!Provenance.replay} on a [restart] event. *)
+
+val duplicate : t -> node:Value.t -> sent:Fact.t list -> copies:int -> t
+(** Duplication of [node]'s sends: every other node's buffer gains
+    [copies - 1] further copies of each fact of [sent], so each send is
+    enqueued [copies] times in all. The identity when [copies <= 1] or
+    [sent] is empty. {!Run} applies it after a transition and
+    {!Provenance.replay} on an event with [dup > 1]. *)
+
 type stats = {
   messages_sent : int;      (** copies enqueued (fact × recipients) *)
   delivered : int;          (** message copies consumed *)

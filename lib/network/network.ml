@@ -12,7 +12,6 @@ module Trace = Trace
 module Fault = Fault
 module Run = Run
 module Provenance = Provenance
-module Detect = Detect
 module Netquery = Netquery
 module Coordination = Coordination
 module Explore = Explore

@@ -38,6 +38,14 @@ let heard_from_all ~network cone =
     (fun n -> List.exists (Value.equal n) cone.nodes)
     network
 
+let coordinated ~network events =
+  Fact.Set.exists
+    (fun f ->
+      match cone_of events f with
+      | Some cone -> heard_from_all ~network cone
+      | None -> false)
+    (Fact.Set.of_list (List.concat_map (fun e -> e.Trace.output_delta) events))
+
 let replay ~variant ~policy ~transducer ~input cone =
   let facts_equal a b =
     Instance.equal (Instance.of_list a) (Instance.of_list b)
@@ -54,23 +62,9 @@ let replay ~variant ~policy ~transducer ~input cone =
              sub-checks pass and extra copies are simply never
              delivered). *)
           let config =
-            if not e.Trace.restart then config
-            else
-              let state =
-                Value.Map.add e.Trace.node Instance.empty
-                  config.Config.state
-              in
-              let buffer =
-                Value.Map.update e.Trace.node
-                  (fun b ->
-                    Some
-                      (List.fold_left
-                         (fun b f -> Multiset.add f b)
-                         (Option.value b ~default:Multiset.empty)
-                         e.Trace.injected))
-                  config.Config.buffer
-              in
-              { Config.state; buffer }
+            if e.Trace.restart then
+              Config.restart config ~node:e.Trace.node ~injected:e.Trace.injected
+            else config
           in
           let config', stats =
             Config.step ctx config ~node:e.Trace.node
@@ -80,21 +74,8 @@ let replay ~variant ~policy ~transducer ~input cone =
              mirror the extras so later deliveries of those copies
              replay. *)
           let config' =
-            if e.Trace.dup <= 1 || e.Trace.sent = [] then config'
-            else
-              let extra =
-                List.fold_left
-                  (fun m f -> Multiset.add ~copies:(e.Trace.dup - 1) f m)
-                  Multiset.empty e.Trace.sent
-              in
-              let buffer =
-                Value.Map.mapi
-                  (fun y b ->
-                    if Value.equal y e.Trace.node then b
-                    else Multiset.union b extra)
-                  config'.Config.buffer
-              in
-              { config' with Config.buffer }
+            Config.duplicate config' ~node:e.Trace.node ~sent:e.Trace.sent
+              ~copies:e.Trace.dup
           in
           if
             not

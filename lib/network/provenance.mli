@@ -37,6 +37,16 @@ val heard_from_all : network:Distributed.network -> cone -> bool
     the cone, i.e. the derivation causally depends on a transition of
     every node — the empirical signature of coordination. *)
 
+val coordinated : network:Distributed.network -> Trace.event list -> bool
+(** {e Empirical coordination} of a traced run: the {!cone_of} of some
+    distinct output fact is {!heard_from_all}, so no node could have
+    been silently removed without affecting the output. [false] for a
+    run with no output. A query is observed coordination-free when some
+    correct, quiescent run is not coordinated (the existential
+    quantification over policies and runs of the paper's Definition 3);
+    {!Calm_core.Empirical} cross-checks that against the static
+    placement. *)
+
 val replay :
   variant:Config.variant ->
   policy:Policy.t ->

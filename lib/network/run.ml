@@ -57,24 +57,6 @@ let sample_round ~fault config ~round ~delta ~deliveries =
         (float_of_int (Fault.crashes_pending st))
   end
 
-(* Heartbeat: a progress line on stderr every [cadence] seconds
-   (0 = off). *)
-type hb = { cadence : float; mutable last : float }
-
-let hb_start cadence = { cadence; last = Observe.Metrics.now () }
-
-let hb_tick hb fmt =
-  Printf.ksprintf
-    (fun line ->
-      if hb.cadence > 0. then begin
-        let now = Observe.Metrics.now () in
-        if now -. hb.last >= hb.cadence then begin
-          hb.last <- now;
-          Printf.eprintf "[hb] %s\n%!" line
-        end
-      end)
-    fmt
-
 let faults_label ?faults label =
   match faults with None -> label | Some _ -> label ^ "+faults"
 
@@ -248,19 +230,6 @@ let do_step rt config node deliver_of =
       in
       if Fault.crash_due st ~node then begin
         let injected = Fault.redelivery st ~node in
-        let state =
-          Value.Map.add node Instance.empty config.Config.state
-        in
-        let buffer =
-          Value.Map.update node
-            (fun b ->
-              Some
-                (List.fold_left
-                   (fun b f -> Multiset.add f b)
-                   (Option.value b ~default:Multiset.empty)
-                   injected))
-            config.Config.buffer
-        in
         if traced && injected <> [] then
           counters.causal <-
             Causal.redeliver counters.causal ~node ~facts:injected;
@@ -268,7 +237,7 @@ let do_step rt config node deliver_of =
         | Some a ->
           List.iter (fun f -> adv_push a node f ~depth:0 ~copies:1) injected
         | None -> ());
-        ({ Config.state; buffer }, true, injected)
+        (Config.restart config ~node ~injected, true, injected)
       end
       else (config, false, [])
   in
@@ -308,23 +277,11 @@ let do_step rt config node deliver_of =
     | None -> (1, config')
     | Some st ->
       let dup =
-        Fault.draw_dup st
-          ~sends:(List.length sent * List.length (Lazy.force recipients))
+        max 1
+          (Fault.draw_dup st
+             ~sends:(List.length sent * List.length (Lazy.force recipients)))
       in
-      if dup <= 1 then (1, config')
-      else
-        let extra =
-          List.fold_left
-            (fun m f -> Multiset.add ~copies:(dup - 1) f m)
-            Multiset.empty sent
-        in
-        let buffer =
-          Value.Map.mapi
-            (fun y b ->
-              if Value.equal y node then b else Multiset.union b extra)
-            config'.Config.buffer
-        in
-        (dup, { config' with Config.buffer })
+      (dup, Config.duplicate config' ~node ~sent ~copies:dup)
   in
   (* -- causal step + trace record ----------------------------------- *)
   (match rt.tracer with
@@ -484,13 +441,8 @@ let adversarial_phase rt steps config =
   in
   go steps config
 
-let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
-    ~policy ~transducer ~input scheduler =
-  Observe.Sink.span ~cat:"net"
-    ~args:
-      [ ("scheduler", Observe.Json.String (scheduler_label ?faults scheduler)) ]
-    "net.run"
-  @@ fun () ->
+let run ?tracer ?faults ?(max_rounds = 500) ~variant ~policy ~transducer
+    ~input scheduler =
   (* Rooted: sweep cells run on pool workers, whose ambient span path is
      empty, so a cell's spans aggregate with the sequential run's. *)
   Observe.Profile.span_rooted [ "net.run" ] @@ fun () ->
@@ -525,7 +477,6 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
         config0
     | Adversarial { steps } -> adversarial_phase rt steps config0
   in
-  let hb = hb_start heartbeat in
   let rec stabilize rounds prev prev_out config =
     if rounds >= max_rounds then (config, rounds, false)
     else begin
@@ -536,8 +487,6 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
         (float_of_int (out' - prev_out));
       sample_round ~fault:rt.fault config' ~round:rounds
         ~delta:(out' - prev_out) ~deliveries:counters.n_deliveries;
-      hb_tick hb "round=%d transitions=%d deliveries=%d outputs=%d" rounds
-        counters.n_transitions counters.n_deliveries out';
       let snap = snapshot config' in
       (* A faulty run may look quiescent while a crash is still
          scheduled, a partition still up, or retransmissions still
@@ -572,15 +521,14 @@ let run ?tracer ?faults ?(max_rounds = 500) ?(heartbeat = 0.) ~variant
    Each cell owns its RNG state (seeded per scheduler) and its own trace
    collector, so cells are independent and the result list is the same
    at every [jobs], in cell order, each cell's events included. *)
-let sweep ?jobs ?faults ?heartbeat ~variant ~transducer ~input cells =
+let sweep ?jobs ?faults ~variant ~transducer ~input cells =
   let run_cell (label, policy, scheduler) =
     let label = faults_label ?faults label in
     (* Label the cell's series so parallel cells keep distinct keys. *)
     Observe.Series.with_label ("cell", label) @@ fun () ->
     let tracer = Trace.collector () in
     let result =
-      run ~tracer ?faults ?heartbeat ~variant ~policy ~transducer ~input
-        scheduler
+      run ~tracer ?faults ~variant ~policy ~transducer ~input scheduler
     in
     (label, result, Trace.events tracer)
   in

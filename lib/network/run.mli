@@ -11,7 +11,11 @@
     with full-delivery round-robin rounds so that runs terminate whenever
     the transducer quiesces. A run is fixed by the network and that fair
     choice of node and delivered submultiset; faults are a separate
-    perturbation of the choice, given as an optional {!Fault.plan}. *)
+    perturbation of the choice, given as an optional {!Fault.plan}.
+
+    A run reads no clock and prints nothing: its duration is the rooted
+    [net.run] {!Observe.Profile} span, and its progress is the
+    {!Observe.Series} samples of each stabilization round. *)
 
 open Relational
 
@@ -38,7 +42,7 @@ type scheduler =
 val scheduler_label : ?faults:Fault.plan -> scheduler -> string
 (** ["round_robin"], ["random"], ["stingy"], ["adversarial"]; with
     [faults] (any plan, {!Fault.none} included) the label gains a
-    ["+faults"] suffix. *)
+    ["+faults"] suffix, as {!sweep}'s cell labels do. *)
 
 type result = {
   config : Config.t;
@@ -54,7 +58,6 @@ val run :
   ?tracer:Trace.collector ->
   ?faults:Fault.plan ->
   ?max_rounds:int ->
-  ?heartbeat:float ->
   variant:Config.variant ->
   policy:Policy.t ->
   transducer:Transducer.t ->
@@ -66,16 +69,11 @@ val run :
     then additionally gated on {!Fault.quiescent}, so [quiesced = true]
     means the run survived every fault {e and} stabilized afterwards.
     Absent [faults] and {!Fault.none} both run without fault state: the
-    result, trace and stable metrics are byte-identical; only the event
-    sink's [net.run] span's [scheduler] label differs (see
-    {!scheduler_label}). The run is timed by a rooted [net.run]
-    {!Observe.Profile} span, so sweep cells on pool workers aggregate
-    with sequential runs; the sink's span of the same name keeps the real
-    start times that [trace.json]'s worker tracks need.
+    result, trace and stable metrics are byte-identical. The run is
+    timed by a rooted [net.run] {!Observe.Profile} span, so sweep cells
+    on pool workers aggregate with sequential runs.
     [max_rounds] (default 500) bounds the stabilization phase; a result
-    with [quiesced = false] hit the bound. [heartbeat] (seconds, default
-    [0.] = off) prints a [\[hb\] round=… transitions=…] progress line on
-    stderr at most once per cadence during stabilization. When the
+    with [quiesced = false] hit the bound. When the
     {!Observe.Series} recorder is enabled, each stabilization round also
     samples [net.round_output_delta], [net.round_pending],
     [net.round_deliveries] and (under faults) [net.round_held] /
@@ -84,7 +82,6 @@ val run :
 val sweep :
   ?jobs:int ->
   ?faults:Fault.plan ->
-  ?heartbeat:float ->
   variant:Config.variant ->
   transducer:Transducer.t ->
   input:Instance.t ->
@@ -99,7 +96,7 @@ val sweep :
     [jobs]-independent too. Series recorded during a cell get a
     [cell=<label>] label (see {!Observe.Series.with_label}), keeping
     parallel cells' trajectories distinct; [faults] (one plan for every
-    cell) and [heartbeat] are passed through to each cell's {!run}. With
+    cell) is passed through to each cell's {!run}. With
     [faults], every cell's label gains a ["+faults"] suffix, in the
     result list and in the series label alike. *)
 

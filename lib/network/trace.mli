@@ -1,6 +1,6 @@
 (** Structured run traces: one event per transition, with the causal
     stamps of {!Causal}, for protocol inspection, provenance
-    ({!Provenance}), and empirical coordination detection ({!Detect}). *)
+    and empirical coordination detection ({!Provenance}). *)
 
 open Relational
 

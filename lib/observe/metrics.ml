@@ -193,11 +193,9 @@ let set h v =
       c.count <- c.count + 1;
       c.last <- v)
 
-let now () = Unix.gettimeofday ()
-
 let time h f =
-  let t0 = now () in
-  Fun.protect ~finally:(fun () -> observe h (now () -. t0)) f
+  let t0 = Unix.gettimeofday () in
+  Fun.protect ~finally:(fun () -> observe h (Unix.gettimeofday () -. t0)) f
 
 let merge_into dst src =
   (* Collectors are merged by the domain that owns [src] after its task

@@ -14,7 +14,8 @@
        into per-task collectors which the pool merges back {e in input
        order} (and, for cancelled searches, only up to the winning index),
        so stable aggregates cannot observe scheduling. Wall-clock
-       timings are the one schedule-dependent kind: they are
+       timings are the one schedule-dependent kind: only {!Profile}'s
+       spans record them, through {!time}, the one clock read; they are
        {e volatile} and excluded from stable snapshots and equality.
        Counters, gauges and histograms are always stable.}
     {- {b Zero plumbing on hot paths.} Instrumented code records into an
@@ -57,13 +58,10 @@ val set : handle -> float -> unit
 val observe : handle -> float -> unit
 
 val time : handle -> (unit -> 'a) -> 'a
-(** Run the thunk, record its wall-clock duration, and re-raise whatever
-    it raises (the duration is recorded either way). *)
-
-val now : unit -> float
-(** The one wall clock of the library and the CLI, used by {!time}, the
-    event {!Sink} and the network run's [\[hb\]] cadence: seconds, from
-    [Unix.gettimeofday]. *)
+(** Run the thunk, record its wall-clock duration in seconds, and
+    re-raise whatever it raises (the duration is recorded either way).
+    This is the one clock read of the library and the CLI, and
+    {!Profile}'s spans are its one caller. *)
 
 (** {1 Collectors} *)
 

@@ -1,55 +1,20 @@
-(** Structured event sink with a Chrome [trace_event] exporter.
+(** The Chrome [trace_event] envelope.
 
-    A sink collects timestamped spans from any domain ({!to_chrome} also
-    renders instants that callers build); each domain tags its events
-    with an ambient {e track} name (the pool labels its workers
-    [worker-1..n-1]), so a Chrome [trace_event] export shows the pool's
-    workers as separate tracks in Perfetto / [chrome://tracing].
-
-    The process-wide {!default} sink starts {e disabled} and costs one
-    branch per event while disabled; the CLI enables it under
-    [--record], which writes the events to the record's [trace.json]. *)
-
-type t
+    A trace is a list of {!event}s that the caller builds: the profiler's
+    span tree ({!Profile.to_chrome_events}), a network run's causal
+    trace ([Network.Trace.to_chrome_causal]) or a benchmark's own spans.
+    This module only renders them: one [tid] per track, named by
+    [thread_name] metadata, loadable in Perfetto / [chrome://tracing].
+    It keeps no state and reads no clock. *)
 
 type event = {
-  ts : float;  (** seconds since the sink was created/enabled *)
+  ts : float;  (** seconds from the document's origin *)
   dur : float option;  (** [Some seconds] for spans, [None] for instants *)
-  track : string;  (** e.g. ["main"], ["worker-3"] *)
-  cat : string;  (** subsystem: ["net"], ["pool"], ["eval"], ... *)
+  track : string;  (** e.g. ["profile"], ["node 1"] *)
+  cat : string;  (** subsystem: ["profile"], ["op"], ... *)
   name : string;
   args : (string * Json.t) list;
 }
-
-val create : unit -> t
-(** A fresh, enabled sink with its clock zeroed at the call. *)
-
-val default : t
-(** The process-wide sink; starts disabled. *)
-
-val enable : t -> unit
-(** Clear the sink, re-zero its clock, start recording. *)
-
-val disable : t -> unit
-val is_enabled : t -> bool
-
-val set_track : string -> unit
-(** Set this domain's ambient track name (default ["main"]). *)
-
-val span :
-  ?sink:t ->
-  ?cat:string ->
-  ?args:(string * Json.t) list ->
-  string ->
-  (unit -> 'a) ->
-  'a
-(** Run the thunk and record a span covering it (recorded even when the
-    thunk raises). When the sink is disabled, just runs the thunk. *)
-
-val events : t -> event list
-(** In chronological (recording) order. *)
-
-(** {1 Chrome export} *)
 
 val chrome_tid : tracks:string list -> string -> int
 (** The [tid] of a track in a document over [tracks]: track [i] of
@@ -66,4 +31,4 @@ val chrome_document : tracks:string list -> Json.t list -> string
 val to_chrome : event list -> string
 (** A Chrome [trace_event] JSON document: spans as ["ph":"X"] complete
     events and instants as ["ph":"i"], microsecond timestamps, one [tid]
-    per track (["main"] first), loadable in Perfetto. *)
+    per track (tracks in name order), in the order given. *)

@@ -24,8 +24,7 @@
    including the winning event. A parallel run therefore commits exactly
    the metric recordings the sequential scan would have made, which is
    what lets stable metrics be byte-identical across [jobs]. The pool
-   records no metric of its own: each member's share of a region is one
-   [pool.region] span on its sink track. *)
+   records nothing of its own. *)
 
 type t = {
   jobs : int;
@@ -42,18 +41,7 @@ type t = {
 let default_jobs () = Domain.recommended_domain_count ()
 let jobs t = t.jobs
 
-(* This domain's worker number within the current pool: 0 for the owner,
-   1..jobs-1 for spawned workers. *)
-let worker_id : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let region body =
-  Observe.Sink.span ~cat:"pool"
-    ~args:[ ("worker", Observe.Json.Int (Domain.DLS.get worker_id)) ]
-    "pool.region" body
-
-let worker t i =
-  Domain.DLS.set worker_id i;
-  Observe.Sink.set_track (Printf.sprintf "worker-%d" i);
+let worker t =
   let rec loop gen =
     Mutex.lock t.mutex;
     while (not t.stopped) && t.generation = gen do
@@ -64,7 +52,7 @@ let worker t i =
       let gen = t.generation in
       let body = Option.get t.body in
       Mutex.unlock t.mutex;
-      (try region body with _ -> ());
+      (try body () with _ -> ());
       Mutex.lock t.mutex;
       t.active <- t.active - 1;
       if t.active = 0 then Condition.broadcast t.work_done;
@@ -99,7 +87,7 @@ let with_pool ?jobs f =
     }
   in
   t.domains <-
-    List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
+    List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Run [body] on every member of the pool (workers + the calling domain)
@@ -115,7 +103,7 @@ let run t body =
   Mutex.unlock t.mutex;
   (* Wait for the workers even on an owner-side failure, otherwise a
      second region could start while they still run the old body. *)
-  Fun.protect (fun () -> region body) ~finally:(fun () ->
+  Fun.protect body ~finally:(fun () ->
       Mutex.lock t.mutex;
       while t.active > 0 do Condition.wait t.work_done t.mutex done;
       Mutex.unlock t.mutex)

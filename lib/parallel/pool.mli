@@ -17,9 +17,9 @@
     {!Observe.Metrics} buffer, and the pool merges the buffers back into
     the caller's ambient collector in input order, up to the winning
     index of a search, so {e stable} metrics recorded inside tasks are
-    byte-identical across [jobs]. The pool records no metric of its own;
-    it tags each worker's {!Observe.Sink} events with a [worker-i] track
-    and wraps each member's share of a region in a [pool.region] span. *)
+    byte-identical across [jobs]. The pool records nothing of its own:
+    no metric, no span and no per-worker identity, so nothing it leaves
+    in a record depends on [jobs]. *)
 
 type t
 

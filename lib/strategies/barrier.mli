@@ -15,8 +15,8 @@
     "done" flag sent right after the facts could overtake them. The
     three-step fact/ack/done handshake forces every output event's
     causal cone to contain a transition of every node — the
-    heard-from-all-nodes cut that {!Network.Detect} flags, making this
-    strategy the empirically-coordinated complement of the
+    heard-from-all-nodes cut that {!Network.Provenance.coordinated} flags,
+    making this strategy the empirically-coordinated complement of the
     coordination-free ones.
 
     Requires [Id] and [All] but no policy relations: the original model

@@ -1047,10 +1047,11 @@ let test_detect_winmove_policies () =
     check_bool (Policy.name policy ^ ": quiesced") true r.Run.quiesced;
     check_bool (Policy.name policy ^ ": correct") true
       (Instance.equal r.Run.outputs (Query.apply Zoo.winmove input));
-    let report = Detect.analyze ~network:net3 events in
-    check_bool (Policy.name policy ^ ": report covers all outputs") true
-      (List.length report.Detect.facts = Instance.cardinal r.Run.outputs);
-    report.Detect.coordinated
+    check_bool (Policy.name policy ^ ": every output has a cone") true
+      (Instance.for_all
+         (fun f -> Option.is_some (Provenance.cone_of events f))
+         r.Run.outputs);
+    Provenance.coordinated ~network:net3 events
   in
   check_bool "replicate-all run has no heard-from-all cut" false
     (coordinated (Policy.replicate_all schema net3));

@@ -180,15 +180,19 @@ let test_checker_metrics_jobs_invariant () =
 (* Exporters round-trip *)
 
 let test_chrome_export_valid () =
-  let sink = Observe.Sink.create () in
-  Observe.Sink.span ~sink ~cat:"net" "net.run" (fun () -> ());
-  let events = Observe.Sink.events sink in
-  check_bool "recorded 1 event" true (List.length events = 1);
-  (* An instant ([dur = None]) renders as "ph":"i". *)
-  let instant =
-    { (List.hd events) with Observe.Sink.dur = None; name = "net.transition" }
+  let span =
+    {
+      Observe.Sink.ts = 0.;
+      dur = Some 1e-3;
+      track = "profile";
+      cat = "net";
+      name = "net.run";
+      args = [ ("count", Observe.Json.Int 1) ];
+    }
   in
-  let doc = Observe.Sink.to_chrome (events @ [ instant ]) in
+  (* An instant ([dur = None]) renders as "ph":"i". *)
+  let instant = { span with dur = None; name = "net.transition" } in
+  let doc = Observe.Sink.to_chrome [ span; instant ] in
   match Observe.Json.of_string doc with
   | Error m -> Alcotest.failf "chrome export is not JSON: %s" m
   | Ok j -> (

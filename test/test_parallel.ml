@@ -157,19 +157,6 @@ let test_checker_zoo_equivalence () =
         [ Classes.Plain; Classes.Distinct; Classes.Disjoint ])
     zoo
 
-let test_checker_random_equivalence () =
-  (* The randomized checker draws its pair stream from a seeded RNG in
-     enumeration order, so it too is jobs-independent. *)
-  List.iter
-    (fun jobs ->
-      let seq = Checker.check_random ~trials:300 Classes.Distinct Zoo.comp_tc in
-      let par =
-        Checker.check_random ~trials:300 ~jobs Classes.Distinct Zoo.comp_tc
-      in
-      check_bool (Printf.sprintf "random checker at jobs=%d" jobs) true
-        (outcome_equal seq par))
-    job_counts
-
 (* ------------------------------------------------------------------ *)
 (* Determinism regression: first-in-enumeration-order selection *)
 
@@ -292,8 +279,6 @@ let () =
         [
           Alcotest.test_case "zoo equivalence" `Slow
             test_checker_zoo_equivalence;
-          Alcotest.test_case "random checker equivalence" `Slow
-            test_checker_random_equivalence;
           Alcotest.test_case "certificate determinism (10x)" `Slow
             test_parallel_certificate_deterministic;
         ] );
