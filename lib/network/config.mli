@@ -98,7 +98,9 @@ val react :
     delivered facts: the system facts and the four transducer queries
     over its visible instance [D] (local input, [state], [delivered] and
     the system facts), giving its next state and [Q_snd], the message
-    facts it sends. Only the support of a delivery matters, so
+    facts it sends. [D] is built once and the same physical instance is
+    passed to [Q_out], [Q_ins], [Q_del] and [Q_snd], in that order, so a
+    strategy can derive what its queries share once per [D]. Only the support of a delivery matters, so
     [delivered] is a set. The transducer's components are queries, so
     for a fixed [ctx] this is a pure function of (node, state,
     delivered): the system-facts table changes only how [S] is found.

@@ -256,8 +256,11 @@ let to_chrome_events t =
   let acc = ref [] in
   (* Children are laid out sequentially inside their parent: timings lose
      the original interleaving when aggregated, but nesting and relative
-     widths — what a flame chart is for — survive. *)
-  let rec emit ts n =
+     widths — what a flame chart is for — survive. A span's total sums
+     the time of every domain that ran it, so under a pool its children
+     can sum past their parent's drawn width; they are then scaled to fit
+     inside it. *)
+  let rec emit ts dur n =
     let name = List.nth n.path (List.length n.path - 1) in
     let args =
       ("path", Json.String (String.concat "/" n.path))
@@ -265,13 +268,24 @@ let to_chrome_events t =
       :: List.map (fun (k, v) -> ("annot:" ^ k, Json.Int v)) n.annots
     in
     acc :=
-      { Sink.ts; dur = Some n.total_s; track = "profile"; cat = "profile"; name; args }
+      { Sink.ts; dur = Some dur; track = "profile"; cat = "profile"; name;
+        args }
       :: !acc;
+    let sum = List.fold_left (fun s c -> s +. c.total_s) 0. n.children in
+    let scale = if sum > dur then dur /. sum else 1. in
+    let stop = ts +. dur in
     ignore
-      (List.fold_left (fun ts c -> emit ts c; ts +. c.total_s) ts n.children)
+      (List.fold_left
+         (fun ts c ->
+           let w = Float.max 0. (Float.min (c.total_s *. scale) (stop -. ts)) in
+           emit ts w c;
+           ts +. w)
+         ts n.children)
   in
   ignore
-    (List.fold_left (fun ts n -> emit ts n; ts +. n.total_s) 0. (spans t));
+    (List.fold_left
+       (fun ts n -> emit ts n.total_s n; ts +. n.total_s)
+       0. (spans t));
   List.rev !acc
 
 let pp ?(redact_timings = false) ppf t =

@@ -112,7 +112,10 @@ val to_chrome_events : Metrics.t -> Sink.event list
 (** Synthesize one {!Sink} span event per node — children laid out
     sequentially inside their parent on a single ["profile"] track — so
     {!Sink.to_chrome} renders the attribution tree as a flame chart in
-    Perfetto / [chrome://tracing]. *)
+    Perfetto / [chrome://tracing]. Every child's interval lies inside its
+    parent's: children whose totals sum past their parent's drawn width
+    (a span run on several pool domains sums their times) are scaled
+    down to fit. *)
 
 val pp : ?redact_timings:bool -> Format.formatter -> Metrics.t -> unit
 (** Human span tree: one line per node with count, total, self, and the

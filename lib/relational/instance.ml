@@ -24,8 +24,10 @@ let exists = Fact.Set.exists
 let map_values g t = Fact.Set.map (Fact.map_values g) t
 
 let adom t =
-  Fact.Set.fold (fun f acc -> Value.Set.union (Fact.adom f) acc) t
-    Value.Set.empty
+  Fact.Set.fold
+    (fun f acc ->
+      Array.fold_left (fun acc v -> Value.Set.add v acc) acc f.Fact.args)
+    t Value.Set.empty
 
 let restrict t sigma = Fact.Set.filter (Schema.fact_over sigma) t
 

@@ -13,15 +13,19 @@ let add ?(copies = 1) f t =
   if copies = 0 then t else Fact.Map.add f (count f t + copies) t
 
 let of_list l = List.fold_left (fun t f -> add f t) empty l
-let of_instance i = Instance.fold (fun f t -> add f t) i empty
+let of_instance i = Instance.fold (fun f t -> Fact.Map.add f 1 t) i empty
 let union a b = Fact.Map.union (fun _ m n -> Some (m + n)) a b
 
+(* Walks [b], the copies taken away: a transition's delivery, small
+   next to the buffer it leaves. *)
 let diff a b =
   Fact.Map.fold
     (fun f n t ->
-      let k = n - count f b in
-      if k > 0 then Fact.Map.add f k t else t)
-    a Fact.Map.empty
+      match Fact.Map.find_opt f t with
+      | None -> t
+      | Some m when m > n -> Fact.Map.add f (m - n) t
+      | Some _ -> Fact.Map.remove f t)
+    b a
 
 let remove_one f t =
   match Fact.Map.find_opt f t with

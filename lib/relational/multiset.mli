@@ -25,7 +25,8 @@ val union : t -> t -> t
     ([Fact.Map.union]), not rebuilt one copy at a time. *)
 
 val diff : t -> t -> t
-(** Multiset difference: multiplicities subtract, truncated at zero. *)
+(** Multiset difference: multiplicities subtract, truncated at zero. A
+    walk of the second multiset, editing the first: O(|b| log |a|). *)
 
 val remove_one : Fact.t -> t -> t
 (** Removes a single copy; identity if absent. *)

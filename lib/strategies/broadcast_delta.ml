@@ -2,6 +2,28 @@ open Relational
 
 let sent_prefix = "Sent_"
 
+type derivation = {
+  facts : Broadcast.derivation;
+  unsent : Instance.t;  (* local facts without a [Sent_R] marker in D *)
+}
+
+let assemble input d =
+  let facts = Broadcast.derive input d in
+  {
+    facts;
+    unsent =
+      Instance.filter
+        (fun f ->
+          not
+            (Instance.mem
+               (Fact.make_array (sent_prefix ^ Fact.rel f) f.Fact.args)
+               d))
+        facts.Broadcast.local;
+  }
+
+let slot : derivation Common.slot = Common.slot ()
+let derive input d = Common.once slot assemble input d
+
 let transducer (q : Query.t) =
   let input = q.Query.input in
   let schema =
@@ -14,17 +36,11 @@ let transducer (q : Query.t) =
       ()
   in
   Network.Transducer.make ~schema
-    ~out:(fun d -> Query.apply q (Broadcast.known input d))
+    ~out:(fun d -> Query.apply q (derive input d).facts.Broadcast.known)
     ~ins:(fun d ->
-      let local = Common.restrict_input input d in
-      Instance.union
-        (Common.rename ~prefix:Broadcast.mem_prefix (Broadcast.known input d))
-        (Common.rename ~prefix:sent_prefix local))
+      let x = derive input d in
+      Broadcast.stored_copies ~prefix:Broadcast.mem_prefix x.facts d
+        (Common.rename ~prefix:sent_prefix x.unsent))
     ~snd:(fun d ->
-      let local = Common.restrict_input input d in
-      let already =
-        Instance.restrict (Common.unrename ~prefix:sent_prefix d) input
-      in
-      Common.rename ~prefix:Broadcast.msg_prefix
-        (Instance.diff local already))
+      Common.rename ~prefix:Broadcast.msg_prefix (derive input d).unsent)
     ()

@@ -13,13 +13,43 @@ val fold_prefixed :
     of [i] whose relation is [prefix ^ base] with [base] non-empty. A
     range read ({!Instance.by_prefix}): it touches only those facts. *)
 
-val unrename : prefix:string -> Instance.t -> Instance.t
-(** Keeps only facts whose relation carries the prefix, stripping it.
-    Reads only the prefixed relations. *)
-
 val restrict_input : Schema.t -> Instance.t -> Instance.t
 (** The node's local input fragment: [D] restricted to the input schema,
     read relation by relation ({!Instance.by_rel}). *)
+
+val unrename_input :
+  prefix:string -> Schema.t -> Instance.t -> Instance.t -> Instance.t
+(** [unrename_input ~prefix input d acc] adds to [acc] the facts [R(ā)]
+    for which [d] holds [(prefix ^ R)(ā)], [R/k] an input relation and
+    [ā] of length [k]: one range read of [prefix ^ R] per input relation,
+    the prefix stripped. *)
+
+val missing_copies :
+  prefix:string -> Instance.t -> Instance.t -> Instance.t -> Instance.t
+(** [missing_copies ~prefix facts d acc] adds to [acc] the [prefix]ed
+    copy of each fact of [facts] that [d] does not hold: what an
+    inflationary memory update [mem ∪ ins] would add, and nothing it
+    would drop again. *)
+
+(** {1 One derivation per transition}
+
+    [Config.react] hands one physical [D] to all four queries of a
+    transition. A strategy derives the sets its queries share once per
+    [D] through a slot of its own module: one per domain, holding the
+    last derivation and keyed on the physical [(input schema, D)] pair,
+    so a pool domain never sees another's and an older [D] is
+    re-derived, never misread. *)
+
+type 'a slot
+
+val slot : unit -> 'a slot
+(** A fresh domain-local slot, created once per strategy module. *)
+
+val once :
+  'a slot -> (Schema.t -> Instance.t -> 'a) -> Schema.t -> Instance.t -> 'a
+(** [once slot derive input d] is [derive input d], computed at most once
+    in a row for the same physical [input] and [d] on this domain. The
+    derivation must depend on the contents of [input] and [d] alone. *)
 
 val my_id : Instance.t -> Value.t option
 (** The node's identifier from the [Id] system relation. *)

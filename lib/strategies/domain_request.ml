@@ -13,13 +13,20 @@ let known_val_rel = "KnownVal"
 let got_req_rel = "GotReq"
 let got_ok_rel = "GotOk"
 
-let collected input d =
-  let local = Common.restrict_input input d in
-  let stored = Instance.restrict (Common.unrename ~prefix:got_prefix d) input in
-  let delivered =
-    Instance.restrict (Common.unrename ~prefix:fact_msg_prefix d) input
-  in
-  Instance.union local (Instance.union stored delivered)
+type derivation = {
+  local : Instance.t;
+  stored : Instance.t;  (* input facts stored as [Got_R] *)
+  delivered : Instance.t;  (* input facts delivered as [FMsg_R] *)
+  collected : Instance.t;  (* local ∪ stored ∪ delivered *)
+  id : Value.t option;
+  my_adom : Value.Set.t;
+  requests : (Value.t * Value.t) list;  (* [GotReq] and [Req] pairs *)
+  responsible : Value.Set.t;
+      (* the values of [MyAdom] and of the requests whose
+         [policy_R(a,...,a)] row D shows *)
+  unresolved : Value.Set.t;
+      (* with an [Id], the values of [MyAdom] neither own nor OK'd *)
+}
 
 (* Pairs (z, a) from a binary relation plus its delivered counterpart. *)
 let pairs_of d rels =
@@ -31,104 +38,123 @@ let pairs_of d rels =
         (Instance.by_rel d rel))
     rels
 
-let has_ok d x a =
-  List.exists
-    (fun (z, b) -> Value.equal z x && Value.equal b a)
-    (pairs_of d [ got_ok_rel; ok_rel ])
+let assemble input d =
+  let local = Common.restrict_input input d in
+  let stored =
+    Common.unrename_input ~prefix:got_prefix input d Instance.empty
+  in
+  let delivered =
+    Common.unrename_input ~prefix:fact_msg_prefix input d Instance.empty
+  in
+  let id = Common.my_id d in
+  let my_adom = Common.my_adom d in
+  let requests = pairs_of d [ got_req_rel; req_rel ] in
+  let responsible =
+    Value.Set.filter
+      (Common.responsible_value input d)
+      (List.fold_left
+         (fun acc (_, a) -> Value.Set.add a acc)
+         my_adom requests)
+  in
+  let unresolved =
+    match id with
+    | None -> Value.Set.empty
+    | Some x ->
+      let oked =
+        List.fold_left
+          (fun acc (z, a) ->
+            if Value.equal z x then Value.Set.add a acc else acc)
+          Value.Set.empty
+          (pairs_of d [ got_ok_rel; ok_rel ])
+      in
+      Value.Set.diff my_adom (Value.Set.union responsible oked)
+  in
+  {
+    local;
+    stored;
+    delivered;
+    collected = Instance.union local (Instance.union stored delivered);
+    id;
+    my_adom;
+    requests;
+    responsible;
+    unresolved;
+  }
+
+let slot : derivation Common.slot = Common.slot ()
+let derive input d = Common.once slot assemble input d
+let collected input d = (derive input d).collected
 
 let complete input d =
-  match Common.my_id d with
-  | None -> false
-  | Some x ->
-    let c = Common.my_adom d in
-    Value.Set.for_all
-      (fun a -> Common.responsible_value input d a || has_ok d x a)
-      c
+  let x = derive input d in
+  Option.is_some x.id && Value.Set.is_empty x.unresolved
 
-(* Acks this node has seen from requester z, as a fact set over the input
-   schema: range reads of the stored and the delivered ack relations. *)
-let acks_from d z =
-  let from prefix acc =
-    Common.fold_prefixed ~prefix
-      (fun base f acc ->
-        if Fact.arity f >= 2 && Value.equal (Fact.arg f 0) z then
-          Instance.add (Fact.make base (List.tl (Fact.args f))) acc
-        else acc)
-      d acc
-  in
-  from got_ack_prefix (from ack_msg_prefix Instance.empty)
-
-let requests_seen d = pairs_of d [ got_req_rel; req_rel ]
+(* Has requester [z] acknowledged [f] (a stored [GotAck_R] or a just
+   delivered [AckMsg_R] row [(z, ā)])? *)
+let acked d z f =
+  let args = Array.append [| z |] f.Fact.args in
+  Instance.mem (Fact.make_array (got_ack_prefix ^ Fact.rel f) args) d
+  || Instance.mem (Fact.make_array (ack_msg_prefix ^ Fact.rel f) args) d
 
 let q_snd input d =
-  let local = Common.restrict_input input d in
+  let x = derive input d in
   let out = ref Instance.empty in
   let add f = out := Instance.add f !out in
   (* 1. Broadcast the local active domain. *)
   Value.Set.iter
     (fun a -> add (Fact.make val_msg_rel [ a ]))
-    (Instance.adom local);
-  (match Common.my_id d with
+    (Instance.adom x.local);
+  (match x.id with
   | None -> ()
-  | Some x ->
+  | Some me ->
     (* 2. Request every unresolved value of MyAdom. *)
-    Value.Set.iter
-      (fun a ->
-        if (not (Common.responsible_value input d a)) && not (has_ok d x a)
-        then add (Fact.make req_rel [ x; a ]))
-      (Common.my_adom d);
+    Value.Set.iter (fun a -> add (Fact.make req_rel [ me; a ])) x.unresolved;
     (* 3. Acknowledge every collected response fact. *)
-    Instance.iter
-      (fun f ->
-        add (Fact.make (ack_msg_prefix ^ Fact.rel f) (x :: Fact.args f)))
-      (Instance.restrict (Common.unrename ~prefix:got_prefix d) input);
-    Instance.iter
-      (fun f ->
-        add (Fact.make (ack_msg_prefix ^ Fact.rel f) (x :: Fact.args f)))
-      (Instance.restrict (Common.unrename ~prefix:fact_msg_prefix d) input));
+    let ack f =
+      add (Fact.make_array (ack_msg_prefix ^ Fact.rel f)
+             (Array.append [| me |] f.Fact.args))
+    in
+    Instance.iter ack x.stored;
+    Instance.iter ack x.delivered);
   (* 4. Answer remembered requests for values we are responsible for. *)
   List.iter
     (fun (z, a) ->
-      if Common.responsible_value input d a then begin
+      if Value.Set.mem a x.responsible then begin
         let mine =
-          Instance.filter (fun f -> Value.Set.mem a (Fact.adom f)) local
+          Instance.filter
+            (fun f -> Array.exists (Value.equal a) f.Fact.args)
+            x.local
         in
         Instance.iter
-          (fun f -> add (Fact.make (fact_msg_prefix ^ Fact.rel f) (Fact.args f)))
+          (fun f ->
+            add (Fact.make_array (fact_msg_prefix ^ Fact.rel f) f.Fact.args))
           mine;
-        let acked = acks_from d z in
-        if Instance.for_all (fun f -> Instance.mem f acked) mine then
+        if Instance.for_all (acked d z) mine then
           add (Fact.make ok_rel [ z; a ])
       end)
-    (requests_seen d);
+    x.requests;
   !out
 
+(* Only the memory rows D lacks: every memory row of D is already
+   stored, and the memory is inflationary. *)
 let q_ins input d =
+  let x = derive input d in
   let out = ref Instance.empty in
-  let add f = out := Instance.add f !out in
+  let add f = if not (Instance.mem f d) then out := Instance.add f !out in
   (* Persist MyAdom. *)
-  Value.Set.iter
-    (fun a -> add (Fact.make known_val_rel [ a ]))
-    (Common.my_adom d);
-  (* Persist collected response facts. *)
-  Instance.iter
-    (fun f -> add (Fact.make (got_prefix ^ Fact.rel f) (Fact.args f)))
-    (Instance.restrict (Common.unrename ~prefix:fact_msg_prefix d) input);
-  Instance.iter
-    (fun f -> add (Fact.make (got_prefix ^ Fact.rel f) (Fact.args f)))
-    (Instance.restrict (Common.unrename ~prefix:got_prefix d) input);
-  (* Persist requests, acks, OKs. *)
+  Value.Set.iter (fun a -> add (Fact.make known_val_rel [ a ])) x.my_adom;
+  (* Persist delivered response facts, requests, OKs and acks. *)
+  out := Common.missing_copies ~prefix:got_prefix x.delivered d !out;
   List.iter
     (fun (z, a) -> add (Fact.make got_req_rel [ z; a ]))
-    (requests_seen d);
+    (pairs_of d [ req_rel ]);
   List.iter
     (fun (z, a) -> add (Fact.make got_ok_rel [ z; a ]))
-    (pairs_of d [ ok_rel; got_ok_rel ]);
+    (pairs_of d [ ok_rel ]);
   Common.fold_prefixed ~prefix:ack_msg_prefix
     (fun base f () ->
       add (Fact.make_array (got_ack_prefix ^ base) f.Fact.args))
     d ();
-  Common.fold_prefixed ~prefix:got_ack_prefix (fun _ f () -> add f) d ();
   !out
 
 let q_out q input d =

@@ -217,6 +217,61 @@ let test_profile_chrome_valid () =
     | Ok () -> ()
     | Error m -> Alcotest.failf "chrome render fails trace validation: %s" m)
 
+(* Every child span's drawn interval lies inside its parent's. *)
+let check_nested events =
+  let interval (e : Observe.Sink.event) =
+    match (List.assoc_opt "path" e.args, e.dur) with
+    | Some (Observe.Json.String p), Some dur -> (p, (e.ts, e.ts +. dur))
+    | _ -> Alcotest.fail "a profile event without a path or a duration"
+  in
+  let spans = List.map interval events in
+  let eps = 1e-9 in
+  List.iter
+    (fun (p, (start, stop)) ->
+      match String.rindex_opt p '/' with
+      | None -> ()
+      | Some i ->
+        let parent = String.sub p 0 i in
+        let pstart, pstop = List.assoc parent spans in
+        if start < pstart -. eps || stop > pstop +. eps then
+          Alcotest.failf "%s [%g, %g] outside %s [%g, %g]" p start stop parent
+            pstart pstop)
+    spans
+
+(* Children whose totals sum past their parent's, as a span run on two
+   pool domains records them: a/x alone outlasts a, and p's children sum
+   to 1.5 s of its 1.0 s. *)
+let test_chrome_children_inside () =
+  let m = Observe.Metrics.create () in
+  Observe.Metrics.with_current m (fun () ->
+      List.iter
+        (fun (path, secs) ->
+          Observe.Metrics.observe
+            (Observe.Metrics.timing ~labels:[ ("path", path) ] "profile.time")
+            secs)
+        [
+          ("p", 1.0); ("p/a", 0.8); ("p/b", 0.7); ("p/a/x", 0.9);
+          ("p/a/y", 0.2); ("p/b/z", 0.1); ("q", 0.5); ("q/w", 0.25);
+        ]);
+  let events = Observe.Profile.to_chrome_events m in
+  check_bool "one event per span" true (List.length events = 8);
+  check_nested events;
+  (* Children that fit keep their widths. *)
+  List.iter
+    (fun (name, width) ->
+      check_bool (name ^ " unscaled") true
+        (List.exists
+           (fun (e : Observe.Sink.event) ->
+             e.name = name && e.dur = Some width)
+           events))
+    [ ("z", 0.1); ("w", 0.25); ("q", 0.5) ];
+  (* A profiled scan on two domains. *)
+  profiled (fun () ->
+      ignore
+        (Checker.check_exhaustive ~bounds:small ~jobs:2 Classes.Disjoint
+           Zoo.comp_tc));
+  check_nested (Observe.Profile.to_chrome_events Observe.Metrics.root)
+
 (* ------------------------------------------------------------------ *)
 (* Jobs-invariance wall for the stable profile fields *)
 
@@ -388,6 +443,8 @@ let () =
             test_profile_tampering_rejected;
           Alcotest.test_case "chrome render validates" `Quick
             test_profile_chrome_valid;
+          Alcotest.test_case "chrome children inside their parent" `Quick
+            test_chrome_children_inside;
         ] );
       ( "determinism-wall",
         [

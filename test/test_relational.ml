@@ -544,6 +544,37 @@ let prop_multiset_union_is_fold =
       Multiset.equal (Multiset.union a b)
         (Multiset.fold (fun f n t -> Multiset.add ~copies:n f t) b a))
 
+let prop_multiset_diff_is_fold =
+  QCheck2.Test.make ~name:"multiset diff = the fold over the first"
+    ~count:300
+    ~print:QCheck2.Print.(pair print_multiset print_multiset)
+    (QCheck2.Gen.pair gen_multiset gen_multiset) (fun (a, b) ->
+      let fold_diff a b =
+        Multiset.fold
+          (fun f n t ->
+            let k = n - Multiset.count f b in
+            if k > 0 then Multiset.add ~copies:k f t else t)
+          a Multiset.empty
+      in
+      (* b ⊆ a as well, the shape of a delivery. *)
+      let sub = Multiset.diff a (Multiset.diff a b) in
+      Multiset.equal (Multiset.diff a b) (fold_diff a b)
+      && Multiset.equal (Multiset.diff a sub) (fold_diff a sub))
+
+let prop_multiset_of_instance_is_fold =
+  QCheck2.Test.make ~name:"multiset of_instance = the fold of add" ~count:300
+    ~print:Instance.to_string gen_named_instance (fun i ->
+      Multiset.equal (Multiset.of_instance i)
+        (Instance.fold (fun f t -> Multiset.add f t) i Multiset.empty))
+
+let prop_adom_is_fold =
+  QCheck2.Test.make ~name:"adom = the fold of per-fact unions" ~count:300
+    ~print:Instance.to_string gen_named_instance (fun i ->
+      Value.Set.equal (Instance.adom i)
+        (Instance.fold
+           (fun f acc -> Value.Set.union (Fact.adom f) acc)
+           i Value.Set.empty))
+
 let prop_multiset_nth =
   QCheck2.Test.make ~name:"multiset nth = List.nth of to_list" ~count:300
     ~print:print_multiset gen_multiset (fun b ->
@@ -655,6 +686,9 @@ let () =
             prop_by_rel_is_fold;
             prop_by_prefix_is_filter;
             prop_multiset_union_is_fold;
+            prop_multiset_diff_is_fold;
+            prop_multiset_of_instance_is_fold;
+            prop_adom_is_fold;
             prop_multiset_nth;
           ] );
     ]
